@@ -1,7 +1,8 @@
 """Command-line driver: parse models, build semantics, solve, reduce, sweep.
 
 Exit codes: 0 success, 1 analysis failure (no unique steady state, systems
-not isomorphic or not equivalent, state-space cap), 2 input error.
+not isomorphic or not equivalent, state-space cap, an index undefined on the
+solution), 2 input error.
 """
 
 from __future__ import annotations
@@ -35,12 +36,17 @@ def _parse_param(text: str) -> Tuple[str, object]:
     if "=" not in text:
         raise CliError("bad --param %r, expected name=value or name=start:stop:step" % text, INPUT_ERROR)
     name, _, value = text.partition("=")
-    if ":" in value:
-        pieces = value.split(":")
-        if len(pieces) != 3:
-            raise CliError("bad sweep range %r, expected start:stop:step" % value, INPUT_ERROR)
-        return name, tuple(float(p) for p in pieces)
-    return name, float(value)
+    try:
+        numbers = tuple(float(p) for p in value.split(":"))
+    except ValueError:
+        raise CliError("bad --param %r, %r is not a number" % (text, value), INPUT_ERROR) from None
+    if len(numbers) == 1:
+        return name, numbers[0]
+    if len(numbers) != 3:
+        raise CliError("bad sweep range %r, expected start:stop:step" % value, INPUT_ERROR)
+    if not numbers[2] > 0:
+        raise CliError("bad sweep range %r, the step must be positive" % value, INPUT_ERROR)
+    return name, numbers
 
 
 def _split_params(raw: List[str]) -> Tuple[Dict[str, float], Dict[str, Tuple[float, float, float]]]:
@@ -78,6 +84,18 @@ def _build_ts(expr, max_states: int):
         raise CliError(str(exc), ANALYSIS_ERROR)
     except SemanticsError as exc:
         raise CliError(str(exc), INPUT_ERROR)
+
+
+def _index_values(indices: Dict[str, tuple], result) -> Dict[str, float]:
+    """Named index values; an index undefined on this solution (a division by
+    zero, a state the chain does not have) is an analysis failure."""
+    values = {}
+    for name, expr in indices.items():
+        try:
+            values[name] = evaluate_index(expr, result)
+        except (ZeroDivisionError, ValueError) as exc:
+            raise AnalysisError("index %s: %s" % (name, exc)) from None
+    return values
 
 
 def _emit(args, filename: str, text: str) -> None:
@@ -191,7 +209,7 @@ def cmd_solve(args) -> int:
         else:
             chain = Chain.from_ts(ts)
         result = solve_chain(chain)
-        values = {name: evaluate_index(expr, result) for name, expr in indices.items()}
+        values = _index_values(indices, result)
     except AnalysisError as exc:
         detail = ""
         if exc.closed_classes:
@@ -247,7 +265,7 @@ def _sweep_indices_at(base_ts, model: ModelFile, indices, point: Dict[str, float
     ts = base_ts.reweight(leaf_values_of(expr), remap_members=remap_members)
     chain = quotient(ts).chain() if use_quotient else Chain.from_ts(ts)
     result = solve_chain(chain)
-    values = {name: float(evaluate_index(ix, result)) for name, ix in indices.items()}
+    values = {name: float(v) for name, v in _index_values(indices, result).items()}
     return result, values
 
 
@@ -380,6 +398,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
     try:
+        if not args.tol > 0:
+            raise CliError("--tol must be positive, got %r" % args.tol, INPUT_ERROR)
         return args.func(args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -309,6 +309,36 @@ def apply_relabel(f: Relabeling, step: Iterable[Activity]) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
+# Expression nodes
+# ---------------------------------------------------------------------------
+
+
+def _node(cls):
+    """Frozen, ordered dataclass whose hash is computed once per instance.
+
+    The hash is the dataclass field hash, so equal trees still hash equal;
+    keeping it on the node lets memo tables keyed by deep trees hash every
+    node once instead of re-walking the subtree on each lookup.  It is left
+    out of the pickled state, because string hashes differ between processes.
+    """
+    cls = dataclass(frozen=True, order=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = field_hash(self)
+        return h
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Static expressions
 # ---------------------------------------------------------------------------
 
@@ -319,48 +349,48 @@ class StaticExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True, order=True)
+@_node
 class Act(StaticExpr):
     activity: Activity
 
 
-@dataclass(frozen=True, order=True)
+@_node
 class Seq(StaticExpr):
     left: StaticExpr
     right: StaticExpr
 
 
-@dataclass(frozen=True, order=True)
+@_node
 class Cho(StaticExpr):
     left: StaticExpr
     right: StaticExpr
 
 
-@dataclass(frozen=True, order=True)
+@_node
 class Par(StaticExpr):
     left: StaticExpr
     right: StaticExpr
 
 
-@dataclass(frozen=True, order=True)
+@_node
 class Rel(StaticExpr):
     child: StaticExpr
     func: Relabeling
 
 
-@dataclass(frozen=True, order=True)
+@_node
 class Rst(StaticExpr):
     child: StaticExpr
     action: str
 
 
-@dataclass(frozen=True, order=True)
+@_node
 class Syn(StaticExpr):
     child: StaticExpr
     action: str
 
 
-@dataclass(frozen=True, order=True)
+@_node
 class Ite(StaticExpr):
     init: StaticExpr
     body: StaticExpr
@@ -469,54 +499,54 @@ class DynamicExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True, order=True)
+@_node
 class Over(DynamicExpr):
     expr: StaticExpr
 
 
-@dataclass(frozen=True, order=True)
+@_node
 class Under(DynamicExpr):
     expr: StaticExpr
 
 
-@dataclass(frozen=True, order=True)
+@_node
 class DSeq(DynamicExpr):
     # exactly one side is dynamic
     left: Union[StaticExpr, DynamicExpr]
     right: Union[StaticExpr, DynamicExpr]
 
 
-@dataclass(frozen=True, order=True)
+@_node
 class DCho(DynamicExpr):
     left: Union[StaticExpr, DynamicExpr]
     right: Union[StaticExpr, DynamicExpr]
 
 
-@dataclass(frozen=True, order=True)
+@_node
 class DPar(DynamicExpr):
     left: DynamicExpr
     right: DynamicExpr
 
 
-@dataclass(frozen=True, order=True)
+@_node
 class DRel(DynamicExpr):
     child: DynamicExpr
     func: Relabeling
 
 
-@dataclass(frozen=True, order=True)
+@_node
 class DRst(DynamicExpr):
     child: DynamicExpr
     action: str
 
 
-@dataclass(frozen=True, order=True)
+@_node
 class DSyn(DynamicExpr):
     child: DynamicExpr
     action: str
 
 
-@dataclass(frozen=True, order=True)
+@_node
 class DIte(DynamicExpr):
     # exactly one of the three arguments is dynamic
     init: Union[StaticExpr, DynamicExpr]

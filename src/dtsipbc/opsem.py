@@ -2,6 +2,15 @@
 
 States are structural-equivalence classes of barred expressions: the closure
 of a term under the bar-moving rewrite rules applied forwards and backwards.
+A state is represented by its operative members (those no forward rule
+rewrites), which the derivation rules start from.  They are computed from
+the classes of the subterms, never by enumerating the class: equivalent
+expressions denote the same marking of the box, so the class of a parallel
+composition is the product of its components' classes, and the class of any
+other node joins the classes of its dynamic argument that the root rules
+link (``Engine._summary``).  ``Engine.closure`` still enumerates whole
+classes; it is the reference the tests check the summaries against.
+
 A step is a set of activities executed in one clock tick (stochastic) or
 instantaneously (immediate).  Immediate steps pre-empt stochastic ones, which
 is enforced twice: locally, through the guards of the derivation rules at
@@ -18,7 +27,7 @@ are normalized directly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .expr import (
@@ -63,9 +72,6 @@ __all__ = [
     "build_ts",
     "ts_isomorphic",
     "leaf_values_of",
-    "potential_steps",
-    "current_steps",
-    "member_tangible",
 ]
 
 Step = FrozenSet[Activity]
@@ -440,8 +446,36 @@ def leaf_values_of(expr: StaticExpr) -> Dict[int, float]:
 # ---------------------------------------------------------------------------
 
 
+# The root rules of the nodes with one dynamic argument, read as links.  A
+# port (k, bar) is the k-th argument under that bar, or the whole node when k
+# is None; the forward and backward root rules turn the ports of one group
+# into one another, so a class that reaches one port reaches its whole group.
+_UNARY_LINKS = (((None, Over), (0, Over)), ((0, Under), (None, Under)))
+_LINKS = {
+    DSeq: (((None, Over), (0, Over)), ((0, Under), (1, Over)), ((1, Under), (None, Under))),
+    DCho: (((None, Over), (0, Over), (1, Over)), ((0, Under), (1, Under), (None, Under))),
+    DIte: (
+        ((None, Over), (0, Over)),
+        ((0, Under), (1, Over), (1, Under), (2, Over)),
+        ((2, Under), (None, Under)),
+    ),
+    DRel: _UNARY_LINKS,
+    DRst: _UNARY_LINKS,
+    DSyn: _UNARY_LINKS,
+}
+_GROUP_OF = {kind: {port: group for group in groups for port in group} for kind, groups in _LINKS.items()}
+_FIELDS = {kind: tuple(f.name for f in fields(kind)) for kind in _LINKS}
+
+# operative members of a class, whether it holds Over(e), whether it holds Under(e)
+Summary = Tuple[FrozenSet[DynamicExpr], bool, bool]
+
+
 class Engine:
-    """Caches bar closures and step derivations.
+    """Caches class summaries and step derivations.
+
+    A state's operative members are computed from the classes of its
+    subterms (see ``_summary``); ``closure`` still enumerates a whole class
+    and is kept as the reference the tests compare against.
 
     The derivation rules are applied without their stochastic guards; the
     pre-emption of stochastic steps by immediate ones is enforced once per
@@ -454,12 +488,14 @@ class Engine:
     def __init__(self, closure_limit: int = 10**6):
         self.closure_limit = closure_limit
         self._closures: Dict[DynamicExpr, FrozenSet[DynamicExpr]] = {}
-        self._operative: Dict[DynamicExpr, Tuple[DynamicExpr, ...]] = {}
+        self._summaries: Dict[DynamicExpr, Summary] = {}
+        self._operative: Dict[FrozenSet[DynamicExpr], Tuple[DynamicExpr, ...]] = {}
         self._derived: Dict[DynamicExpr, Tuple[Tuple[Step, DynamicExpr], ...]] = {}
 
     # -- structural equivalence --------------------------------------------
 
     def closure(self, g: DynamicExpr) -> FrozenSet[DynamicExpr]:
+        """Every member of the class of ``g``, by exhaustive rewriting."""
         cached = self._closures.get(g)
         if cached is not None:
             return cached
@@ -479,21 +515,97 @@ class Engine:
         return result
 
     def operatives(self, g: DynamicExpr) -> Tuple[DynamicExpr, ...]:
-        cached = self._operative.get(g)
-        if cached is not None:
-            return cached
-        ops = [d for d in self.closure(g) if not _rewrites(d, _forward_root)]
-        ops.sort(key=serialize)
-        result = tuple(ops)
-        for member in self.closure(g):
-            self._operative[member] = result
-        return result
+        """Members of the class of ``g`` that no forward rule rewrites, in
+        serialization order."""
+        ops = self._summary(g)[0]
+        cached = self._operative.get(ops)
+        if cached is None:
+            cached = self._operative[ops] = tuple(sorted(ops, key=serialize))
+        return cached
 
     def is_initial(self, g: DynamicExpr) -> bool:
         return Over(underlying(g)) in self.closure(g)
 
     def is_final(self, g: DynamicExpr) -> bool:
         return Under(underlying(g)) in self.closure(g)
+
+    def _summary(self, g: DynamicExpr) -> Summary:
+        """Operatives and initial/final flags of the class of ``g``, from the
+        classes of its subterms.
+
+        Equivalent dynamic expressions denote the same marking of the box, so
+        a class splits along the term structure: a parallel class is the
+        product of its components' classes, and the class of a node with one
+        dynamic argument joins the argument classes its root rules link.
+        """
+        cached = self._summaries.get(g)
+        if cached is not None:
+            return cached
+        if isinstance(g, (Over, Under)):
+            if isinstance(g.expr, Act):
+                result = (frozenset((g,)), isinstance(g, Over), isinstance(g, Under))
+            else:
+                # one root rule away from a compound node of the same class
+                root_rule = _forward_root if isinstance(g, Over) else _backward_root
+                result = self._summary(root_rule(g)[0])
+        elif isinstance(g, DPar):
+            left_ops, left_initial, left_final = self._summary(g.left)
+            right_ops, right_initial, right_final = self._summary(g.right)
+            ops = {
+                DPar(x, y)
+                for x in left_ops
+                for y in right_ops
+                if not (isinstance(x, Under) and isinstance(y, Under))
+            }
+            final = left_final and right_final
+            if final:
+                ops.add(Under(underlying(g)))
+            result = (frozenset(ops), left_initial and right_initial, final)
+        else:
+            result = self._linked(g)
+        self._summaries[g] = result
+        return result
+
+    def _linked(self, g: DynamicExpr) -> Summary:
+        """Summary of a node with one dynamic argument: a fixed point over the
+        argument classes that the node's links reach from the one in ``g``."""
+        kind = type(g)
+        group_of = _GROUP_OF[kind]
+        args = [getattr(g, name) for name in _FIELDS[kind]]
+        at = next(k for k, x in enumerate(args) if isinstance(x, DynamicExpr))
+        static: Optional[List[object]] = None  # args with the skeleton at ``at``
+        ops = set()
+        whole = set()
+        active = set()
+        todo = [(at, args[at])]
+        seen = set(todo)
+        while todo:
+            k, child = todo.pop()
+            child_ops, initial, final = self._summary(child)
+            around = args if k == at else static
+            for x in child_ops:
+                # Under(child) would rewrite forward at this node's root
+                if not isinstance(x, Under):
+                    ops.add(kind(*around[:k], x, *around[k + 1:]))
+            for bar, reached in ((Over, initial), (Under, final)):
+                group = group_of[(k, bar)]
+                if not reached or group in active:
+                    continue
+                active.add(group)
+                if static is None:
+                    static = list(args)
+                    static[at] = underlying(args[at])
+                for j, end in group:
+                    if j is None:
+                        whole.add(end)
+                        continue
+                    port = (j, end(static[j]))
+                    if port not in seen:
+                        seen.add(port)
+                        todo.append(port)
+        if Under in whole:
+            ops.add(Under(underlying(g)))
+        return frozenset(ops), Over in whole, Under in whole
 
     # -- step derivation ------------------------------------------------------
 
@@ -605,71 +717,6 @@ def _saturate_step(step: Step, a: Action) -> List[Step]:
                     seen.add(merged)
                     frontier.append(merged)
     return sorted(seen, key=step_key)
-
-
-# ---------------------------------------------------------------------------
-# Potentially and currently executable step sets of one operative term
-# ---------------------------------------------------------------------------
-
-
-def potential_steps(h: DynamicExpr) -> FrozenSet[Step]:
-    """Non-empty activity sets a single operative term could execute, ignoring
-    the pre-emption by immediates (downward closed by construction)."""
-    if isinstance(h, Over):
-        if isinstance(h.expr, Act):
-            return frozenset((frozenset((h.expr.activity,)),))
-        raise SemanticsError("not an operative term: %s" % serialize(h))
-    if isinstance(h, Under):
-        return frozenset()
-    if isinstance(h, (DSeq, DCho)):
-        child = h.left if isinstance(h.left, DynamicExpr) else h.right
-        return potential_steps(child)
-    if isinstance(h, DPar):
-        left = potential_steps(h.left)
-        right = potential_steps(h.right)
-        combined = set(left) | set(right)
-        for s1 in left:
-            for s2 in right:
-                combined.add(s1 | s2)
-        return frozenset(combined)
-    if isinstance(h, DRel):
-        return frozenset(
-            frozenset(h.func.apply_activity(u) for u in s) for s in potential_steps(h.child)
-        )
-    if isinstance(h, DRst):
-        a, ah = Action(h.action), Action(h.action, True)
-        return frozenset(
-            s
-            for s in potential_steps(h.child)
-            if all(a not in u.part and ah not in u.part for u in s)
-        )
-    if isinstance(h, DSyn):
-        action = Action(h.action)
-        out = set()
-        for s in potential_steps(h.child):
-            out.update(_saturate_step(s, action))
-        return frozenset(out)
-    if isinstance(h, DIte):
-        child = next(x for x in (h.init, h.body, h.term) if isinstance(x, DynamicExpr))
-        return potential_steps(child)
-    raise TypeError(repr(h))
-
-
-def current_steps(h: DynamicExpr) -> FrozenSet[Step]:
-    """Steps a single operative term can execute right now: all potential ones
-    when they are uniformly stochastic or uniformly immediate, otherwise only
-    the immediate-only ones (immediates pre-empt)."""
-    can = potential_steps(h)
-    stoch_only = all(not u.immediate for s in can for u in s)
-    imm_only = all(u.immediate for s in can for u in s)
-    if stoch_only or imm_only:
-        return can
-    return frozenset(s for s in can if all(u.immediate for u in s))
-
-
-def member_tangible(h: DynamicExpr) -> bool:
-    """No immediate step among the currently executable ones of this term."""
-    return all(not u.immediate for s in current_steps(h) for u in s)
 
 
 # ---------------------------------------------------------------------------

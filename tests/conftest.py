@@ -157,6 +157,37 @@ def random_regular_text(
     return gen(rng.randint(1, max_activities), True)
 
 
+# ---------------------------------------------------------------------------
+# Shared-memory family
+# ---------------------------------------------------------------------------
+
+
+def shm_text(n: int, abstract: bool = True) -> str:
+    """Model text of the shared-memory system with ``n`` processors.
+
+    At n = 2 this is the bundled ``shared_memory_abstract`` (or, with
+    ``abstract=False``, ``shared_memory``) model; the abstract variant drops
+    the processor index from the request, grant and release actions.
+    """
+
+    def own(name: str, i: int) -> str:
+        return name if abstract else "%s%d" % (name, i)
+
+    lines = ["param rho = 0.5", "param l = 1"]
+    for i in range(1, n + 1):
+        lines.append(
+            "P%d = [({x%d},rho) * (({%s},rho);({%s,y%d},#l);({%s,z%d},rho)) * Stop]"
+            % (i, i, own("r", i), own("d", i), i, own("m", i), i)
+        )
+    grab = ",".join("x%d^" % i for i in range(1, n + 1))
+    serve = " [] ".join("(({y%d^},#l);({z%d^},rho))" % (i, i) for i in range(1, n + 1))
+    lines.append("MEM = [({a,%s},rho) * (%s) * Stop]" % (grab, serve))
+    procs = " || ".join("P%d" % i for i in range(1, n + 1))
+    sync = ",".join("%s%d" % (c, i) for c in "xyz" for i in range(1, n + 1))
+    lines.append("root = (%s || MEM) sr(%s)" % (procs, sync))
+    return "\n".join(lines) + "\n"
+
+
 def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from dtsipbc.cli import main
+from dtsipbc.models import model_text
 
 
 def run(capsys, *argv):
@@ -162,6 +163,50 @@ class TestExitCodes:
         code, _, err = run(capsys, "ts", "shared_memory", "--max-states", "3")
         assert code == 1
         assert "limit" in err
+
+
+class TestInputValidation:
+    """Bad input: a one-line message and exit 2, never a traceback."""
+
+    def assert_refused(self, capsys, *argv, code=2):
+        got, _, err = run(capsys, *argv)
+        assert got == code
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_param_not_a_number(self, capsys):
+        self.assert_refused(capsys, "solve", "shared_memory", "--param", "rho=abc")
+
+    @pytest.mark.parametrize("grid", ["rho=0.9:0.1:-0.1", "rho=0.1:0.9:0", "rho=0.1:0.9:x"])
+    def test_sweep_step_not_a_positive_number(self, capsys, grid):
+        self.assert_refused(capsys, "sweep", "shared_memory_abstract", "--param", grid)
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_tolerance_not_positive(self, capsys, tol):
+        self.assert_refused(capsys, "checkeq", "ssbsspt_pair", "--tol", tol)
+
+
+class TestIndexFailures:
+    """An index undefined on the solution: a one-line message and exit 1."""
+
+    @pytest.fixture(params=["1 / phi[1]", "phi[70]"], ids=["division_by_zero", "state_out_of_range"])
+    def model(self, request, tmp_path):
+        # state 1 of shared_memory is transient, so phi[1] = 0; it has 9 states
+        path = tmp_path / "bad_index.dtsi"
+        path.write_text(model_text("shared_memory") + "\nindex z = %s\n" % request.param)
+        return str(path)
+
+    def assert_failed(self, capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: analysis error") and err.count("\n") == 1, err
+        assert "index z" in err
+
+    def test_solve(self, capsys, model):
+        self.assert_failed(capsys, "solve", model)
+
+    def test_sweep(self, capsys, model, tmp_path):
+        self.assert_failed(capsys, "sweep", model, "--param", "rho=0.3:0.5:0.1", "--index", "z",
+                           "--jobs", "1", "--out", str(tmp_path / "out"))
 
 
 class TestDeterminism:

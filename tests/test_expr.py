@@ -1,5 +1,7 @@
 """Multisets, activities, synchronization and the syntactic predicates."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,7 +18,7 @@ from dtsipbc.expr import (
     sync_activities,
     sync_parts,
 )
-from dtsipbc.parser import parse_static
+from dtsipbc.parser import parse_dynamic, parse_static
 
 
 def A(name, conj=False):
@@ -177,3 +179,14 @@ class TestRegularity:
             Activity.make(ms("a"), False, 0.0, 1)
         with pytest.raises(ValueError):
             Activity.make(ms("a"), True, 0.0, 1)
+
+
+class TestNodeHash:
+    def test_cached_hash_is_not_pickled(self):
+        # string hashes differ between processes, so an unpickled node must
+        # compute its hash afresh
+        g = parse_dynamic("~((({a},0.5);({b},0.5))||({c},0.5))")
+        h = hash(g)
+        copy = pickle.loads(pickle.dumps(g))
+        assert "_hash" not in copy.__dict__
+        assert copy == g and hash(copy) == h

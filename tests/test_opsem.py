@@ -31,23 +31,23 @@ from dtsipbc.expr import (
     Seq,
     Under,
 )
+from dtsipbc.models import bundled_model_names, load_model
+from dtsipbc.netsem import box_of, build_rg
 from dtsipbc.opsem import (
     Engine,
     SemanticsError,
     StateSpaceLimit,
     TransitionSystem,
     build_ts,
-    current_steps,
     inaction_closure,
     leaf_values_of,
-    member_tangible,
-    potential_steps,
     step_label,
     ts_isomorphic,
 )
-from dtsipbc.parser import parse_dynamic, parse_static, serialize
+from dtsipbc.parser import parse_dynamic, parse_model, parse_static, serialize
 
-from conftest import label_strings, make_rng, random_regular_text, ts_of
+from conftest import label_strings, make_rng, random_regular_text, shm_text, ts_of
+from oracles import current_steps, enumerated_class, member_tangible, potential_steps
 
 
 def steps_as_parts(steps):
@@ -368,3 +368,61 @@ class TestExecOracle:
             want_sets, want_tangible = oracle_exec(state.members)
             assert {s for s in ts.exec_steps(i) if s} == want_sets
             assert state.tangible == want_tangible
+
+
+# ---------------------------------------------------------------------------
+# Compositional classes against enumerated ones
+# ---------------------------------------------------------------------------
+
+
+def bundled_roots():
+    for name in bundled_model_names():
+        model = load_model(name)
+        yield name, model.instantiate()
+        if model.peer is not None:
+            yield name + ":peer", model.instantiate_peer()
+
+
+def assert_classes_match(expr, every_member=False):
+    """Each reachable class, summarized from subterms, equals the class read
+    off its enumeration; with ``every_member``, starting from each member."""
+    ts = build_ts(expr)
+    engine, reference = Engine(), Engine()
+    for state in ts.states:
+        starts = reference.closure(state.members[0]) if every_member else state.members
+        for g in starts:
+            want = enumerated_class(reference, g)
+            _, initial, final = engine._summary(g)
+            assert (engine.operatives(g), initial, final) == want, serialize(g)
+            assert want[0] == state.members
+
+
+class TestCompositionalClasses:
+    @pytest.mark.parametrize("expr", [pytest.param(e, id=label) for label, e in bundled_roots()])
+    def test_bundled_roots(self, expr):
+        assert_classes_match(expr)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_terms(self, seed):
+        rng = make_rng(5000 + seed)
+        assert_classes_match(parse_static(random_regular_text(rng, max_activities=8, max_sync=2)))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_terms_from_every_member(self, seed):
+        rng = make_rng(6000 + seed)
+        assert_classes_match(parse_static(random_regular_text(rng, max_activities=5, max_sync=1)), True)
+
+    def test_build_ts_never_enumerates(self, monkeypatch):
+        def refuse(self, g):
+            raise AssertionError("Engine.closure called")
+
+        monkeypatch.setattr(Engine, "closure", refuse)
+        for label, expr in bundled_roots():
+            assert build_ts(expr).states, label
+
+    @pytest.mark.parametrize("abstract", [True, False])
+    def test_shm3_matches_net(self, abstract):
+        expr = parse_model(shm_text(3, abstract)).instantiate()
+        ts = build_ts(expr)
+        assert len(ts.states) == 21
+        assert ts_isomorphic(ts, build_rg(box_of(expr))) is not None
