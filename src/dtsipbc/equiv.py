@@ -4,7 +4,9 @@ Two states are bisimilar when, for every multiset of multiactions and every
 equivalence class, their aggregate probabilities of stepping into that class
 under that label coincide.  The coarsest such partition is the fixpoint of
 whole-signature refinement; probabilities are quantized before hashing so
-that floating-point noise does not split blocks.
+that floating-point noise does not split blocks.  Signatures key on the
+integer label ids that the transition system interns once
+(``TransitionSystem.label_ids``), never on rebuilt label multisets.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .expr import Multiset, StaticExpr
 from .markov import Chain, StepArc
-from .opsem import State, Transition, TransitionSystem, build_ts, step_label
+from .opsem import State, Transition, TransitionSystem, build_ts
 
 __all__ = [
     "Partition",
@@ -50,18 +52,25 @@ def pm_a(ts: TransitionSystem, state: int, label: Multiset, targets: Iterable[in
     """Aggregate probability of steps with the given multiaction part landing
     in the given set of states."""
     target_set = set(targets)
+    labels = ts.labels()
     return sum(
         t.prob
-        for t in ts.outgoing(state)
-        if t.target in target_set and step_label(t.step) == label
+        for t, k in zip(ts.outgoing(state), ts.label_ids(state))
+        if t.target in target_set and labels[k] == label
     )
 
 
-def _signature(ts: TransitionSystem, state: int, block_of: Sequence[int], quantum: float):
-    agg: Dict[Tuple[Multiset, int], float] = {}
-    for t in ts.outgoing(state):
-        key = (step_label(t.step), block_of[t.target])
+def _aggregate(ts: TransitionSystem, state: int, block_of: Sequence[int]) -> Dict[Tuple[int, int], float]:
+    """Probability of each (label id, target block) pair out of a state."""
+    agg: Dict[Tuple[int, int], float] = {}
+    for t, k in zip(ts.outgoing(state), ts.label_ids(state)):
+        key = (k, block_of[t.target])
         agg[key] = agg.get(key, 0.0) + t.prob
+    return agg
+
+
+def _signature(ts: TransitionSystem, state: int, block_of: Sequence[int], quantum: float):
+    agg = _aggregate(ts, state, block_of)
     if quantum > 0:
         items = tuple(sorted((lbl, blk, round(p / quantum)) for (lbl, blk), p in agg.items()))
     else:
@@ -180,7 +189,7 @@ def quotient(
     """
     if part is None:
         part = largest_autobisim(ts, quantum)
-    n = len(part.blocks)
+    labels = ts.labels()
     keys = []
     tangible = []
     arcs: List[List[StepArc]] = []
@@ -191,18 +200,12 @@ def quotient(
             raise AssertionError("quotient block %d mixes state kinds" % (k + 1))
         tangible.append(kinds.pop())
 
-        per_member: List[Dict[Tuple[Multiset, int], float]] = []
-        for i in block:
-            agg: Dict[Tuple[Multiset, int], float] = {}
-            for t in ts.outgoing(i):
-                key = (step_label(t.step), part.block_of[t.target])
-                agg[key] = agg.get(key, 0.0) + t.prob
-            per_member.append(agg)
+        per_member = [_aggregate(ts, i, part.block_of) for i in block]
         rep = per_member[0]
         for other in per_member[1:]:
             if set(other) != set(rep) or any(abs(other[k2] - rep[k2]) > check_tol for k2 in rep):
                 raise AssertionError("partition is not an autobisimulation (block %d)" % (k + 1))
-        row = [StepArc(lbl, p, blk) for (lbl, blk), p in rep.items()]
+        row = [StepArc(labels[lbl], p, blk) for (lbl, blk), p in rep.items()]
         row.sort(key=lambda arc: (arc.label, arc.target))
         arcs.append(row)
 

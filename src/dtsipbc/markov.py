@@ -11,13 +11,14 @@ iteration retained as an independent oracle.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .expr import Multiset
-from .opsem import TransitionSystem, step_label
+from .opsem import TransitionSystem
 
 __all__ = [
     "AnalysisError",
@@ -72,9 +73,11 @@ class Chain:
         n = len(ts.states)
         pm = np.zeros((n, n))
         arcs: List[List[StepArc]] = [[] for _ in range(n)]
-        for t in ts.transitions:
-            pm[t.source, t.target] += t.prob
-            arcs[t.source].append(StepArc(step_label(t.step), t.prob, t.target))
+        labels = ts.labels()
+        for i in range(n):
+            for t, k in zip(ts.outgoing(i), ts.label_ids(i)):
+                pm[i, t.target] += t.prob
+                arcs[i].append(StepArc(labels[k], t.prob, t.target))
         return Chain([s.key for s in ts.states], [s.tangible for s in ts.states], pm, arcs, ts.initial)
 
     @property
@@ -202,10 +205,10 @@ def _class_period(tpm: np.ndarray, comp: List[int]) -> int:
     members = set(comp)
     root = comp[0]
     level = {root: 0}
-    queue = [root]
+    queue = deque([root])
     g = 0
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for w in np.nonzero(tpm[v] > 0)[0]:
             if w not in members:
                 continue
@@ -260,6 +263,13 @@ def steady_state(tpm: np.ndarray, residual_tol: float = 1e-10) -> StationaryResu
     return StationaryResult(pmf, comp, periodic=period > 1)
 
 
+def _compensated_residual(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """b - a x, each row summed exactly (the products round as scalar ones
+    would, and ``math.fsum`` is exact).  Rows are listed one at a time, so
+    that no k-by-k list of Python floats is ever held."""
+    return np.asarray([bi - math.fsum(row.tolist()) for bi, row in zip(b.tolist(), a * x)])
+
+
 def _stationary_on_class(sub: np.ndarray, residual_tol: float) -> Tuple[np.ndarray, float]:
     """LU solve of x(P - I) = 0, x summing to one, on one closed class.
 
@@ -277,18 +287,11 @@ def _stationary_on_class(sub: np.ndarray, residual_tol: float) -> Tuple[np.ndarr
     b = np.zeros(k)
     b[-1] = 1.0
 
-    def compensated_residual(vec: np.ndarray) -> np.ndarray:
-        rows = []
-        for i in range(k):
-            terms = [a[i, j] * vec[j] for j in range(k)]
-            rows.append(b[i] - math.fsum(terms))
-        return np.asarray(rows)
-
     x = np.linalg.solve(a, b)
     best = None
     for _ in range(5):
         x = x / x.sum()
-        resid = compensated_residual(x)
+        resid = _compensated_residual(a, b, x)
         true_res = float(np.max(np.abs(x @ gen)))
         if best is None or true_res < best[1]:
             best = (x.copy(), true_res)

@@ -7,6 +7,14 @@ iteration fuses the initializer's exits, the body's entries and exits and the
 terminator's entries into one looping interface.  Transitions are identified
 with enumerated activities, so reachability graphs are directly comparable to
 transition systems of expressions.
+
+Reachability graphs and the safe/clean check explore a box compiled once
+into index-coded form (``_Net``): markings are tuples of token counts per
+place, transitions carry their presets and postsets as (place, count) pairs
+and their activity values, and firing adds and subtracts counts.  Only the
+reachable markings are turned back into ``Multiset`` objects and key
+strings.  ``enabled`` and ``fire`` keep working on ``Multiset`` markings of
+the box itself.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .expr import (
     is_regular,
     sync_activities,
 )
-from .opsem import SemanticsError, State, StateSpaceLimit, Transition, TransitionSystem, step_key
+from .opsem import SemanticsError, State, StateSpaceLimit, Step, Transition, TransitionSystem
 
 __all__ = [
     "Place",
@@ -190,23 +198,50 @@ def _rst_box(n: DtsiBox, action: str) -> DtsiBox:
 
 
 def _syn_box(n: DtsiBox, action: str) -> DtsiBox:
+    """Close the box under pairwise synchronization on ``action``.
+
+    Only a transition holding a and one holding a-hat can synchronize, so
+    each transition is tested against such partners alone, taken in the
+    order they joined the pool."""
     a, ah = Action(action), Action(action, True)
     pool: Dict[Activity, NetTransition] = {t.activity: t for t in n.transitions}
-    frontier = list(pool.values())
+    order: List[NetTransition] = []
+    content: List[frozenset] = []
+    has_a: List[bool] = []
+    has_ah: List[bool] = []
+    holds_a: List[int] = []
+    holds_ah: List[int] = []
+
+    def join(t: NetTransition) -> None:
+        k = len(order)
+        order.append(t)
+        content.append(t.activity.content)
+        has_a.append(a in t.activity.part)
+        has_ah.append(ah in t.activity.part)
+        if has_a[k]:
+            holds_a.append(k)
+        if has_ah[k]:
+            holds_ah.append(k)
+
+    for t in pool.values():
+        join(t)
+    frontier = list(range(len(order)))
     while frontier:
-        t = frontier.pop()
-        for u in list(pool.values()):
-            if t.activity.immediate != u.activity.immediate:
+        i = frontier.pop()
+        t = order[i]
+        partners = sorted(set(holds_ah if has_a[i] else ()) | set(holds_a if has_ah[i] else ()))
+        for k in partners:
+            u = order[k]
+            if t.activity.immediate != u.activity.immediate or content[i] & content[k]:
                 continue
-            if t.activity.content & u.activity.content:
-                continue
-            for v, w in ((t, u), (u, t)):
-                if a in v.activity.part and ah in w.activity.part:
+            for (v, x), (w, y) in (((t, i), (u, k)), ((u, k), (t, i))):
+                if has_a[x] and has_ah[y]:
                     merged_act = sync_activities(v.activity, w.activity, a)
                     if merged_act not in pool:
                         merged = NetTransition(merged_act, v.pre + w.pre, v.post + w.post)
                         pool[merged_act] = merged
-                        frontier.append(merged)
+                        frontier.append(len(order))
+                        join(merged)
     return DtsiBox(n.places, tuple(sorted(pool.values())))
 
 
@@ -250,11 +285,6 @@ def enabled(box: DtsiBox, marking: Multiset) -> List[NetTransition]:
     return sorted(fireable)
 
 
-def _marking_tangible(box: DtsiBox, marking: Multiset) -> bool:
-    ena = enabled(box, marking)
-    return not any(t.activity.immediate for t in ena)
-
-
 def fire(box: DtsiBox, marking: Multiset, group: Iterable[NetTransition]) -> Multiset:
     """Fire a set of transitions at once; no self-concurrency, so sets only."""
     group = list(group)
@@ -271,50 +301,162 @@ def fire(box: DtsiBox, marking: Multiset, group: Iterable[NetTransition]) -> Mul
     return marking - pre + post
 
 
-def _firing_groups(box: DtsiBox, marking: Multiset) -> List[Tuple[NetTransition, ...]]:
-    """Every subset of enabled transitions whose joint preset fits the marking."""
-    ena = enabled(box, marking)
-    groups: List[Tuple[NetTransition, ...]] = []
-
-    def extend(start: int, chosen: List[NetTransition], used: Multiset) -> None:
-        for k in range(start, len(ena)):
-            t = ena[k]
-            joint = used + t.pre
-            if joint.issubset(marking):
-                chosen.append(t)
-                groups.append(tuple(chosen))
-                extend(k + 1, chosen, joint)
-                chosen.pop()
-
-    extend(0, [], Multiset())
-    if _marking_tangible(box, marking):
-        groups.append(())
-    return groups
-
-
-def _group_ready(group: Tuple[NetTransition, ...], ena: List[NetTransition], tangible: bool) -> float:
-    if not tangible:
-        return sum(t.activity.value for t in group)
-    prob = 1.0
-    chosen = set(group)
-    for t in group:
-        prob *= t.activity.value
-    for u in ena:
-        if u not in chosen:
-            prob *= 1.0 - u.activity.value
-    return prob
-
-
 def fire_prob(box: DtsiBox, marking: Multiset, group: Iterable[NetTransition]) -> float:
     """Normalized probability that exactly this transition set fires."""
     group = tuple(sorted(group))
-    groups = _firing_groups(box, marking)
-    if group not in groups:
+    net = _Net(box, marking)
+    m = net.encode(marking)
+    ena, tangible = net.enabled(m)
+    groups = net.groups(m, ena, tangible)
+    named = [tuple(net.transitions[k] for k in g) for g in groups]
+    if group not in named:
         raise SemanticsError("transition set is not fireable here")
-    ena = enabled(box, marking)
-    tangible = _marking_tangible(box, marking)
-    total = sum(_group_ready(g, ena, tangible) for g in groups)
-    return _group_ready(group, ena, tangible) / total
+    total = sum(net.ready(g, ena, tangible) for g in groups)
+    return net.ready(groups[named.index(group)], ena, tangible) / total
+
+
+# ---------------------------------------------------------------------------
+# Index-coded nets
+# ---------------------------------------------------------------------------
+
+Counts = Tuple[int, ...]  # a marking: token count per place index
+Group = Tuple[int, ...]  # transition indices fired together, ascending
+
+
+class _Net:
+    """A box compiled once for exploring its markings.
+
+    Places are numbered in name order and a marking is the tuple of their
+    token counts.  Transitions are numbered in sorted order, which is the
+    order of ``enabled``; presets and postsets become (place, count) pairs,
+    and each activity's value and immediacy are read once.
+    """
+
+    def __init__(self, box: DtsiBox, marking: Multiset):
+        names = set(marking).union(
+            (p.name for p in box.places), *(t.pre for t in box.transitions), *(t.post for t in box.transitions)
+        )
+        self.names = sorted(names)
+        self._place = {x: k for k, x in enumerate(self.names)}
+        self.transitions = sorted(box.transitions)
+        self.pre = [self._pairs(t.pre) for t in self.transitions]
+        self.post = [self._pairs(t.post) for t in self.transitions]
+        self.value = [t.activity.value for t in self.transitions]
+        self.immediate = [t.activity.immediate for t in self.transitions]
+        # equal transitions share one identity and equal activities one rank,
+        # as they do in the set and step-order comparisons of the firing rule
+        first: Dict[NetTransition, int] = {}
+        self.same = [first.setdefault(t, k) for k, t in enumerate(self.transitions)]
+        rank = {u: r for r, u in enumerate(sorted({t.activity for t in self.transitions}))}
+        self._rank = [rank[t.activity] for t in self.transitions]
+        self._steps: Dict[Group, Tuple[Tuple[int, ...], Step]] = {}
+
+    def _pairs(self, ms: Multiset) -> Tuple[Tuple[int, int], ...]:
+        return tuple((self._place[x], n) for x, n in ms.items)
+
+    def encode(self, marking: Multiset) -> Counts:
+        counts = [0] * len(self.names)
+        for p, n in self._pairs(marking):
+            counts[p] = n
+        return tuple(counts)
+
+    def decode(self, m: Counts) -> Multiset:
+        return Multiset(tuple((x, n) for x, n in zip(self.names, m) if n))
+
+    def enabled(self, m: Counts) -> Tuple[List[int], bool]:
+        """``enabled`` as indices, and whether the marking is tangible."""
+        ena = [k for k, pre in enumerate(self.pre) if all(m[p] >= n for p, n in pre)]
+        if any(self.immediate[k] for k in ena):
+            return [k for k in ena if self.immediate[k]], False
+        return ena, True
+
+    def groups(self, m: Counts, ena: List[int], tangible: bool) -> List[Group]:
+        """Every subset of ``ena`` whose joint preset fits ``m``, in
+        depth-first order, then the empty group when ``m`` is tangible."""
+        free = list(m)
+        chosen: List[int] = []
+        out: List[Group] = []
+
+        def extend(start: int) -> None:
+            for pos in range(start, len(ena)):
+                k = ena[pos]
+                pre = self.pre[k]
+                if all(free[p] >= n for p, n in pre):
+                    for p, n in pre:
+                        free[p] -= n
+                    chosen.append(k)
+                    out.append(tuple(chosen))
+                    extend(pos + 1)
+                    chosen.pop()
+                    for p, n in pre:
+                        free[p] += n
+
+        extend(0)
+        if tangible:
+            out.append(())
+        return out
+
+    def fire(self, m: Counts, g: Group) -> Counts:
+        counts = list(m)
+        for k in g:
+            for p, n in self.pre[k]:
+                counts[p] -= n
+            for p, n in self.post[k]:
+                counts[p] += n
+        return tuple(counts)
+
+    def ready(self, g: Group, ena: List[int], tangible: bool) -> float:
+        """Unnormalized probability (tangible) or weight (vanishing) of
+        firing exactly ``g`` among ``ena``."""
+        if not tangible:
+            return sum(self.value[k] for k in g)
+        prob = 1.0
+        for k in g:
+            prob *= self.value[k]
+        chosen = {self.same[k] for k in g}
+        for u in ena:
+            if self.same[u] not in chosen:
+                prob *= 1.0 - self.value[u]
+        return prob
+
+    def step(self, g: Group) -> Tuple[Tuple[int, ...], Step]:
+        """The step of ``g`` (its activity set), built once per group, and
+        a key that orders steps as ``step_key`` does."""
+        found = self._steps.get(g)
+        if found is None:
+            found = (tuple(sorted({self._rank[k] for k in g})), frozenset(self.transitions[k].activity for k in g))
+            self._steps[g] = found
+        return found
+
+
+Row = Tuple[List[int], bool, List[Tuple[Group, int]]]  # enabled, tangible, (group, target) arcs
+
+
+def _explore(net: _Net, start: Counts, max_states: int) -> Tuple[List[Counts], List[Row]]:
+    """Reachable markings in breadth-first order, each with its enabled
+    transitions, tangibility and firing groups in step order."""
+    index: Dict[Counts, int] = {}
+    markings: List[Counts] = []
+
+    def intern(m: Counts) -> int:
+        idx = index.get(m)
+        if idx is None:
+            idx = len(markings)
+            if idx >= max_states:
+                raise StateSpaceLimit(max_states)
+            index[m] = idx
+            markings.append(m)
+        return idx
+
+    intern(start)
+    rows: List[Row] = []
+    while len(rows) < len(markings):
+        m = markings[len(rows)]
+        ena, tangible = net.enabled(m)
+        groups = net.groups(m, ena, tangible)
+        groups.sort(key=lambda g: net.step(g)[0])
+        rows.append((ena, tangible, [(g, intern(net.fire(m, g))) for g in groups]))
+    return markings, rows
 
 
 # ---------------------------------------------------------------------------
@@ -330,47 +472,16 @@ def build_rg(box: DtsiBox, initial: Optional[Multiset] = None, max_states: int =
     """Reachability graph under the step firing rule, shaped like a transition
     system (steps are the activity sets of the fired transitions)."""
     start = box.initial_marking() if initial is None else initial
-    index: Dict[Multiset, int] = {}
-    markings: List[Multiset] = []
-    states: List[State] = []
-    step_rows: List[List[Tuple[Tuple[NetTransition, ...], int]]] = []
-
-    def intern(m: Multiset) -> int:
-        idx = index.get(m)
-        if idx is None:
-            idx = len(markings)
-            if idx >= max_states:
-                raise StateSpaceLimit(max_states)
-            index[m] = idx
-            markings.append(m)
-            states.append(State(marking_key(m), (), True))
-            step_rows.append([])
-        return idx
-
-    intern(start)
-    cursor = 0
-    while cursor < len(markings):
-        i = cursor
-        cursor += 1
-        m = markings[i]
-        tangible = _marking_tangible(box, m)
-        states[i] = State(states[i].key, (), tangible)
-        groups = _firing_groups(box, m)
-        groups.sort(key=lambda g: step_key(frozenset(t.activity for t in g)))
-        for g in groups:
-            target = intern(fire(box, m, g) if g else m)
-            step_rows[i].append((g, target))
-
+    net = _Net(box, start)
+    counts, rows = _explore(net, net.encode(start), max_states)
+    markings = [net.decode(m) for m in counts]
+    states = [State(marking_key(m), (), tangible) for m, (_, tangible, _) in zip(markings, rows)]
     transitions: List[Transition] = []
-    for i, rows in enumerate(step_rows):
-        m = markings[i]
-        ena = enabled(box, m)
-        tangible = states[i].tangible
-        total = sum(_group_ready(g, ena, tangible) for g, _ in rows)
-        for g, j in rows:
-            prob = _group_ready(g, ena, tangible) / total
-            step = frozenset(t.activity for t in g)
-            transitions.append(Transition(i, step, prob, j))
+    for i, (ena, tangible, arcs) in enumerate(rows):
+        ready = [net.ready(g, ena, tangible) for g, _ in arcs]
+        total = sum(ready)
+        for (g, j), r in zip(arcs, ready):
+            transitions.append(Transition(i, net.step(g)[1], r / total, j))
 
     rg = TransitionSystem(states, transitions, 0, None)
     rg.markings = markings  # type: ignore[attr-defined]
@@ -397,19 +508,17 @@ class StructureReport:
 
 def check_safe_clean(box: DtsiBox, max_states: int = 100_000) -> StructureReport:
     """Verify one-boundedness and entry/exit cleanness over reachable markings."""
-    rg = build_rg(box, max_states=max_states)
-    markings: List[Multiset] = rg.markings  # type: ignore[attr-defined]
-    entries = box.entries()
-    exits = box.exits()
+    start = box.initial_marking()
+    net = _Net(box, start)
+    markings, _ = _explore(net, net.encode(start), max_states)
+    interfaces = (net.encode(box.entries()), net.encode(box.exits()))
     report = StructureReport(True, True, len(markings))
     for m in markings:
-        if any(n > 1 for _, n in m.items):
+        if any(n > 1 for n in m):
             report.safe = False
-            report.unsafe_witness = marking_key(m)
-        if entries.issubset(m) and m != entries:
-            report.clean = False
-            report.unclean_witness = marking_key(m)
-        if exits.issubset(m) and m != exits:
-            report.clean = False
-            report.unclean_witness = marking_key(m)
+            report.unsafe_witness = marking_key(net.decode(m))
+        for interface in interfaces:
+            if m != interface and all(n >= k for n, k in zip(m, interface)):
+                report.clean = False
+                report.unclean_witness = marking_key(net.decode(m))
     return report

@@ -44,6 +44,7 @@ from .expr import (
     DSyn,
     DynamicExpr,
     Ite,
+    Multiset,
     Over,
     Par,
     Rel,
@@ -95,8 +96,6 @@ def step_key(step: Step) -> Tuple[Activity, ...]:
 
 def step_label(step: Step):
     """Multiset of multiaction parts of a step (what an observer sees)."""
-    from .expr import Multiset
-
     return Multiset.from_iterable(u.part for u in step)
 
 
@@ -280,6 +279,7 @@ class TransitionSystem:
     initial: int = 0
     expr: Optional[StaticExpr] = None
     _out: Optional[List[List[Transition]]] = field(default=None, repr=False)
+    _labels: Optional[Tuple[List[Multiset], List[List[int]]]] = field(default=None, repr=False, compare=False)
 
     def outgoing(self, i: int) -> List[Transition]:
         if self._out is None:
@@ -288,6 +288,37 @@ class TransitionSystem:
                 out[t.source].append(t)
             self._out = out
         return self._out[i]
+
+    def labels(self) -> List[Multiset]:
+        """The distinct step labels; ``label_ids`` indexes into this list."""
+        return self._label_table()[0]
+
+    def label_ids(self, i: int) -> List[int]:
+        """Label of each transition of ``outgoing(i)``, in the same order, as
+        its index in ``labels()``.  Each distinct step's label is built once
+        and kept, as the ``outgoing`` lists are."""
+        return self._label_table()[1][i]
+
+    def _label_table(self) -> Tuple[List[Multiset], List[List[int]]]:
+        if self._labels is None:
+            labels: List[Multiset] = []
+            id_of_label: Dict[Multiset, int] = {}
+            id_of_step: Dict[Step, int] = {}
+            ids: List[List[int]] = []
+            for i in range(len(self.states)):
+                row = []
+                for t in self.outgoing(i):
+                    k = id_of_step.get(t.step)
+                    if k is None:
+                        label = step_label(t.step)
+                        k = id_of_label.setdefault(label, len(labels))
+                        if k == len(labels):
+                            labels.append(label)
+                        id_of_step[t.step] = k
+                    row.append(k)
+                ids.append(row)
+            self._labels = (labels, ids)
+        return self._labels
 
     def exec_steps(self, i: int) -> List[Step]:
         return [t.step for t in self.outgoing(i)]
@@ -818,15 +849,18 @@ def ts_isomorphic(a, b, tol: float = 1e-9) -> Optional[Dict[int, int]]:
         return None
 
     def groups(ts, i):
-        by_label: Dict[Tuple, List[Tuple[float, int]]] = {}
+        # a frozenset keeps its hash, so steps key the groups directly
+        by_label: Dict[Step, List[Tuple[float, int]]] = {}
         for t in ts.outgoing(i):
-            by_label.setdefault(step_key(t.step), []).append((t.prob, t.target))
+            by_label.setdefault(t.step, []).append((t.prob, t.target))
         return by_label
 
     def kind(ts, i) -> bool:
         return ts.states[i].tangible
 
     def solve(obligations, mapping, reverse):
+        # extends its arguments in place; _branch hands it copies, so a
+        # failed alternative leaves nothing behind
         while obligations:
             i, j = obligations.pop()
             if i in mapping:
@@ -840,8 +874,6 @@ def ts_isomorphic(a, b, tol: float = 1e-9) -> Optional[Dict[int, int]]:
             ga, gb = groups(a, i), groups(b, j)
             if set(ga) != set(gb):
                 return None
-            mapping = dict(mapping)
-            reverse = dict(reverse)
             mapping[i] = j
             reverse[j] = i
             local: List[Tuple[List[Tuple[float, int]], List[Tuple[float, int]]]] = []
@@ -852,7 +884,7 @@ def ts_isomorphic(a, b, tol: float = 1e-9) -> Optional[Dict[int, int]]:
                 if len(la) == 1:
                     if abs(la[0][0] - lb[0][0]) > tol:
                         return None
-                    obligations = obligations + [(la[0][1], lb[0][1])]
+                    obligations.append((la[0][1], lb[0][1]))
                 else:
                     local.append((la, lb))
             if local:
@@ -868,7 +900,7 @@ def ts_isomorphic(a, b, tol: float = 1e-9) -> Optional[Dict[int, int]]:
                 if rest:
                     result = _branch(rest, new_obl, mapping, reverse, cont, tol)
                 else:
-                    result = cont(new_obl, mapping, reverse)
+                    result = cont(new_obl, dict(mapping), dict(reverse))
                 if result is not None:
                     return result
         return None

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Sequence
 
 import pytest
 
-from dtsipbc.models import load_model
+from dtsipbc.models import bundled_model_names, load_model
 from dtsipbc.opsem import TransitionSystem, build_ts, leaf_values_of, step_label
 
 
@@ -17,6 +17,15 @@ def instantiate(name: str, **params):
 
 def ts_of(name: str, **params) -> TransitionSystem:
     return build_ts(instantiate(name, **params))
+
+
+def bundled_roots():
+    """(label, term) of every bundled model's root and peer."""
+    for name in bundled_model_names():
+        model = load_model(name)
+        yield name, model.instantiate()
+        if model.peer is not None:
+            yield name + ":peer", model.instantiate_peer()
 
 
 _BASE = {}

@@ -1,16 +1,25 @@
 """Reference implementations that only the tests use.
 
-They re-derive, by brute force over single terms or whole enumerated
-classes, what the step semantics computes compositionally.
+Each re-derives the slow, plain way what the program computes fast:
+
+* by brute force over single terms or whole enumerated classes, what the
+  step semantics computes compositionally;
+* by ``Multiset`` arithmetic on named places, what the net semantics
+  computes on index-coded markings;
+* by scalar loops, what the solver vectorizes.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Tuple
+import math
+from typing import Dict, FrozenSet, List, Optional, Tuple
+
+import numpy as np
 
 from dtsipbc.expr import (
     Act,
     Action,
+    Activity,
     DCho,
     DIte,
     DPar,
@@ -19,16 +28,24 @@ from dtsipbc.expr import (
     DSeq,
     DSyn,
     DynamicExpr,
+    Multiset,
     Over,
     Under,
+    sync_activities,
 )
+from dtsipbc.netsem import DtsiBox, NetTransition, StructureReport, enabled, fire, marking_key
 from dtsipbc.opsem import (
     Engine,
     SemanticsError,
+    State,
+    StateSpaceLimit,
     Step,
+    Transition,
+    TransitionSystem,
     _forward_root,
     _rewrites,
     _saturate_step,
+    step_key,
 )
 from dtsipbc.parser import serialize
 
@@ -109,3 +126,165 @@ def current_steps(h: DynamicExpr) -> FrozenSet[Step]:
 def member_tangible(h: DynamicExpr) -> bool:
     """No immediate step among the currently executable ones of this term."""
     return all(not u.immediate for s in current_steps(h) for u in s)
+
+
+# ---------------------------------------------------------------------------
+# Net semantics on named places
+# ---------------------------------------------------------------------------
+
+
+def syn_box(n: DtsiBox, action: str) -> DtsiBox:
+    """Synchronization closure by a full pairwise scan of the pool."""
+    a, ah = Action(action), Action(action, True)
+    pool: Dict[Activity, NetTransition] = {t.activity: t for t in n.transitions}
+    frontier = list(pool.values())
+    while frontier:
+        t = frontier.pop()
+        for u in list(pool.values()):
+            if t.activity.immediate != u.activity.immediate:
+                continue
+            if t.activity.content & u.activity.content:
+                continue
+            for v, w in ((t, u), (u, t)):
+                if a in v.activity.part and ah in w.activity.part:
+                    merged_act = sync_activities(v.activity, w.activity, a)
+                    if merged_act not in pool:
+                        merged = NetTransition(merged_act, v.pre + w.pre, v.post + w.post)
+                        pool[merged_act] = merged
+                        frontier.append(merged)
+    return DtsiBox(n.places, tuple(sorted(pool.values())))
+
+
+def marking_tangible(box: DtsiBox, marking: Multiset) -> bool:
+    ena = enabled(box, marking)
+    return not any(t.activity.immediate for t in ena)
+
+
+def firing_groups(box: DtsiBox, marking: Multiset) -> List[Tuple[NetTransition, ...]]:
+    """Every subset of enabled transitions whose joint preset fits the marking."""
+    ena = enabled(box, marking)
+    groups: List[Tuple[NetTransition, ...]] = []
+
+    def extend(start: int, chosen: List[NetTransition], used: Multiset) -> None:
+        for k in range(start, len(ena)):
+            t = ena[k]
+            joint = used + t.pre
+            if joint.issubset(marking):
+                chosen.append(t)
+                groups.append(tuple(chosen))
+                extend(k + 1, chosen, joint)
+                chosen.pop()
+
+    extend(0, [], Multiset())
+    if marking_tangible(box, marking):
+        groups.append(())
+    return groups
+
+
+def group_ready(group: Tuple[NetTransition, ...], ena: List[NetTransition], tangible: bool) -> float:
+    if not tangible:
+        return sum(t.activity.value for t in group)
+    prob = 1.0
+    chosen = set(group)
+    for t in group:
+        prob *= t.activity.value
+    for u in ena:
+        if u not in chosen:
+            prob *= 1.0 - u.activity.value
+    return prob
+
+
+def fire_prob(box: DtsiBox, marking: Multiset, group) -> float:
+    group = tuple(sorted(group))
+    groups = firing_groups(box, marking)
+    if group not in groups:
+        raise SemanticsError("transition set is not fireable here")
+    ena = enabled(box, marking)
+    tangible = marking_tangible(box, marking)
+    total = sum(group_ready(g, ena, tangible) for g in groups)
+    return group_ready(group, ena, tangible) / total
+
+
+def build_rg(box: DtsiBox, initial: Optional[Multiset] = None, max_states: int = 100_000) -> TransitionSystem:
+    """Reachability graph by ``enabled``, ``fire`` and the firing groups of
+    each ``Multiset`` marking."""
+    start = box.initial_marking() if initial is None else initial
+    index: Dict[Multiset, int] = {}
+    markings: List[Multiset] = []
+    states: List[State] = []
+    step_rows: List[List[Tuple[Tuple[NetTransition, ...], int]]] = []
+
+    def intern(m: Multiset) -> int:
+        idx = index.get(m)
+        if idx is None:
+            idx = len(markings)
+            if idx >= max_states:
+                raise StateSpaceLimit(max_states)
+            index[m] = idx
+            markings.append(m)
+            states.append(State(marking_key(m), (), True))
+            step_rows.append([])
+        return idx
+
+    intern(start)
+    cursor = 0
+    while cursor < len(markings):
+        i = cursor
+        cursor += 1
+        m = markings[i]
+        tangible = marking_tangible(box, m)
+        states[i] = State(states[i].key, (), tangible)
+        groups = firing_groups(box, m)
+        groups.sort(key=lambda g: step_key(frozenset(t.activity for t in g)))
+        for g in groups:
+            target = intern(fire(box, m, g) if g else m)
+            step_rows[i].append((g, target))
+
+    transitions: List[Transition] = []
+    for i, rows in enumerate(step_rows):
+        m = markings[i]
+        ena = enabled(box, m)
+        tangible = states[i].tangible
+        total = sum(group_ready(g, ena, tangible) for g, _ in rows)
+        for g, j in rows:
+            prob = group_ready(g, ena, tangible) / total
+            step = frozenset(t.activity for t in g)
+            transitions.append(Transition(i, step, prob, j))
+
+    rg = TransitionSystem(states, transitions, 0, None)
+    rg.markings = markings  # type: ignore[attr-defined]
+    return rg
+
+
+def check_safe_clean(box: DtsiBox, max_states: int = 100_000) -> StructureReport:
+    """Safeness and cleanness read off the markings of the reference graph."""
+    markings: List[Multiset] = build_rg(box, max_states=max_states).markings  # type: ignore[attr-defined]
+    entries = box.entries()
+    exits = box.exits()
+    report = StructureReport(True, True, len(markings))
+    for m in markings:
+        if any(n > 1 for _, n in m.items):
+            report.safe = False
+            report.unsafe_witness = marking_key(m)
+        if entries.issubset(m) and m != entries:
+            report.clean = False
+            report.unclean_witness = marking_key(m)
+        if exits.issubset(m) and m != exits:
+            report.clean = False
+            report.unclean_witness = marking_key(m)
+    return report
+
+
+# ---------------------------------------------------------------------------
+# Solver loops
+# ---------------------------------------------------------------------------
+
+
+def compensated_residual(a, b, vec):
+    """b - a vec, one scalar product and one exact row sum at a time."""
+    k = a.shape[0]
+    rows = []
+    for i in range(k):
+        terms = [a[i, j] * vec[j] for j in range(k)]
+        rows.append(b[i] - math.fsum(terms))
+    return np.asarray(rows)

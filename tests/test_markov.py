@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from dtsipbc.expr import Action, Multiset
 from dtsipbc.markov import (
     AnalysisError,
     Chain,
+    _compensated_residual,
     communication_classes,
     dtmc_tpm,
     edtmc_tpm,
@@ -23,10 +25,11 @@ from dtsipbc.markov import (
     transient,
 )
 from dtsipbc.models import load_model
-from dtsipbc.opsem import build_ts
-from dtsipbc.parser import parse_static
+from dtsipbc.netsem import box_of, build_rg
+from dtsipbc.opsem import build_ts, step_label
+from dtsipbc.parser import parse_model, parse_static
 
-from conftest import fast_ts, make_rng, shared_memory_order, ts_of
+from conftest import bundled_roots, fast_ts, make_rng, shared_memory_order, shm_text, ts_of
 
 ERGODIC_MODELS = ("ts_example", "qts_f", "shared_memory", "shared_memory_abstract")
 ABSORBING_MODELS = ("choice_stoch", "choice_imm", "sync_pair")
@@ -220,6 +223,20 @@ class TestStationaryRelationships:
         assert math.isinf(result.sojourn.average[final])
 
 
+class TestChainExtraction:
+    @pytest.mark.parametrize("label", [label for label, _ in bundled_roots()] + ["shm3-rg"])
+    def test_arcs_carry_step_labels(self, label):
+        if label == "shm3-rg":
+            ts = build_rg(box_of(parse_model(shm_text(3)).instantiate()))
+        else:
+            ts = build_ts(dict(bundled_roots())[label])
+        chain = Chain.from_ts(ts)
+        assert [(i, arc.label, arc.prob, arc.target) for i, row in enumerate(chain.arcs) for arc in row] == [
+            (t.source, step_label(t.step), t.prob, t.target) for i in range(len(ts.states)) for t in ts.outgoing(i)
+        ]
+        assert chain.pm.tobytes() == ts.pm_matrix().tobytes()
+
+
 class TestStationarySolver:
     def test_single_state(self):
         r = steady_state(np.array([[1.0]]))
@@ -253,6 +270,14 @@ class TestStationarySolver:
         start[0] = 1.0
         iterated = power_iteration(edtmc_tpm(chain), start=start)
         assert np.max(np.abs(direct - iterated)) < 1e-8
+
+    def test_compensated_residual_matches_scalar_loop(self):
+        rng = np.random.default_rng(11)
+        for k in (1, 2, 7, 40):
+            a = rng.uniform(-1, 1, (k, k)) * 10.0 ** rng.integers(-8, 9, (k, k))
+            b = rng.uniform(-1, 1, k)
+            x = rng.uniform(0, 1, k)
+            assert _compensated_residual(a, b, x).tobytes() == oracles.compensated_residual(a, b, x).tobytes()
 
     def test_residual_contract(self):
         result = solve_chain(chain_of("shared_memory", rho=0.9999))

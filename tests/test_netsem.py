@@ -2,7 +2,9 @@
 
 import pytest
 
-from dtsipbc.expr import Action, Multiset
+import oracles
+from dtsipbc import netsem
+from dtsipbc.expr import Action, Activity, Multiset
 from dtsipbc.netsem import (
     DtsiBox,
     NetTransition,
@@ -14,10 +16,10 @@ from dtsipbc.netsem import (
     fire,
     fire_prob,
 )
-from dtsipbc.opsem import build_ts, ts_isomorphic
-from dtsipbc.parser import parse_static
+from dtsipbc.opsem import SemanticsError, StateSpaceLimit, build_ts, ts_isomorphic
+from dtsipbc.parser import parse_model, parse_static
 
-from conftest import instantiate, make_rng, random_regular_text
+from conftest import bundled_roots, instantiate, make_rng, random_regular_text, shm_text
 
 
 class TestConstruction:
@@ -116,6 +118,8 @@ class TestFiringRule:
         (t1, t2) = self.box.transitions
         with pytest.raises(Exception):
             fire(self.box, self.m0, [t1, t2])
+        with pytest.raises(SemanticsError):
+            fire_prob(self.box, self.m0, [t1, t2])
 
     def test_empty_step_keeps_marking(self):
         assert fire(self.box, self.m0, []) == self.m0
@@ -159,15 +163,93 @@ class TestStructure:
 
     def test_unsafe_witness_detected(self):
         # hand-made 2-bounded net: one transition feeding a place twice
-        p = Place("p", "e")
-        q = Place("q", "x")
-        from dtsipbc.expr import Activity
-
         t = NetTransition(
             Activity.make(Multiset.of(Action("a")), False, 0.5, 1),
             Multiset.of("p"),
             Multiset.from_counts({"q": 2}),
         )
-        box = DtsiBox((p, q), (t,))
+        box = DtsiBox((Place("p", "e"), Place("q", "x")), (t,))
         report = check_safe_clean(box)
-        assert not report.safe and report.unsafe_witness
+        assert not report.safe and report.unsafe_witness == "{q,q}"
+        assert report == oracles.check_safe_clean(box)
+        assert_same_rg(build_rg(box), oracles.build_rg(box))
+
+
+# ---------------------------------------------------------------------------
+# Index-coded exploration against the Multiset-coded reference
+# ---------------------------------------------------------------------------
+
+
+def assert_same_rg(rg, ref):
+    """Same keys, tangibility, markings, and transitions in the same order
+    with the same steps, targets and probability bits."""
+    assert [(s.key, s.tangible) for s in rg.states] == [(s.key, s.tangible) for s in ref.states]
+    assert rg.markings == ref.markings
+    assert [(t.source, t.step, t.prob.hex(), t.target) for t in rg.transitions] == [
+        (t.source, t.step, t.prob.hex(), t.target) for t in ref.transitions
+    ]
+
+
+def assert_same_net_semantics(expr, monkeypatch):
+    box = box_of(expr)
+    with monkeypatch.context() as patched:
+        patched.setattr(netsem, "_syn_box", oracles.syn_box)
+        reference = box_of(expr)
+    assert box == reference
+    assert [t.activity.num for t in box.transitions] == [t.activity.num for t in reference.transitions]
+    assert_same_rg(build_rg(box), oracles.build_rg(box))
+    assert check_safe_clean(box) == oracles.check_safe_clean(box)
+    return box
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("expr", [pytest.param(e, id=label) for label, e in bundled_roots()])
+    def test_bundled_roots(self, expr, monkeypatch):
+        box = assert_same_net_semantics(expr, monkeypatch)
+        for m in build_rg(box).markings:
+            for g in oracles.firing_groups(box, m):
+                assert fire_prob(box, m, g).hex() == oracles.fire_prob(box, m, g).hex()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("abstract", [True, False])
+    def test_shared_memory_family(self, n, abstract, monkeypatch):
+        assert_same_net_semantics(parse_model(shm_text(n, abstract)).instantiate(), monkeypatch)
+
+    @pytest.mark.parametrize("text", [
+        "((({a},0.5)||({a},0.5))||({a^,a^},0.5)) sy a",
+        "(({a^,a^},#1)||(({a},#2)||({a,b},#3))) sy a",
+        "((({a},0.5);({b^},0.5))||(({a^,b},0.5)||({b^,a^},0.5))) sy a sy b",
+    ])
+    def test_multiway_synchronization(self, text, monkeypatch):
+        assert_same_net_semantics(parse_static(text), monkeypatch)
+
+    def test_random_terms(self, monkeypatch):
+        rng = make_rng(7000)
+        for _ in range(100):
+            assert_same_net_semantics(parse_static(random_regular_text(rng, max_activities=8)), monkeypatch)
+
+    def test_repeated_activities_and_transitions(self):
+        # hand-made: one activity on two transitions, and one transition
+        # listed twice; they count once in a step and in the non-firing
+        # product, and steps are ordered by activities, not by transitions
+        a, b, c = (Activity.make(Multiset.of(Action(x)), False, v, k)
+                   for k, (x, v) in enumerate((("a", 0.5), ("b", 0.3), ("c", 0.4))))
+        tb = NetTransition(b, Multiset.of("p"), Multiset.of("r"))
+        box = DtsiBox(
+            (Place("p", "e"), Place("q", "e"), Place("s", "e"), Place("r", "x")),
+            (tb, NetTransition(a, Multiset.of("q"), Multiset.of("r")), tb,
+             NetTransition(a, Multiset.of("p"), Multiset.of("r")), NetTransition(c, Multiset.of("s"), Multiset.of("r"))),
+        )
+        rg = build_rg(box)
+        assert_same_rg(rg, oracles.build_rg(box))
+        assert check_safe_clean(box) == oracles.check_safe_clean(box)
+        for m in rg.markings:
+            for g in oracles.firing_groups(box, m):
+                assert fire_prob(box, m, g).hex() == oracles.fire_prob(box, m, g).hex()
+
+    def test_state_space_limit(self):
+        box = box_of(parse_model(shm_text(3)).instantiate())
+        assert len(build_rg(box, max_states=21).states) == 21
+        for explore in (build_rg, oracles.build_rg, check_safe_clean, oracles.check_safe_clean):
+            with pytest.raises(StateSpaceLimit):
+                explore(box, max_states=20)

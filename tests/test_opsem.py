@@ -31,12 +31,13 @@ from dtsipbc.expr import (
     Seq,
     Under,
 )
-from dtsipbc.models import bundled_model_names, load_model
 from dtsipbc.netsem import box_of, build_rg
 from dtsipbc.opsem import (
     Engine,
     SemanticsError,
+    State,
     StateSpaceLimit,
+    Transition,
     TransitionSystem,
     build_ts,
     inaction_closure,
@@ -46,7 +47,7 @@ from dtsipbc.opsem import (
 )
 from dtsipbc.parser import parse_dynamic, parse_model, parse_static, serialize
 
-from conftest import label_strings, make_rng, random_regular_text, shm_text, ts_of
+from conftest import bundled_roots, label_strings, make_rng, random_regular_text, shm_text, ts_of
 from oracles import current_steps, enumerated_class, member_tangible, potential_steps
 
 
@@ -265,6 +266,26 @@ class TestIsomorphism:
         b = build_ts(parse_static("(({a},0.5);({a^},0.5)) sy a"))
         assert ts_isomorphic(a, b) is not None
 
+    def test_backtracking_over_equally_labeled_arcs(self):
+        # state 0 offers one step twice; only the crossed assignment of its
+        # targets works, and the identity assignment fails one level deeper
+        # after mapping a pair, which must not survive into the next attempt
+        step = {name: frozenset({Activity.make(Multiset.of(Action(name)), False, 0.5, k)})
+                for k, name in enumerate("uvxy")}
+
+        def hand_ts(arcs):
+            states = [State("s%d" % i, (), True) for i in range(5)]
+            return TransitionSystem(states, [Transition(i, step[a], p, j) for i, a, p, j in arcs])
+
+        a = hand_ts([(0, "u", 0.5, 1), (0, "u", 0.5, 2), (1, "v", 1.0, 3), (2, "v", 1.0, 4),
+                     (3, "x", 1.0, 3), (4, "y", 1.0, 4)])
+        b = hand_ts([(0, "u", 0.5, 1), (0, "u", 0.5, 2), (1, "v", 1.0, 3), (2, "v", 1.0, 4),
+                     (3, "y", 1.0, 3), (4, "x", 1.0, 4)])
+        assert ts_isomorphic(a, b) == {0: 0, 1: 2, 2: 1, 3: 4, 4: 3}
+        c = hand_ts([(0, "u", 0.5, 1), (0, "u", 0.5, 2), (1, "v", 1.0, 3), (2, "v", 1.0, 4),
+                     (3, "y", 1.0, 3), (4, "y", 1.0, 4)])
+        assert ts_isomorphic(a, c) is None
+
 
 # ---------------------------------------------------------------------------
 # Brute-force executable-set oracle
@@ -373,14 +394,6 @@ class TestExecOracle:
 # ---------------------------------------------------------------------------
 # Compositional classes against enumerated ones
 # ---------------------------------------------------------------------------
-
-
-def bundled_roots():
-    for name in bundled_model_names():
-        model = load_model(name)
-        yield name, model.instantiate()
-        if model.peer is not None:
-            yield name + ":peer", model.instantiate_peer()
 
 
 def assert_classes_match(expr, every_member=False):
