@@ -8,7 +8,6 @@ solution), 2 input error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import math
 import os
 import sys
@@ -285,23 +284,14 @@ def cmd_sweep(args) -> int:
     )
     base_ts = _build_ts(_instantiate(model, points[0]), args.max_states)
 
-    def work(point):
+    rows: List[Dict[str, float]] = []
+    results = []
+    for point in points:
         try:
             result, values = _sweep_indices_at(base_ts, model, indices, point, args.quotient,
                                                remap_members=args.per_point)
-            return point, values, result
         except AnalysisError as exc:
             raise CliError("analysis error at %s: %s" % (point, exc), ANALYSIS_ERROR)
-
-    rows: List[Dict[str, float]] = []
-    results = []
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        outcomes = [work(p) for p in points]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(work, points))
-    for point, values, result in outcomes:
         row = {name: point[name] for name in swept}
         row.update(values)
         rows.append(row)
@@ -317,7 +307,7 @@ def cmd_sweep(args) -> int:
     if args.per_point and args.out:
         points_dir = Path(args.out) / "points"
         points_dir.mkdir(parents=True, exist_ok=True)
-        for k, (point, _values, result) in enumerate(outcomes):
+        for k, result in enumerate(results):
             name = "point_%05d.csv" % (k + 1)
             (points_dir / name).write_text(export.states_csv(result), encoding="utf-8")
 
@@ -387,7 +377,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_common(sweep, with_format=False)
     sweep.add_argument("--index", action="append", help="evaluate only this named index (repeatable)")
     sweep.add_argument("--quotient", action="store_true", help="evaluate on the quotient chain")
-    sweep.add_argument("--jobs", type=int, default=min(8, os.cpu_count() or 1))
+    sweep.add_argument("--jobs", type=int, default=min(8, os.cpu_count() or 1),
+                       help="accepted for compatibility and ignored: points are solved one after another")
     sweep.add_argument("--per-point", action="store_true", help="also write one state CSV per grid point")
     sweep.set_defaults(func=cmd_sweep)
 

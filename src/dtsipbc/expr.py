@@ -2,13 +2,19 @@
 
 Values of every class here are immutable and hashable, so they can be shared
 freely between threads and used as dictionary keys (state keys, step labels).
+
+The 17 kinds of expression node are described once, in ``_KINDS``: the
+subtree fields in order, the other fields (``activity``, ``func``,
+``action``) and the static or barred counterpart (``Seq`` and ``DSeq``).
+Tree walks read a node through ``_children`` and ``_rebuild`` and name only
+the kinds they treat specially, so no walk re-lists every kind.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Any, Callable, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Action",
@@ -419,71 +425,47 @@ def is_stop(e: StaticExpr) -> bool:
 def is_regular(e: StaticExpr) -> bool:
     """Check the regular grammar: no parallel composition at the top level of
     any iteration body."""
-    if isinstance(e, Act):
-        return True
-    if isinstance(e, (Seq, Cho, Par)):
-        return is_regular(e.left) and is_regular(e.right)
-    if isinstance(e, (Rel, Rst, Syn)):
-        return is_regular(e.child)
+    children = _static_children(e)
     if isinstance(e, Ite):
         return is_regular(e.init) and is_iteration_body(e.body) and is_regular(e.term)
-    raise TypeError("not a static expression: %r" % (e,))
+    return all(is_regular(c) for c in children)
 
 
 def is_iteration_body(e: StaticExpr) -> bool:
-    if isinstance(e, Act):
-        return True
-    if isinstance(e, Seq):
-        return is_iteration_body(e.left) and is_regular(e.right)
-    if isinstance(e, Cho):
-        return is_iteration_body(e.left) and is_iteration_body(e.right)
+    children = _static_children(e)
     if isinstance(e, Par):
         return False
-    if isinstance(e, (Rel, Rst, Syn)):
-        return is_iteration_body(e.child)
+    if isinstance(e, Seq):
+        return is_iteration_body(e.left) and is_regular(e.right)
     if isinstance(e, Ite):
         return is_iteration_body(e.init) and is_iteration_body(e.body) and is_regular(e.term)
-    raise TypeError("not a static expression: %r" % (e,))
+    return all(is_iteration_body(c) for c in children)
 
 
 def activities_of(e: StaticExpr) -> Tuple[Activity, ...]:
     """All activity occurrences in source order."""
     if isinstance(e, Act):
         return (e.activity,)
-    if isinstance(e, (Seq, Cho, Par)):
-        return activities_of(e.left) + activities_of(e.right)
-    if isinstance(e, (Rel, Rst, Syn)):
-        return activities_of(e.child)
-    if isinstance(e, Ite):
-        return activities_of(e.init) + activities_of(e.body) + activities_of(e.term)
-    raise TypeError("not a static expression: %r" % (e,))
+    return sum(map(activities_of, _static_children(e)), ())
 
 
 def renumber(e: StaticExpr, start: int = 1) -> StaticExpr:
     """Assign fresh leaf numbers 1..n to activity occurrences, left to right."""
+    return _renumbered(e, start, _static_children)
+
+
+def _renumbered(e, start: int, children: Callable):
+    """``e`` with fresh leaf numbers from ``start`` on, left to right, over
+    the subtrees that ``children`` lists."""
     counter = [start - 1]
 
-    def walk(node: StaticExpr) -> StaticExpr:
+    def walk(node):
         if isinstance(node, Act):
             counter[0] += 1
             u = node.activity
             base = u.leaves[0][1] if len(u.leaves) == 1 else u.value
             return Act(Activity(u.part, u.immediate, ((counter[0], base),), counter[0]))
-        if isinstance(node, Seq):
-            return Seq(walk(node.left), walk(node.right))
-        if isinstance(node, Cho):
-            return Cho(walk(node.left), walk(node.right))
-        if isinstance(node, Par):
-            return Par(walk(node.left), walk(node.right))
-        if isinstance(node, Rel):
-            return Rel(walk(node.child), node.func)
-        if isinstance(node, Rst):
-            return Rst(walk(node.child), node.action)
-        if isinstance(node, Syn):
-            return Syn(walk(node.child), node.action)
-        if isinstance(node, Ite):
-            return Ite(walk(node.init), walk(node.body), walk(node.term))
-        raise TypeError("not a static expression: %r" % (node,))
+        return _rebuild(node, [walk(c) for c in children(node)])
 
     return walk(e)
 
@@ -564,18 +546,63 @@ def underlying(g: Union[StaticExpr, DynamicExpr]) -> StaticExpr:
         return g
     if isinstance(g, (Over, Under)):
         return g.expr
-    if isinstance(g, DSeq):
-        return Seq(underlying(g.left), underlying(g.right))
-    if isinstance(g, DCho):
-        return Cho(underlying(g.left), underlying(g.right))
-    if isinstance(g, DPar):
-        return Par(underlying(g.left), underlying(g.right))
-    if isinstance(g, DRel):
-        return Rel(underlying(g.child), g.func)
-    if isinstance(g, DRst):
-        return Rst(underlying(g.child), g.action)
-    if isinstance(g, DSyn):
-        return Syn(underlying(g.child), g.action)
-    if isinstance(g, DIte):
-        return Ite(underlying(g.init), underlying(g.body), underlying(g.term))
-    raise TypeError("not an expression: %r" % (g,))
+    return _rebuild(g, [underlying(c) for c in _children(g)], _kind(g).counterpart)
+
+
+# ---------------------------------------------------------------------------
+# The node kinds
+# ---------------------------------------------------------------------------
+
+
+class _Kind(NamedTuple):
+    subtrees: Tuple[str, ...]  # the fields holding subtrees, in order
+    attributes: Tuple[str, ...]  # the other fields; they follow the subtrees
+    counterpart: Optional[type]  # the static kind of a barred one, and back
+
+
+# each operator: its static kind, its barred kind, and their shared fields
+_OPERATORS = (
+    (Seq, DSeq, ("left", "right"), ()),
+    (Cho, DCho, ("left", "right"), ()),
+    (Par, DPar, ("left", "right"), ()),
+    (Rel, DRel, ("child",), ("func",)),
+    (Rst, DRst, ("child",), ("action",)),
+    (Syn, DSyn, ("child",), ("action",)),
+    (Ite, DIte, ("init", "body", "term"), ()),
+)
+_KINDS = {
+    Act: _Kind((), ("activity",), None),
+    Over: _Kind(("expr",), (), None),
+    Under: _Kind(("expr",), (), None),
+    **{static: _Kind(subtrees, attributes, dynamic) for static, dynamic, subtrees, attributes in _OPERATORS},
+    **{dynamic: _Kind(subtrees, attributes, static) for static, dynamic, subtrees, attributes in _OPERATORS},
+}
+
+
+def _kind(node: object) -> _Kind:
+    try:
+        return _KINDS[type(node)]
+    except KeyError:
+        raise TypeError("not an expression: %r" % (node,)) from None
+
+
+def _children(node: Union[StaticExpr, DynamicExpr]) -> List[Union[StaticExpr, DynamicExpr]]:
+    """The subtrees of ``node``, in field order."""
+    return [getattr(node, name) for name in _kind(node).subtrees]
+
+
+def _static_children(e: StaticExpr) -> List[StaticExpr]:
+    if not isinstance(e, StaticExpr):
+        raise TypeError("not a static expression: %r" % (e,))
+    return _children(e)
+
+
+def _attributes(node) -> list:
+    """The fields of ``node`` that hold no subtree, in field order."""
+    return [getattr(node, name) for name in _kind(node).attributes]
+
+
+def _rebuild(node, children: Sequence, make: Optional[Callable] = None):
+    """``make(*children, *_attributes(node))``; ``make`` defaults to the kind
+    of ``node``."""
+    return (make or type(node))(*children, *_attributes(node))

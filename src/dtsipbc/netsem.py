@@ -36,6 +36,8 @@ from .expr import (
     Seq,
     StaticExpr,
     Syn,
+    _children,
+    _rebuild,
     is_regular,
     sync_activities,
 )
@@ -112,21 +114,6 @@ def _leaf_box(activity: Activity) -> DtsiBox:
     return DtsiBox((e, x), (t,))
 
 
-def _merge(groups: Sequence[Sequence[Place]], label: str) -> Tuple[List[Place], Dict[str, List[str]]]:
-    """Multiply place groups: one new place per combination of components.
-
-    Returns the new places and, per component name, the list of product
-    places it takes part in (used to reroute arcs).
-    """
-    products = list(itertools.product(*groups))
-    new_places = [Place("(%s)" % "|".join(p.name for p in combo), label) for combo in products]
-    takes_part: Dict[str, List[str]] = {}
-    for combo, place in zip(products, new_places):
-        for p in combo:
-            takes_part.setdefault(p.name, []).append(place.name)
-    return new_places, takes_part
-
-
 def _reroute(ms: Multiset, takes_part: Dict[str, List[str]]) -> Multiset:
     counts: Dict[str, int] = {}
     for name, n in ms.items:
@@ -135,9 +122,19 @@ def _reroute(ms: Multiset, takes_part: Dict[str, List[str]]) -> Multiset:
     return Multiset.from_counts(counts)
 
 
-def _splice(boxes: Sequence[DtsiBox], groups: Sequence[Sequence[Place]], label: str) -> DtsiBox:
-    new_places, takes_part = _merge(groups, label)
-    absorbed = {p.name for group in groups for p in group}
+def _splice(boxes: Sequence[DtsiBox], merges: Sequence[Tuple[Sequence[Sequence[Place]], str]]) -> DtsiBox:
+    """The boxes side by side, with the place groups of each (groups, label)
+    of ``merges`` multiplied: one new place of that label per combination of
+    one place from each group, taking part in the arcs of its components."""
+    new_places: List[Place] = []
+    takes_part: Dict[str, List[str]] = {}
+    for groups, label in merges:
+        for combo in itertools.product(*groups):
+            place = Place("(%s)" % "|".join(p.name for p in combo), label)
+            new_places.append(place)
+            for p in combo:
+                takes_part.setdefault(p.name, []).append(place.name)
+    absorbed = {p.name for groups, _ in merges for group in groups for p in group}
     places = [p for box in boxes for p in box.places if p.name not in absorbed] + new_places
     transitions = tuple(
         NetTransition(t.activity, _reroute(t.pre, takes_part), _reroute(t.post, takes_part))
@@ -147,29 +144,18 @@ def _splice(boxes: Sequence[DtsiBox], groups: Sequence[Sequence[Place]], label: 
     return DtsiBox(tuple(places), transitions)
 
 
+def _places(box: DtsiBox, label: str) -> List[Place]:
+    return [p for p in box.places if p.label == label]
+
+
 def _seq_box(n1: DtsiBox, n2: DtsiBox) -> DtsiBox:
-    x1 = [p for p in n1.places if p.label == EXIT]
-    e2 = [p for p in n2.places if p.label == ENTRY]
-    return _splice((n1, n2), (x1, e2), INTERNAL)
+    return _splice((n1, n2), [((_places(n1, EXIT), _places(n2, ENTRY)), INTERNAL)])
 
 
 def _cho_box(n1: DtsiBox, n2: DtsiBox) -> DtsiBox:
-    e1 = [p for p in n1.places if p.label == ENTRY]
-    e2 = [p for p in n2.places if p.label == ENTRY]
-    x1 = [p for p in n1.places if p.label == EXIT]
-    x2 = [p for p in n2.places if p.label == EXIT]
-    entry_places, entry_map = _merge((e1, e2), ENTRY)
-    exit_places, exit_map = _merge((x1, x2), EXIT)
-    takes_part = {**entry_map, **exit_map}
-    absorbed = {p.name for p in e1 + e2 + x1 + x2}
-    places = [p for box in (n1, n2) for p in box.places if p.name not in absorbed]
-    places += entry_places + exit_places
-    transitions = tuple(
-        NetTransition(t.activity, _reroute(t.pre, takes_part), _reroute(t.post, takes_part))
-        for box in (n1, n2)
-        for t in box.transitions
-    )
-    return DtsiBox(tuple(places), transitions)
+    entries = (_places(n1, ENTRY), _places(n2, ENTRY))
+    exits = (_places(n1, EXIT), _places(n2, EXIT))
+    return _splice((n1, n2), [(entries, ENTRY), (exits, EXIT)])
 
 
 def _par_box(n1: DtsiBox, n2: DtsiBox) -> DtsiBox:
@@ -177,11 +163,8 @@ def _par_box(n1: DtsiBox, n2: DtsiBox) -> DtsiBox:
 
 
 def _ite_box(n1: DtsiBox, n2: DtsiBox, n3: DtsiBox) -> DtsiBox:
-    x1 = [p for p in n1.places if p.label == EXIT]
-    e2 = [p for p in n2.places if p.label == ENTRY]
-    x2 = [p for p in n2.places if p.label == EXIT]
-    e3 = [p for p in n3.places if p.label == ENTRY]
-    return _splice((n1, n2, n3), (x1, e2, x2, e3), INTERNAL)
+    loop = (_places(n1, EXIT), _places(n2, ENTRY), _places(n2, EXIT), _places(n3, ENTRY))
+    return _splice((n1, n2, n3), [(loop, INTERNAL)])
 
 
 def _rel_box(n: DtsiBox, func) -> DtsiBox:
@@ -252,24 +235,22 @@ def box_of(expr: StaticExpr) -> DtsiBox:
     return _box_of(expr)
 
 
+# kind -> the box combinator, applied to the boxes of the subtrees and then
+# to the node's other fields
+_COMBINATOR = {
+    Act: _leaf_box,
+    Seq: _seq_box,
+    Cho: _cho_box,
+    Par: _par_box,
+    Rel: _rel_box,
+    Rst: _rst_box,
+    Syn: _syn_box,
+    Ite: _ite_box,
+}
+
+
 def _box_of(e: StaticExpr) -> DtsiBox:
-    if isinstance(e, Act):
-        return _leaf_box(e.activity)
-    if isinstance(e, Seq):
-        return _seq_box(_box_of(e.left), _box_of(e.right))
-    if isinstance(e, Cho):
-        return _cho_box(_box_of(e.left), _box_of(e.right))
-    if isinstance(e, Par):
-        return _par_box(_box_of(e.left), _box_of(e.right))
-    if isinstance(e, Rel):
-        return _rel_box(_box_of(e.child), e.func)
-    if isinstance(e, Rst):
-        return _rst_box(_box_of(e.child), e.action)
-    if isinstance(e, Syn):
-        return _syn_box(_box_of(e.child), e.action)
-    if isinstance(e, Ite):
-        return _ite_box(_box_of(e.init), _box_of(e.body), _box_of(e.term))
-    raise TypeError(repr(e))
+    return _rebuild(e, [_box_of(c) for c in _children(e)], _COMBINATOR[type(e)])
 
 
 # ---------------------------------------------------------------------------

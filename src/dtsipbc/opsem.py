@@ -1,15 +1,16 @@
 """Step operational semantics: bar rewriting, step derivation, transition systems.
 
 States are structural-equivalence classes of barred expressions: the closure
-of a term under the bar-moving rewrite rules applied forwards and backwards.
-A state is represented by its operative members (those no forward rule
-rewrites), which the derivation rules start from.  They are computed from
-the classes of the subterms, never by enumerating the class: equivalent
-expressions denote the same marking of the box, so the class of a parallel
-composition is the product of its components' classes, and the class of any
-other node joins the classes of its dynamic argument that the root rules
-link (``Engine._summary``).  ``Engine.closure`` still enumerates whole
-classes; it is the reference the tests check the summaries against.
+of a term under the bar-moving rules, which are written once, as one table
+of port groups (``_PORT_GROUPS``), and read forwards and backwards.  A state
+is represented by its operative members (those no forward rule rewrites),
+which the derivation rules start from.  They are computed from the classes
+of the subterms, never by enumerating the class: equivalent expressions
+denote the same marking of the box, so the class of a parallel composition
+is the product of its components' classes, and the class of any other node
+joins the classes of its dynamic argument that the same table links
+(``Engine._summary``).  ``Engine.closure`` still enumerates whole classes;
+it is the reference the tests check the summaries against.
 
 A step is a set of activities executed in one clock tick (stochastic) or
 instantaneously (immediate).  Immediate steps pre-empt stochastic ones, which
@@ -27,14 +28,13 @@ are normalized directly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .expr import (
     Act,
     Action,
     Activity,
-    Cho,
     DCho,
     DIte,
     DPar,
@@ -43,16 +43,14 @@ from .expr import (
     DSeq,
     DSyn,
     DynamicExpr,
-    Ite,
     Multiset,
     Over,
-    Par,
-    Rel,
-    Rst,
-    Seq,
     StaticExpr,
-    Syn,
     Under,
+    _attributes,
+    _children,
+    _kind,
+    _rebuild,
     is_regular,
     sync_activities,
     underlying,
@@ -108,141 +106,82 @@ def is_immediate_step(step: Step) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _forward_root(d: DynamicExpr) -> List[DynamicExpr]:
-    out: List[DynamicExpr] = []
-    if isinstance(d, Over):
-        e = d.expr
-        if isinstance(e, Seq):
-            out.append(DSeq(Over(e.left), e.right))
-        elif isinstance(e, Cho):
-            out.append(DCho(Over(e.left), e.right))
-            out.append(DCho(e.left, Over(e.right)))
-        elif isinstance(e, Par):
-            out.append(DPar(Over(e.left), Over(e.right)))
-        elif isinstance(e, Rel):
-            out.append(DRel(Over(e.child), e.func))
-        elif isinstance(e, Rst):
-            out.append(DRst(Over(e.child), e.action))
-        elif isinstance(e, Syn):
-            out.append(DSyn(Over(e.child), e.action))
-        elif isinstance(e, Ite):
-            out.append(DIte(Over(e.init), e.body, e.term))
-    elif isinstance(d, DSeq):
-        if isinstance(d.left, Under):
-            out.append(DSeq(d.left.expr, Over(d.right)))
-        if isinstance(d.right, Under):
-            out.append(Under(Seq(d.left, d.right.expr)))
-    elif isinstance(d, DCho):
-        if isinstance(d.left, Under):
-            out.append(Under(Cho(d.left.expr, d.right)))
-        if isinstance(d.right, Under):
-            out.append(Under(Cho(d.left, d.right.expr)))
-    elif isinstance(d, DPar):
-        if isinstance(d.left, Under) and isinstance(d.right, Under):
-            out.append(Under(Par(d.left.expr, d.right.expr)))
-    elif isinstance(d, DRel):
-        if isinstance(d.child, Under):
-            out.append(Under(Rel(d.child.expr, d.func)))
-    elif isinstance(d, DRst):
-        if isinstance(d.child, Under):
-            out.append(Under(Rst(d.child.expr, d.action)))
-    elif isinstance(d, DSyn):
-        if isinstance(d.child, Under):
-            out.append(Under(Syn(d.child.expr, d.action)))
-    elif isinstance(d, DIte):
-        if isinstance(d.init, Under):
-            out.append(DIte(d.init.expr, Over(d.body), d.term))
-        if isinstance(d.body, Under):
-            out.append(DIte(d.init, Over(d.body.expr), d.term))
-            out.append(DIte(d.init, d.body.expr, Over(d.term)))
-        if isinstance(d.term, Under):
-            out.append(Under(Ite(d.init, d.body, d.term.expr)))
-    return out
+# The bar-moving rules of structural equivalence, as port groups per barred
+# kind.  A port (k, bar) is the k-th argument under that bar, the whole node
+# under it when k is None, and every argument under it at once when k is ALL
+# (the two rules of parallel composition).  The ports of a group denote the
+# same marking of the box, and each port of a group and the next one are the
+# two sides of one rule.  Read forward, a rule leaves the side that holds an
+# overbar on the whole node or an underbar on an argument: the bar moves into
+# the node, or on past the argument.  Read backward, it goes the other way.
+ALL = "all"
+_UNARY_GROUPS = (((None, Over), (0, Over)), ((0, Under), (None, Under)))
+_PORT_GROUPS = {
+    DSeq: (((None, Over), (0, Over)), ((0, Under), (1, Over)), ((1, Under), (None, Under))),
+    DCho: (((0, Over), (None, Over), (1, Over)), ((0, Under), (None, Under), (1, Under))),
+    DPar: (((None, Over), (ALL, Over)), ((ALL, Under), (None, Under))),
+    DIte: (
+        ((None, Over), (0, Over)),
+        ((0, Under), (1, Over), (1, Under), (2, Over)),
+        ((2, Under), (None, Under)),
+    ),
+    DRel: _UNARY_GROUPS,
+    DRst: _UNARY_GROUPS,
+    DSyn: _UNARY_GROUPS,
+}
+_GROUP_OF = {kind: {port: group for group in groups for port in group} for kind, groups in _PORT_GROUPS.items()}
 
 
-def _backward_root(d: DynamicExpr) -> List[DynamicExpr]:
-    out: List[DynamicExpr] = []
-    if isinstance(d, DSeq):
-        if isinstance(d.left, Over):
-            out.append(Over(Seq(d.left.expr, d.right)))
-        if isinstance(d.right, Over):
-            out.append(DSeq(Under(d.left), d.right.expr))
-    elif isinstance(d, Under):
-        e = d.expr
-        if isinstance(e, Seq):
-            out.append(DSeq(e.left, Under(e.right)))
-        elif isinstance(e, Cho):
-            out.append(DCho(Under(e.left), e.right))
-            out.append(DCho(e.left, Under(e.right)))
-        elif isinstance(e, Par):
-            out.append(DPar(Under(e.left), Under(e.right)))
-        elif isinstance(e, Rel):
-            out.append(DRel(Under(e.child), e.func))
-        elif isinstance(e, Rst):
-            out.append(DRst(Under(e.child), e.action))
-        elif isinstance(e, Syn):
-            out.append(DSyn(Under(e.child), e.action))
-        elif isinstance(e, Ite):
-            out.append(DIte(e.init, e.body, Under(e.term)))
-    elif isinstance(d, DCho):
-        if isinstance(d.left, Over):
-            out.append(Over(Cho(d.left.expr, d.right)))
-        if isinstance(d.right, Over):
-            out.append(Over(Cho(d.left, d.right.expr)))
-    elif isinstance(d, DPar):
-        if isinstance(d.left, Over) and isinstance(d.right, Over):
-            out.append(Over(Par(d.left.expr, d.right.expr)))
-    elif isinstance(d, DRel):
-        if isinstance(d.child, Over):
-            out.append(Over(Rel(d.child.expr, d.func)))
-    elif isinstance(d, DRst):
-        if isinstance(d.child, Over):
-            out.append(Over(Rst(d.child.expr, d.action)))
-    elif isinstance(d, DSyn):
-        if isinstance(d.child, Over):
-            out.append(Over(Syn(d.child.expr, d.action)))
-    elif isinstance(d, DIte):
-        if isinstance(d.init, Over):
-            out.append(Over(Ite(d.init.expr, d.body, d.term)))
-        if isinstance(d.body, Over):
-            out.append(DIte(Under(d.init), d.body.expr, d.term))
-            out.append(DIte(d.init, Under(d.body.expr), d.term))
-        if isinstance(d.term, Over):
-            out.append(DIte(d.init, Under(d.body), d.term.expr))
-    return out
+def _root_rule(forward: bool):
+    """The rewrites of a dynamic expression at its root, by the rules of
+    ``_PORT_GROUPS`` read forward or backward."""
+    moves = {kind: [] for kind in _PORT_GROUPS}  # per kind, (from port, to port) pairs
+    for kind, groups in _PORT_GROUPS.items():
+        for group in groups:
+            for p, q in zip(group, group[1:]):
+                if (q[0] is None) == (q[1] is Over):  # a forward rule leaves q
+                    p, q = q, p
+                moves[kind].append((p, q) if forward else (q, p))
+
+    def rule(d: DynamicExpr) -> List[DynamicExpr]:
+        root_bar = type(d) if isinstance(d, (Over, Under)) else None
+        node = d.expr if root_bar else d
+        kind = _kind(node).counterpart if root_bar else type(d)
+        if kind is None:  # a barred activity
+            return []
+        args = _children(node)
+        out: List[DynamicExpr] = []
+        for (k, bar), (j, end) in moves[kind]:
+            # take the bar off at port (k, bar) ...
+            if k is None and bar is root_bar:
+                bare = args
+            elif k is ALL and all(isinstance(x, bar) for x in args):
+                bare = [x.expr for x in args]
+            elif k not in (None, ALL) and isinstance(args[k], bar):
+                bare = args[:k] + [args[k].expr] + args[k + 1:]
+            else:
+                continue
+            # ... and put it on at port (j, end)
+            if j is None:
+                out.append(end(_rebuild(node, bare, _kind(node).counterpart)))
+            else:
+                out.append(_rebuild(node, [end(x) if j in (i, ALL) else x for i, x in enumerate(bare)], kind))
+        return out
+
+    return rule
+
+
+_forward_root = _root_rule(True)
+_backward_root = _root_rule(False)
 
 
 def _rewrites(d: DynamicExpr, root_rule) -> List[DynamicExpr]:
     """Apply a root rule at every dynamic position of ``d``."""
-    out = list(root_rule(d))
-    if isinstance(d, (Over, Under)):
-        return out
-    if isinstance(d, DSeq):
-        if isinstance(d.left, DynamicExpr):
-            out.extend(DSeq(g, d.right) for g in _rewrites(d.left, root_rule))
-        if isinstance(d.right, DynamicExpr):
-            out.extend(DSeq(d.left, g) for g in _rewrites(d.right, root_rule))
-    elif isinstance(d, DCho):
-        if isinstance(d.left, DynamicExpr):
-            out.extend(DCho(g, d.right) for g in _rewrites(d.left, root_rule))
-        if isinstance(d.right, DynamicExpr):
-            out.extend(DCho(d.left, g) for g in _rewrites(d.right, root_rule))
-    elif isinstance(d, DPar):
-        out.extend(DPar(g, d.right) for g in _rewrites(d.left, root_rule))
-        out.extend(DPar(d.left, g) for g in _rewrites(d.right, root_rule))
-    elif isinstance(d, DRel):
-        out.extend(DRel(g, d.func) for g in _rewrites(d.child, root_rule))
-    elif isinstance(d, DRst):
-        out.extend(DRst(g, d.action) for g in _rewrites(d.child, root_rule))
-    elif isinstance(d, DSyn):
-        out.extend(DSyn(g, d.action) for g in _rewrites(d.child, root_rule))
-    elif isinstance(d, DIte):
-        if isinstance(d.init, DynamicExpr):
-            out.extend(DIte(g, d.body, d.term) for g in _rewrites(d.init, root_rule))
-        if isinstance(d.body, DynamicExpr):
-            out.extend(DIte(d.init, g, d.term) for g in _rewrites(d.body, root_rule))
-        if isinstance(d.term, DynamicExpr):
-            out.extend(DIte(d.init, d.body, g) for g in _rewrites(d.term, root_rule))
+    out = root_rule(d)
+    children = _children(d)
+    for k, child in enumerate(children):
+        if isinstance(child, DynamicExpr):
+            out.extend(_rebuild(d, children[:k] + [g] + children[k + 1:]) for g in _rewrites(child, root_rule))
     return out
 
 
@@ -354,11 +293,8 @@ class TransitionSystem:
     def step_prob(self, step: Step, i: int) -> float:
         """Normalized probability to execute ``step`` in state ``i``."""
         steps = self.exec_steps(i)
-        if step not in steps:
-            raise SemanticsError("step %r is not executable in state %d" % (sorted(map(str, step)), i + 1))
         tang = self.states[i].tangible
-        total = sum(self._ready(s, steps, tang) for s in steps)
-        return self._ready(step, steps, tang) / total
+        return self.ready_prob(step, i) / sum(self._ready(s, steps, tang) for s in steps)
 
     def move_prob(self, i: int, j: int) -> float:
         return sum(t.prob for t in self.outgoing(i) if t.target == j)
@@ -403,13 +339,19 @@ class TransitionSystem:
             steps_by_state[t.source].append((frozenset(remap(u) for u in t.step), t.target))
         transitions = []
         for i, pairs in enumerate(steps_by_state):
-            tang = self.states[i].tangible
-            steps = [s for s, _ in pairs]
-            total = sum(self._ready(s, steps, tang) for s in steps)
-            for s, target in pairs:
-                transitions.append(Transition(i, s, self._ready(s, steps, tang) / total, target))
+            transitions += _normalized(i, pairs, self.states[i].tangible)
         expr = _remap_leaves(self.expr, leaf_values) if self.expr is not None else None
         return TransitionSystem(states, transitions, self.initial, expr)
+
+
+def _normalized(i: int, pairs: List[Tuple[Step, int]], tangible: bool) -> List[Transition]:
+    """The transitions of state ``i``, one per (step, target) pair, each with
+    its step's readiness divided by the total over the state's steps (each
+    readiness computed once)."""
+    steps = [s for s, _ in pairs]
+    ready = [TransitionSystem._ready(s, steps, tangible) for s in steps]
+    total = sum(ready)
+    return [Transition(i, s, r / total, j) for (s, j), r in zip(pairs, ready)]
 
 
 def _remap_leaves(node, leaf_values: Dict[int, float]):
@@ -418,47 +360,7 @@ def _remap_leaves(node, leaf_values: Dict[int, float]):
         u = node.activity
         leaves = tuple((i, leaf_values.get(i, v)) for i, v in u.leaves)
         return Act(Activity(u.part, u.immediate, leaves, u.num))
-    if isinstance(node, Seq):
-        return Seq(_remap_leaves(node.left, leaf_values), _remap_leaves(node.right, leaf_values))
-    if isinstance(node, Cho):
-        return Cho(_remap_leaves(node.left, leaf_values), _remap_leaves(node.right, leaf_values))
-    if isinstance(node, Par):
-        return Par(_remap_leaves(node.left, leaf_values), _remap_leaves(node.right, leaf_values))
-    if isinstance(node, Rel):
-        return Rel(_remap_leaves(node.child, leaf_values), node.func)
-    if isinstance(node, Rst):
-        return Rst(_remap_leaves(node.child, leaf_values), node.action)
-    if isinstance(node, Syn):
-        return Syn(_remap_leaves(node.child, leaf_values), node.action)
-    if isinstance(node, Ite):
-        return Ite(
-            _remap_leaves(node.init, leaf_values),
-            _remap_leaves(node.body, leaf_values),
-            _remap_leaves(node.term, leaf_values),
-        )
-    if isinstance(node, Over):
-        return Over(_remap_leaves(node.expr, leaf_values))
-    if isinstance(node, Under):
-        return Under(_remap_leaves(node.expr, leaf_values))
-    if isinstance(node, DSeq):
-        return DSeq(_remap_leaves(node.left, leaf_values), _remap_leaves(node.right, leaf_values))
-    if isinstance(node, DCho):
-        return DCho(_remap_leaves(node.left, leaf_values), _remap_leaves(node.right, leaf_values))
-    if isinstance(node, DPar):
-        return DPar(_remap_leaves(node.left, leaf_values), _remap_leaves(node.right, leaf_values))
-    if isinstance(node, DRel):
-        return DRel(_remap_leaves(node.child, leaf_values), node.func)
-    if isinstance(node, DRst):
-        return DRst(_remap_leaves(node.child, leaf_values), node.action)
-    if isinstance(node, DSyn):
-        return DSyn(_remap_leaves(node.child, leaf_values), node.action)
-    if isinstance(node, DIte):
-        return DIte(
-            _remap_leaves(node.init, leaf_values),
-            _remap_leaves(node.body, leaf_values),
-            _remap_leaves(node.term, leaf_values),
-        )
-    raise TypeError(repr(node))
+    return _rebuild(node, [_remap_leaves(c, leaf_values) for c in _children(node)])
 
 
 def leaf_values_of(expr: StaticExpr) -> Dict[int, float]:
@@ -476,26 +378,6 @@ def leaf_values_of(expr: StaticExpr) -> Dict[int, float]:
 # The derivation engine
 # ---------------------------------------------------------------------------
 
-
-# The root rules of the nodes with one dynamic argument, read as links.  A
-# port (k, bar) is the k-th argument under that bar, or the whole node when k
-# is None; the forward and backward root rules turn the ports of one group
-# into one another, so a class that reaches one port reaches its whole group.
-_UNARY_LINKS = (((None, Over), (0, Over)), ((0, Under), (None, Under)))
-_LINKS = {
-    DSeq: (((None, Over), (0, Over)), ((0, Under), (1, Over)), ((1, Under), (None, Under))),
-    DCho: (((None, Over), (0, Over), (1, Over)), ((0, Under), (1, Under), (None, Under))),
-    DIte: (
-        ((None, Over), (0, Over)),
-        ((0, Under), (1, Over), (1, Under), (2, Over)),
-        ((2, Under), (None, Under)),
-    ),
-    DRel: _UNARY_LINKS,
-    DRst: _UNARY_LINKS,
-    DSyn: _UNARY_LINKS,
-}
-_GROUP_OF = {kind: {port: group for group in groups for port in group} for kind, groups in _LINKS.items()}
-_FIELDS = {kind: tuple(f.name for f in fields(kind)) for kind in _LINKS}
 
 # operative members of a class, whether it holds Over(e), whether it holds Under(e)
 Summary = Tuple[FrozenSet[DynamicExpr], bool, bool]
@@ -600,9 +482,8 @@ class Engine:
     def _linked(self, g: DynamicExpr) -> Summary:
         """Summary of a node with one dynamic argument: a fixed point over the
         argument classes that the node's links reach from the one in ``g``."""
-        kind = type(g)
-        group_of = _GROUP_OF[kind]
-        args = [getattr(g, name) for name in _FIELDS[kind]]
+        kind, group_of = type(g), _GROUP_OF[type(g)]
+        args, attributes = _children(g), _attributes(g)
         at = next(k for k, x in enumerate(args) if isinstance(x, DynamicExpr))
         static: Optional[List[object]] = None  # args with the skeleton at ``at``
         ops = set()
@@ -617,7 +498,7 @@ class Engine:
             for x in child_ops:
                 # Under(child) would rewrite forward at this node's root
                 if not isinstance(x, Under):
-                    ops.add(kind(*around[:k], x, *around[k + 1:]))
+                    ops.add(kind(*around[:k], x, *around[k + 1:], *attributes))
             for bar, reached in ((Over, initial), (Under, final)):
                 group = group_of[(k, bar)]
                 if not reached or group in active:
@@ -825,10 +706,7 @@ def build_ts(expr: StaticExpr, max_states: int = 100_000, engine: Optional[Engin
             in_steps = {u for s in steps for u in s}
             if singles != in_steps:
                 raise SemanticsError("subset closure violated in state %d" % (i + 1))
-        total = sum(TransitionSystem._ready(s, steps, tangible) for s in steps)
-        for s, j in pairs:
-            prob = TransitionSystem._ready(s, steps, tangible) / total
-            transitions.append(Transition(i, s, prob, j))
+        transitions += _normalized(i, pairs, tangible)
 
     return TransitionSystem(states, transitions, 0, expr)
 

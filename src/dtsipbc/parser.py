@@ -28,7 +28,6 @@ from .expr import (
     Act,
     Action,
     Activity,
-    activities_of,
     Cho,
     DCho,
     DIte,
@@ -49,6 +48,8 @@ from .expr import (
     StaticExpr,
     Syn,
     Under,
+    _children,
+    _renumbered,
     is_dynamic,
     is_regular,
     is_stop,
@@ -418,37 +419,6 @@ def _instantiate(t: Template, bindings: Dict[str, float]) -> Union[StaticExpr, D
     raise ValueError("bad template node %r" % (tag,))
 
 
-def _renumber_dynamic(g: DynamicExpr) -> DynamicExpr:
-    counter = [0]
-
-    def walk(node):
-        if isinstance(node, StaticExpr):
-            walked = renumber(node, counter[0] + 1)
-            counter[0] += len(activities_of(walked))
-            return walked
-        if isinstance(node, Over):
-            return Over(walk(node.expr))
-        if isinstance(node, Under):
-            return Under(walk(node.expr))
-        if isinstance(node, DSeq):
-            return DSeq(walk(node.left), walk(node.right))
-        if isinstance(node, DCho):
-            return DCho(walk(node.left), walk(node.right))
-        if isinstance(node, DPar):
-            return DPar(walk(node.left), walk(node.right))
-        if isinstance(node, DRel):
-            return DRel(walk(node.child), node.func)
-        if isinstance(node, DRst):
-            return DRst(walk(node.child), node.action)
-        if isinstance(node, DSyn):
-            return DSyn(walk(node.child), node.action)
-        if isinstance(node, DIte):
-            return DIte(walk(node.init), walk(node.body), walk(node.term))
-        raise TypeError(repr(node))
-
-    return walk(g)
-
-
 def parse_static(text: str, bindings: Optional[Dict[str, float]] = None) -> StaticExpr:
     """Parse one static expression; leaves are numbered 1..n in source order."""
     tokens = TokenStream(tokenize(text))
@@ -472,7 +442,7 @@ def parse_dynamic(text: str, bindings: Optional[Dict[str, float]] = None) -> Dyn
     expr = _instantiate(template, bindings or {})
     if not is_dynamic(expr):
         raise ParseError("expected bars on a dynamic expression", 1, 1)
-    return _renumber_dynamic(expr)
+    return _renumbered(expr, 1, _children)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,18 @@ def shared_memory_order(ts: TransitionSystem, r1: str, r2: str, d1: str, d2: str
     return order
 
 
+# Relabeling terms: no bundled model and no random term relabels
+RELABELING_TERMS = [
+    "({a},0.5)[f: a->b, b->a]",
+    "(({a},0.5);({b},0.3))[f: a<->b]",
+    "((({a},0.5)[f: a<->c]) || ({c^},0.4)) sy c",
+    "((({a},0.5)[f: a<->c]) || ({c^},0.4)) sy c rs c",
+    "[({a},0.5) * (({b},0.5)[f: b<->d]) * ({d},0.2)]",
+    "((({a,b},#2)[f: a<->b]) [] ({c},#1)) ; ({d},0.5)",
+    "(([({x},0.5) * ({a},0.3) * Stop])[f: a<->e] || ({e^},0.7)) sy e",
+]
+
+
 # ---------------------------------------------------------------------------
 # Random regular terms (text form, so the parser is exercised as well)
 # ---------------------------------------------------------------------------

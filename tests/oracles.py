@@ -4,6 +4,8 @@ Each re-derives the slow, plain way what the program computes fast:
 
 * by brute force over single terms or whole enumerated classes, what the
   step semantics computes compositionally;
+* by one hand-written rule list per node kind, the bar-moving rules that
+  the program reads off one table of port groups;
 * by ``Multiset`` arithmetic on named places, what the net semantics
   computes on index-coded markings;
 * by scalar loops, what the solver vectorizes.
@@ -20,6 +22,7 @@ from dtsipbc.expr import (
     Act,
     Action,
     Activity,
+    Cho,
     DCho,
     DIte,
     DPar,
@@ -28,8 +31,14 @@ from dtsipbc.expr import (
     DSeq,
     DSyn,
     DynamicExpr,
+    Ite,
     Multiset,
     Over,
+    Par,
+    Rel,
+    Rst,
+    Seq,
+    Syn,
     Under,
     sync_activities,
 )
@@ -48,6 +57,166 @@ from dtsipbc.opsem import (
     step_key,
 )
 from dtsipbc.parser import serialize
+
+
+# ---------------------------------------------------------------------------
+# Bar-moving rules, written out per node kind
+# ---------------------------------------------------------------------------
+
+
+def forward_root(d: DynamicExpr) -> List[DynamicExpr]:
+    """The forward bar-moving rules at the root of ``d``."""
+    out: List[DynamicExpr] = []
+    if isinstance(d, Over):
+        e = d.expr
+        if isinstance(e, Seq):
+            out.append(DSeq(Over(e.left), e.right))
+        elif isinstance(e, Cho):
+            out.append(DCho(Over(e.left), e.right))
+            out.append(DCho(e.left, Over(e.right)))
+        elif isinstance(e, Par):
+            out.append(DPar(Over(e.left), Over(e.right)))
+        elif isinstance(e, Rel):
+            out.append(DRel(Over(e.child), e.func))
+        elif isinstance(e, Rst):
+            out.append(DRst(Over(e.child), e.action))
+        elif isinstance(e, Syn):
+            out.append(DSyn(Over(e.child), e.action))
+        elif isinstance(e, Ite):
+            out.append(DIte(Over(e.init), e.body, e.term))
+    elif isinstance(d, DSeq):
+        if isinstance(d.left, Under):
+            out.append(DSeq(d.left.expr, Over(d.right)))
+        if isinstance(d.right, Under):
+            out.append(Under(Seq(d.left, d.right.expr)))
+    elif isinstance(d, DCho):
+        if isinstance(d.left, Under):
+            out.append(Under(Cho(d.left.expr, d.right)))
+        if isinstance(d.right, Under):
+            out.append(Under(Cho(d.left, d.right.expr)))
+    elif isinstance(d, DPar):
+        if isinstance(d.left, Under) and isinstance(d.right, Under):
+            out.append(Under(Par(d.left.expr, d.right.expr)))
+    elif isinstance(d, DRel):
+        if isinstance(d.child, Under):
+            out.append(Under(Rel(d.child.expr, d.func)))
+    elif isinstance(d, DRst):
+        if isinstance(d.child, Under):
+            out.append(Under(Rst(d.child.expr, d.action)))
+    elif isinstance(d, DSyn):
+        if isinstance(d.child, Under):
+            out.append(Under(Syn(d.child.expr, d.action)))
+    elif isinstance(d, DIte):
+        if isinstance(d.init, Under):
+            out.append(DIte(d.init.expr, Over(d.body), d.term))
+        if isinstance(d.body, Under):
+            out.append(DIte(d.init, Over(d.body.expr), d.term))
+            out.append(DIte(d.init, d.body.expr, Over(d.term)))
+        if isinstance(d.term, Under):
+            out.append(Under(Ite(d.init, d.body, d.term.expr)))
+    return out
+
+
+def backward_root(d: DynamicExpr) -> List[DynamicExpr]:
+    """The backward bar-moving rules at the root of ``d``: each forward rule
+    read right to left."""
+    out: List[DynamicExpr] = []
+    if isinstance(d, DSeq):
+        if isinstance(d.left, Over):
+            out.append(Over(Seq(d.left.expr, d.right)))
+        if isinstance(d.right, Over):
+            out.append(DSeq(Under(d.left), d.right.expr))
+    elif isinstance(d, Under):
+        e = d.expr
+        if isinstance(e, Seq):
+            out.append(DSeq(e.left, Under(e.right)))
+        elif isinstance(e, Cho):
+            out.append(DCho(Under(e.left), e.right))
+            out.append(DCho(e.left, Under(e.right)))
+        elif isinstance(e, Par):
+            out.append(DPar(Under(e.left), Under(e.right)))
+        elif isinstance(e, Rel):
+            out.append(DRel(Under(e.child), e.func))
+        elif isinstance(e, Rst):
+            out.append(DRst(Under(e.child), e.action))
+        elif isinstance(e, Syn):
+            out.append(DSyn(Under(e.child), e.action))
+        elif isinstance(e, Ite):
+            out.append(DIte(e.init, e.body, Under(e.term)))
+    elif isinstance(d, DCho):
+        if isinstance(d.left, Over):
+            out.append(Over(Cho(d.left.expr, d.right)))
+        if isinstance(d.right, Over):
+            out.append(Over(Cho(d.left, d.right.expr)))
+    elif isinstance(d, DPar):
+        if isinstance(d.left, Over) and isinstance(d.right, Over):
+            out.append(Over(Par(d.left.expr, d.right.expr)))
+    elif isinstance(d, DRel):
+        if isinstance(d.child, Over):
+            out.append(Over(Rel(d.child.expr, d.func)))
+    elif isinstance(d, DRst):
+        if isinstance(d.child, Over):
+            out.append(Over(Rst(d.child.expr, d.action)))
+    elif isinstance(d, DSyn):
+        if isinstance(d.child, Over):
+            out.append(Over(Syn(d.child.expr, d.action)))
+    elif isinstance(d, DIte):
+        if isinstance(d.init, Over):
+            out.append(Over(Ite(d.init.expr, d.body, d.term)))
+        if isinstance(d.body, Over):
+            out.append(DIte(Under(d.init), d.body.expr, d.term))
+            out.append(DIte(d.init, Under(d.body.expr), d.term))
+        if isinstance(d.term, Over):
+            out.append(DIte(d.init, Under(d.body), d.term.expr))
+    return out
+
+
+def rewrites(d: DynamicExpr, root_rule) -> List[DynamicExpr]:
+    """Apply a root rule at every dynamic position of ``d``."""
+    out = list(root_rule(d))
+    if isinstance(d, (Over, Under)):
+        return out
+    if isinstance(d, DSeq):
+        if isinstance(d.left, DynamicExpr):
+            out.extend(DSeq(g, d.right) for g in rewrites(d.left, root_rule))
+        if isinstance(d.right, DynamicExpr):
+            out.extend(DSeq(d.left, g) for g in rewrites(d.right, root_rule))
+    elif isinstance(d, DCho):
+        if isinstance(d.left, DynamicExpr):
+            out.extend(DCho(g, d.right) for g in rewrites(d.left, root_rule))
+        if isinstance(d.right, DynamicExpr):
+            out.extend(DCho(d.left, g) for g in rewrites(d.right, root_rule))
+    elif isinstance(d, DPar):
+        out.extend(DPar(g, d.right) for g in rewrites(d.left, root_rule))
+        out.extend(DPar(d.left, g) for g in rewrites(d.right, root_rule))
+    elif isinstance(d, DRel):
+        out.extend(DRel(g, d.func) for g in rewrites(d.child, root_rule))
+    elif isinstance(d, DRst):
+        out.extend(DRst(g, d.action) for g in rewrites(d.child, root_rule))
+    elif isinstance(d, DSyn):
+        out.extend(DSyn(g, d.action) for g in rewrites(d.child, root_rule))
+    elif isinstance(d, DIte):
+        if isinstance(d.init, DynamicExpr):
+            out.extend(DIte(g, d.body, d.term) for g in rewrites(d.init, root_rule))
+        if isinstance(d.body, DynamicExpr):
+            out.extend(DIte(d.init, g, d.term) for g in rewrites(d.body, root_rule))
+        if isinstance(d.term, DynamicExpr):
+            out.extend(DIte(d.init, d.body, g) for g in rewrites(d.term, root_rule))
+    return out
+
+
+def closure(g: DynamicExpr) -> FrozenSet[DynamicExpr]:
+    """Every member of the class of ``g``, by exhaustive rewriting with the
+    rules above."""
+    seen = {g}
+    frontier = [g]
+    while frontier:
+        d = frontier.pop()
+        for nxt in rewrites(d, forward_root) + rewrites(d, backward_root):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dtsipbc.netsem import box_of, build_rg, check_safe_clean
 from dtsipbc.opsem import build_ts, leaf_values_of, ts_isomorphic
 from dtsipbc.parser import parse_static
 
-from conftest import fast_ts, make_rng, random_regular_text, shared_memory_order
+from conftest import RELABELING_TERMS, fast_ts, make_rng, random_regular_text, shared_memory_order
 from test_equiv import _perturb_value, _rename_leaf_action, abstract_block_order
 from test_opsem import oracle_exec, oracle_step_prob
 
@@ -179,6 +179,7 @@ def test_criterion_4_cross_semantics():
         roots.append((name, model.instantiate()))
         if model.peer is not None:
             roots.append((name + ":peer", model.instantiate_peer()))
+    roots += [(text, parse_static(text)) for text in RELABELING_TERMS]
     for label, expr in roots:
         ts = build_ts(expr)
         box = box_of(expr)
@@ -197,7 +198,8 @@ def test_criterion_4_cross_semantics():
         assert ts_isomorphic(ts, rg) is not None, text
         report = check_safe_clean(box, max_states=20_000)
         assert report.safe and report.clean, text
-    _report("criterion 4: TS matches RG on %d bundled roots and 200 random terms" % len(roots))
+    _report("criterion 4: TS matches RG on %d bundled roots, %d relabeling terms and 200 random terms"
+            % (len(roots) - len(RELABELING_TERMS), len(RELABELING_TERMS)))
 
 
 def test_criterion_5_stationary_relationships():

@@ -1,22 +1,29 @@
 """Multisets, activities, synchronization and the syntactic predicates."""
 
+import dataclasses
 import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dtsipbc.expr import (
+    _KINDS,
     Action,
     Activity,
+    DynamicExpr,
     Multiset,
     Relabeling,
+    StaticExpr,
+    activities_of,
     apply_relabel,
     is_iteration_body,
     is_regular,
     numbering_content,
     numbering_str,
+    renumber,
     sync_activities,
     sync_parts,
+    underlying,
 )
 from dtsipbc.parser import parse_dynamic, parse_static
 
@@ -190,3 +197,37 @@ class TestNodeHash:
         copy = pickle.loads(pickle.dumps(g))
         assert "_hash" not in copy.__dict__
         assert copy == g and hash(copy) == h
+
+
+class TestNodeKinds:
+    def test_table_describes_every_field(self):
+        assert len(_KINDS) == 17
+        for kind, info in _KINDS.items():
+            assert info.subtrees + info.attributes == tuple(f.name for f in dataclasses.fields(kind))
+            if info.counterpart is not None:
+                assert _KINDS[info.counterpart].counterpart is kind
+                assert issubclass(kind, StaticExpr) != issubclass(info.counterpart, StaticExpr)
+
+    def test_underlying_strips_every_bar(self):
+        static = "((({a},0.5)[f: a<->c])||[({b},#1) * ({c},0.5) * Stop]) sy c rs b"
+        for dynamic in ("(~(({a},0.5)[f: a<->c])||[({b},#1) * _({c},0.5) * Stop]) sy c rs b",
+                        "(_(({a},0.5)[f: a<->c])||~[({b},#1) * ({c},0.5) * Stop]) sy c rs b"):
+            assert underlying(parse_dynamic(dynamic)) == parse_static(static)
+
+    def test_renumber_keeps_shape_and_attributes(self):
+        e = parse_static("((({a},0.5)[f: a<->c])||[({b},#1) * ({c},0.5) * Stop]) sy c rs b")
+        shifted = renumber(e, 11)
+        assert [u.num for u in activities_of(shifted)] == [11, 12, 13, 14]
+        assert renumber(shifted) == e
+
+    @pytest.mark.parametrize("walk", [activities_of, renumber, is_regular, is_iteration_body])
+    def test_static_walks_refuse_other_values(self, walk):
+        for value in (parse_dynamic("~({a},0.5)"), 42, StaticExpr(), None):
+            with pytest.raises(TypeError):
+                walk(value)
+
+    def test_underlying_refuses_non_expressions(self):
+        for value in (42, DynamicExpr(), None):
+            with pytest.raises(TypeError):
+                underlying(value)
+

@@ -19,7 +19,7 @@ from dtsipbc.netsem import (
 from dtsipbc.opsem import SemanticsError, StateSpaceLimit, build_ts, ts_isomorphic
 from dtsipbc.parser import parse_model, parse_static
 
-from conftest import bundled_roots, instantiate, make_rng, random_regular_text, shm_text
+from conftest import RELABELING_TERMS, bundled_roots, instantiate, make_rng, random_regular_text, shm_text
 
 
 class TestConstruction:
@@ -203,7 +203,8 @@ def assert_same_net_semantics(expr, monkeypatch):
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("expr", [pytest.param(e, id=label) for label, e in bundled_roots()])
+    @pytest.mark.parametrize("expr", [pytest.param(e, id=label) for label, e in bundled_roots()]
+                             + [pytest.param(parse_static(t), id=t) for t in RELABELING_TERMS])
     def test_bundled_roots(self, expr, monkeypatch):
         box = assert_same_net_semantics(expr, monkeypatch)
         for m in build_rg(box).markings:

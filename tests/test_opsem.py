@@ -8,6 +8,7 @@ immediate sets pre-empt.  It shares no code with the rule engine's step
 derivation.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -25,6 +26,7 @@ from dtsipbc.expr import (
     DSeq,
     DIte,
     DSyn,
+    DynamicExpr,
     Multiset,
     Over,
     Par,
@@ -39,6 +41,8 @@ from dtsipbc.opsem import (
     StateSpaceLimit,
     Transition,
     TransitionSystem,
+    _backward_root,
+    _forward_root,
     build_ts,
     inaction_closure,
     leaf_values_of,
@@ -47,7 +51,16 @@ from dtsipbc.opsem import (
 )
 from dtsipbc.parser import parse_dynamic, parse_model, parse_static, serialize
 
-from conftest import bundled_roots, label_strings, make_rng, random_regular_text, shm_text, ts_of
+import oracles
+from conftest import (
+    RELABELING_TERMS,
+    bundled_roots,
+    label_strings,
+    make_rng,
+    random_regular_text,
+    shm_text,
+    ts_of,
+)
 from oracles import current_steps, enumerated_class, member_tangible, potential_steps
 
 
@@ -411,7 +424,8 @@ def assert_classes_match(expr, every_member=False):
 
 
 class TestCompositionalClasses:
-    @pytest.mark.parametrize("expr", [pytest.param(e, id=label) for label, e in bundled_roots()])
+    @pytest.mark.parametrize("expr", [pytest.param(e, id=label) for label, e in bundled_roots()]
+                             + [pytest.param(parse_static(t), id=t) for t in RELABELING_TERMS])
     def test_bundled_roots(self, expr):
         assert_classes_match(expr)
 
@@ -439,3 +453,46 @@ class TestCompositionalClasses:
         ts = build_ts(expr)
         assert len(ts.states) == 21
         assert ts_isomorphic(ts, build_rg(box_of(expr))) is not None
+
+
+# ---------------------------------------------------------------------------
+# The rule table against the hand-written rules
+# ---------------------------------------------------------------------------
+
+
+def dynamic_subterms(g):
+    """``g`` and every dynamic subterm of ``g``."""
+    yield g
+    for f in dataclasses.fields(g):
+        child = getattr(g, f.name)
+        if isinstance(child, DynamicExpr):
+            yield from dynamic_subterms(child)
+
+
+def assert_rules_match(expr):
+    """At the root of every dynamic subterm of every member of every reachable
+    class, the table's rewrites equal the hand-written ones, and each class
+    enumerated with the table equals the one enumerated with them."""
+    engine = Engine()
+    subterms = set()
+    for state in build_ts(expr).states:
+        members = engine.closure(state.members[0])
+        assert members == oracles.closure(state.members[0]), serialize(state.members[0])
+        for g in members:
+            subterms.update(dynamic_subterms(g))
+    for d in subterms:
+        assert set(_forward_root(d)) == set(oracles.forward_root(d)), serialize(d)
+        assert set(_backward_root(d)) == set(oracles.backward_root(d)), serialize(d)
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("expr", [pytest.param(e, id=label) for label, e in bundled_roots()]
+                             + [pytest.param(parse_static(t), id=t) for t in RELABELING_TERMS])
+    def test_bundled_roots_and_relabelings(self, expr):
+        assert_rules_match(expr)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_terms(self, seed):
+        rng = make_rng(9000 + seed)
+        assert_rules_match(parse_static(random_regular_text(rng, max_activities=8, max_sync=2)))
+

@@ -5,7 +5,7 @@ import pytest
 from dtsipbc.expr import Act, Cho, DCho, DPar, Ite, Over, Par, Rst, Seq, Under, activities_of
 from dtsipbc.parser import ModelFile, ParseError, parse_dynamic, parse_model, parse_static, serialize
 
-from conftest import make_rng, random_regular_text
+from conftest import RELABELING_TERMS, make_rng, random_regular_text
 
 
 class TestParseStatic:
@@ -105,8 +105,7 @@ class TestDynamic:
 class TestRoundTrip:
     def test_random_terms(self):
         rng = make_rng(7)
-        for _ in range(300):
-            text = random_regular_text(rng)
+        for text in [random_regular_text(rng) for _ in range(300)] + RELABELING_TERMS:
             e = parse_static(text)
             assert parse_static(serialize(e)) == e
 
