@@ -14,12 +14,14 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from . import export
 from .equiv import bisim_equivalent_ts, quotient
-from .markov import AnalysisError, Chain, evaluate_index, solve_chain
+from .markov import AnalysisError, Chain, ChainStack, evaluate_index, evaluate_index_stack, solve_chain, solve_stack
 from .models import bundled_model_names, load_model
 from .netsem import box_of, build_rg, check_safe_clean
-from .opsem import SemanticsError, StateSpaceLimit, build_ts, leaf_values_of, ts_isomorphic
+from .opsem import SemanticsError, StateSpaceLimit, build_ts, ts_isomorphic
 from .parser import ModelFile, ParseError
 
 ANALYSIS_ERROR, INPUT_ERROR = 1, 2
@@ -258,14 +260,66 @@ def cmd_checkeq(args) -> int:
     return ANALYSIS_ERROR
 
 
+def _leaf_values(model: ModelFile, point: Dict[str, float]) -> Dict[int, float]:
+    try:
+        return model.leaf_values(point)
+    except ValueError as exc:
+        raise CliError(str(exc), INPUT_ERROR)
+
+
 def _sweep_indices_at(base_ts, model: ModelFile, indices, point: Dict[str, float],
                       use_quotient: bool, remap_members: bool = False):
-    expr = model.instantiate(point)
-    ts = base_ts.reweight(leaf_values_of(expr), remap_members=remap_members)
+    ts = base_ts.reweight(_leaf_values(model, point), remap_members=remap_members)
     chain = quotient(ts).chain() if use_quotient else Chain.from_ts(ts)
     result = solve_chain(chain)
     values = {name: float(v) for name, v in _index_values(indices, result).items()}
     return result, values
+
+
+def _sweep_per_point(args, base_ts, model: ModelFile, indices, points):
+    """Index values at each point, one reweighted chain after another, and
+    the solutions when ``--per-point`` writes them."""
+    values, results = [], []
+    for point in points:
+        try:
+            result, at = _sweep_indices_at(base_ts, model, indices, point, args.quotient,
+                                           remap_members=args.per_point)
+        except AnalysisError as exc:
+            raise CliError("analysis error at %s: %s" % (point, exc), ANALYSIS_ERROR)
+        values.append(at)
+        if args.per_point and args.out:
+            results.append(result)
+    return values, results
+
+
+def _sweep_batch(base_ts, model: ModelFile, indices, points) -> List[Dict[str, float]]:
+    """Index values at every point, from one stack of chains solved at once.
+    It fails at the first point, and with the error, where the per-point
+    route would."""
+    leaf_rows, input_error = [], None
+    for point in points:
+        try:
+            leaf_rows.append(list(_leaf_values(model, point).values()))
+        except CliError as exc:
+            input_error = exc  # raised after any analysis error at an earlier point
+            break
+    chains = ChainStack.from_ts(base_ts, np.array(leaf_rows))
+    solved = solve_stack(chains)
+    evaluated = {name: evaluate_index_stack(expr, chains, solved) for name, expr in indices.items()}
+    failed = np.array([e is not None for e in solved.errors])
+    for _, messages in evaluated.values():
+        failed |= np.array([m is not None for m in messages])
+    if failed.any():
+        k = int(np.argmax(failed))
+        error = solved.errors[k] or next(
+            AnalysisError("index %s: %s" % (name, messages[k])) for name, (_, messages) in evaluated.items()
+            if messages[k] is not None
+        )
+        raise CliError("analysis error at %s: %s" % (points[k], error), ANALYSIS_ERROR)
+    if input_error is not None:
+        raise input_error
+    series = {name: values.tolist() for name, (values, _) in evaluated.items()}
+    return [{name: series[name][k] for name in indices} for k in range(len(points))]
 
 
 def cmd_sweep(args) -> int:
@@ -284,18 +338,16 @@ def cmd_sweep(args) -> int:
     )
     base_ts = _build_ts(_instantiate(model, points[0]), args.max_states)
 
-    rows: List[Dict[str, float]] = []
     results = []
-    for point in points:
-        try:
-            result, values = _sweep_indices_at(base_ts, model, indices, point, args.quotient,
-                                               remap_members=args.per_point)
-        except AnalysisError as exc:
-            raise CliError("analysis error at %s: %s" % (point, exc), ANALYSIS_ERROR)
+    if args.quotient or args.per_point:
+        values, results = _sweep_per_point(args, base_ts, model, indices, points)
+    else:
+        values = _sweep_batch(base_ts, model, indices, points)
+    rows: List[Dict[str, float]] = []
+    for point, at in zip(points, values):
         row = {name: point[name] for name in swept}
-        row.update(values)
+        row.update(at)
         rows.append(row)
-        results.append(result)
 
     note = "sweep over %s; grid steps %s" % (
         ",".join(swept),
@@ -304,16 +356,16 @@ def cmd_sweep(args) -> int:
     text = export.sweep_csv(swept, sorted(indices), rows, header_note=note)
     _emit(args, "sweep.csv", text)
 
-    if args.per_point and args.out:
+    if results:
         points_dir = Path(args.out) / "points"
         points_dir.mkdir(parents=True, exist_ok=True)
         for k, result in enumerate(results):
             name = "point_%05d.csv" % (k + 1)
             (points_dir / name).write_text(export.states_csv(result), encoding="utf-8")
 
+    grid = [tuple(row[p] for p in swept) for row in rows]
     for name in sorted(indices):
-        series = [(row[name], tuple(row[p] for p in swept)) for row in rows]
-        finite = [(v, at) for v, at in series if not math.isinf(v) and not math.isnan(v)]
+        finite = [(row[name], at) for row, at in zip(rows, grid) if math.isfinite(row[name])]
         if not finite:
             continue
         lo, lo_at = min(finite)

@@ -209,12 +209,17 @@ class Activity:
 
     @staticmethod
     def make(part: Multiset, immediate: bool, value: float, leaf: int) -> "Activity":
+        Activity.check_value(immediate, value)
+        return Activity(part, immediate, ((leaf, value),), leaf)
+
+    @staticmethod
+    def check_value(immediate: bool, value: float) -> None:
+        """Weights are positive, probabilities lie strictly in (0;1)."""
         if immediate:
             if not value > 0:
                 raise ValueError("immediate weight must be positive, got %r" % value)
         elif not 0 < value < 1:
             raise ValueError("probability must lie strictly in (0;1), got %r" % value)
-        return Activity(part, immediate, ((leaf, value),), leaf)
 
     @property
     def value(self) -> float:

@@ -4,8 +4,18 @@ The semi-Markov view of a transition system: tangible states hold for a
 geometrically distributed number of ticks, vanishing states take zero time.
 The embedded chain abstracts self-loops (zero diagonal); the full chain keeps
 transition probabilities verbatim.  Both stationary vectors are computed by a
-direct linear solve on the unique closed communication class, with power
-iteration retained as an independent oracle.
+direct linear solve on the unique closed communication class, refined with
+compensated residuals (Stewart, *Introduction to the Numerical Solution of
+Markov Chains*, 1994), with power iteration retained as an independent
+oracle.
+
+The solver works on a stack of chains over the same states: one matrix per
+point of a parameter grid (``ChainStack``, ``solve_stack``).  The
+communication classes, the closed class and the period are computed once per
+support, the linear algebra for all points at once, and every check still
+runs at every point.  ``solve_chain`` is the one-point case, and gives the
+bits that a per-matrix computation gives: each row is reduced, and each
+system solved, exactly as it would be on its own.
 """
 
 from __future__ import annotations
@@ -18,15 +28,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .expr import Multiset
-from .opsem import TransitionSystem
+from .opsem import Readiness, TransitionSystem
 
 __all__ = [
     "AnalysisError",
     "Chain",
+    "ChainStack",
     "StepArc",
     "SojournStats",
     "StationaryResult",
     "SolveResult",
+    "StackResult",
     "sojourn_stats",
     "dtmc_tpm",
     "edtmc_tpm",
@@ -35,10 +47,12 @@ __all__ = [
     "power_iteration",
     "transient",
     "solve_chain",
+    "solve_stack",
     "trace_prob",
     "step_probability",
     "reward_probability",
     "evaluate_index",
+    "evaluate_index_stack",
 ]
 
 
@@ -86,36 +100,98 @@ class Chain:
 
 
 @dataclass
+class ChainStack:
+    """Chains of one transition system at many parameter points.
+
+    They share states and step arcs and differ in probabilities: ``pm`` is
+    ``(points, n, n)``, and ``arc_probs[:, k]`` is the probability of
+    transition ``k`` of the system at every point.  ``arcs[i]`` lists the
+    (label, transition) pairs of state ``i`` in ``Chain.arcs`` order.
+    """
+
+    keys: List[str]
+    tangible: List[bool]
+    pm: np.ndarray
+    arcs: List[List[Tuple[Multiset, int]]]
+    arc_probs: np.ndarray
+
+    @staticmethod
+    def from_ts(ts: TransitionSystem, leaf_values: np.ndarray) -> "ChainStack":
+        """The chains of ``ts`` reweighted to each row of ``leaf_values``
+        (column ``c`` holds leaf ``c + 1``), as ``Chain.from_ts(ts.reweight(...))``
+        would build them one at a time."""
+        readiness = Readiness(ts)
+        probs = readiness.probabilities(leaf_values)
+        labels = ts.labels()
+        columns: List[List[int]] = [[] for _ in ts.states]
+        for k, t in enumerate(ts.transitions):
+            columns[t.source].append(k)
+        arcs = [[(labels[j], k) for j, k in zip(ts.label_ids(i), columns[i])] for i in range(len(ts.states))]
+        return ChainStack([s.key for s in ts.states], [s.tangible for s in ts.states],
+                          readiness.matrices(probs), arcs, probs)
+
+    @property
+    def size(self) -> int:
+        return len(self.keys)
+
+
+@dataclass
 class SojournStats:
     average: np.ndarray  # zero at vanishing states, +inf at absorbing tangible ones
     variance: np.ndarray
     loop_factor: np.ndarray  # self-loop abstraction factor
 
 
-def _exit_mass(chain: Chain, i: int) -> float:
-    # sum only the off-diagonal entries: both 1 - pm[i, i] and row.sum() minus
-    # the diagonal cancel catastrophically when the self-loop dominates
-    return float(np.delete(chain.pm[i], i).sum())
+def _off_diagonal_sums(m: np.ndarray) -> np.ndarray:
+    """Row sums of a ``(points, k, k)`` stack without the diagonal.
+
+    Summing only the off-diagonal entries avoids the cancellation of
+    ``1 - m[i, i]`` when the self-loop dominates.  Each row's k - 1 entries
+    are gathered into one contiguous row, so numpy sums them exactly as it
+    sums ``np.delete(row, i)``.  In row-major order the diagonal entries are
+    every (k + 1)-th, so the gather is one strided copy.
+    """
+    points, k = m.shape[0], m.shape[-1]
+    flat = np.ascontiguousarray(m).reshape(points, k * k)[:, 1:]
+    return flat.reshape(points, k - 1, k + 1)[:, :, :-1].reshape(points, k, k - 1).sum(axis=-1)
+
+
+def _sojourn(pm: np.ndarray, tangible: Sequence[bool]) -> Tuple[SojournStats, np.ndarray]:
+    """Sojourn statistics of a stack, and the exit mass of every state."""
+    p = np.diagonal(pm, axis1=1, axis2=2)
+    leave = _off_diagonal_sums(pm)
+    absorbing = leave == 0.0
+    tangible = np.asarray(tangible, dtype=bool)
+    # Python's float power, as in the scalar formula p / leave**2: it is not
+    # always the correctly rounded square that leave * leave would give
+    squares = np.array([v**2 for v in leave.ravel().tolist()]).reshape(leave.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inverse = 1.0 / leave
+        # a square that underflows gives an infinite variance, quietly
+        variance = np.where(absorbing, math.inf, p / squares)
+    stats = SojournStats(
+        np.where(tangible, inverse, 0.0),
+        np.where(tangible, variance, 0.0),
+        np.where(p > 0, inverse, 1.0),
+    )
+    return stats, leave
+
+
+def _embedded(pm: np.ndarray, leave: np.ndarray) -> np.ndarray:
+    """Self-loop abstracted matrices: zero diagonal, absorbing rows zero."""
+    live = (leave != 0.0)[..., None]
+    out = np.zeros_like(pm)
+    np.divide(pm, leave[..., None], out=out, where=live)
+    k = pm.shape[-1]
+    out[:, np.arange(k), np.arange(k)] = 0.0
+    # rescale away the division noise so rows sum to one exactly enough
+    np.divide(out, out.sum(axis=-1, keepdims=True), out=out, where=live)
+    return out
 
 
 def sojourn_stats(chain: Chain) -> SojournStats:
-    n = chain.size
-    avg = np.zeros(n)
-    var = np.zeros(n)
-    sl = np.ones(n)
-    for i in range(n):
-        p = chain.pm[i, i]
-        leave = _exit_mass(chain, i)
-        if p > 0:
-            sl[i] = math.inf if leave == 0.0 else 1.0 / leave
-        if chain.tangible[i]:
-            if leave == 0.0:
-                avg[i] = math.inf
-                var[i] = math.inf
-            else:
-                avg[i] = 1.0 / leave
-                var[i] = p / leave**2
-    return SojournStats(avg, var, sl)
+    stats, _ = _sojourn(chain.pm[None], chain.tangible)
+    return SojournStats(stats.average[0], stats.variance[0], stats.loop_factor[0])
 
 
 def dtmc_tpm(chain: Chain) -> np.ndarray:
@@ -124,17 +200,8 @@ def dtmc_tpm(chain: Chain) -> np.ndarray:
 
 def edtmc_tpm(chain: Chain) -> np.ndarray:
     """Self-loop abstracted one-step matrix: zero diagonal, absorbing rows zero."""
-    n = chain.size
-    out = np.zeros((n, n))
-    for i in range(n):
-        leave = _exit_mass(chain, i)
-        if leave == 0.0:
-            continue
-        out[i] = chain.pm[i] / leave
-        out[i, i] = 0.0
-        # rescale away the division noise so rows sum to one exactly enough
-        out[i] /= out[i].sum()
-    return out
+    pm = chain.pm[None]
+    return _embedded(pm, _off_diagonal_sums(pm))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +209,21 @@ def edtmc_tpm(chain: Chain) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _adjacency(tpm: np.ndarray) -> List[List[int]]:
+    """Successors of every state, in column order."""
+    rows, cols = np.nonzero(tpm > 0)
+    bounds = np.searchsorted(rows, np.arange(tpm.shape[0] + 1)).tolist()
+    cols = cols.tolist()
+    return [cols[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def communication_classes(tpm: np.ndarray) -> Tuple[List[List[int]], List[List[int]]]:
     """Strongly connected components and the closed ones among them."""
-    n = tpm.shape[0]
-    adjacency = [np.nonzero(tpm[i] > 0)[0].tolist() for i in range(n)]
+    return _classes(_adjacency(tpm))
 
+
+def _classes(adjacency: List[List[int]]) -> Tuple[List[List[int]], List[List[int]]]:
+    n = len(adjacency)
     index_of = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
@@ -201,7 +278,7 @@ def communication_classes(tpm: np.ndarray) -> Tuple[List[List[int]], List[List[i
     return components, sorted(closed)
 
 
-def _class_period(tpm: np.ndarray, comp: List[int]) -> int:
+def _class_period(adjacency: List[List[int]], comp: List[int]) -> int:
     members = set(comp)
     root = comp[0]
     level = {root: 0}
@@ -209,7 +286,7 @@ def _class_period(tpm: np.ndarray, comp: List[int]) -> int:
     g = 0
     while queue:
         v = queue.popleft()
-        for w in np.nonzero(tpm[v] > 0)[0]:
+        for w in adjacency[v]:
             if w not in members:
                 continue
             if w not in level:
@@ -238,29 +315,56 @@ def steady_state(tpm: np.ndarray, residual_tol: float = 1e-10) -> StationaryResu
     limiting distribution.  Several closed classes raise, carrying the class
     decomposition.
     """
-    n = tpm.shape[0]
-    _, closed = communication_classes(tpm)
+    pmf, comp, periodic, errors = _stationary_stack(tpm[None], residual_tol)
+    if errors[0] is not None:
+        raise errors[0]
+    return StationaryResult(pmf[0], comp, periodic)
+
+
+def _stationary_stack(
+    tpm: np.ndarray, residual_tol: float
+) -> Tuple[np.ndarray, List[int], bool, List[Optional[AnalysisError]]]:
+    """``steady_state`` of every matrix of a stack that shares one support:
+    the stationary vectors, the closed class, whether it is periodic, and
+    the error ``steady_state`` would raise at each point."""
+    points, n = tpm.shape[:2]
+    pmf = np.zeros((points, n))
+    adjacency = _adjacency(tpm[0])
+    _, closed = _classes(adjacency)
     if len(closed) != 1:
-        raise AnalysisError(
+        error = AnalysisError(
             "chain has %d closed communication classes; expected one" % len(closed),
             closed_classes=closed,
         )
+        return pmf, [], False, [error] * points
     comp = closed[0]
-    pmf = np.zeros(n)
-    if len(comp) == 1 and tpm[comp[0]].sum() == 0:
+    errors: List[Optional[AnalysisError]] = [None] * points
+    if len(comp) == 1 and not adjacency[comp[0]]:
         # absorbing row of an embedded chain
-        pmf[comp[0]] = 1.0
-        return StationaryResult(pmf, comp, periodic=False)
-    sub = tpm[np.ix_(comp, comp)]
-    row_sums = sub.sum(axis=1)
-    if not np.allclose(row_sums, 1.0, atol=1e-9):
-        raise AnalysisError("closed class is not stochastic (row sums %s)" % row_sums)
-    x, residual = _stationary_on_class(sub, residual_tol)
-    if residual > residual_tol:
-        raise AnalysisError("stationary solve residual %.2e exceeds %.2e" % (residual, residual_tol))
-    pmf[comp] = x
-    period = _class_period(tpm, comp)
-    return StationaryResult(pmf, comp, periodic=period > 1)
+        pmf[:, comp[0]] = 1.0
+        return pmf, comp, False, errors
+    sub = tpm[np.ix_(np.arange(points), comp, comp)]
+    row_sums = sub.sum(axis=-1)
+    stochastic = np.isclose(row_sums, 1.0, atol=1e-9).all(axis=-1)
+    for p in np.flatnonzero(~stochastic):
+        errors[p] = AnalysisError("closed class is not stochastic (row sums %s)" % row_sums[p])
+    solved = np.flatnonzero(stochastic)
+    try:
+        parts = [(solved, *_stationary_on_class(sub if solved.size == points else sub[solved], residual_tol))]
+    except np.linalg.LinAlgError:
+        # one singular system fails the whole stack: solve each point alone
+        parts = []
+        for p in solved.tolist():
+            try:
+                parts.append(([p], *_stationary_on_class(sub[[p]], residual_tol)))
+            except np.linalg.LinAlgError:
+                errors[p] = AnalysisError("stationary solve failed: singular matrix")
+    for group, x, residual in parts:
+        for p, r in zip(group, residual.tolist()):
+            if r > residual_tol:
+                errors[p] = AnalysisError("stationary solve residual %.2e exceeds %.2e" % (r, residual_tol))
+        pmf[np.ix_(group, comp)] = x
+    return pmf, comp, _class_period(adjacency, comp) > 1, errors
 
 
 def _compensated_residual(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -270,38 +374,55 @@ def _compensated_residual(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.nda
     return np.asarray([bi - math.fsum(row.tolist()) for bi, row in zip(b.tolist(), a * x)])
 
 
-def _stationary_on_class(sub: np.ndarray, residual_tol: float) -> Tuple[np.ndarray, float]:
-    """LU solve of x(P - I) = 0, x summing to one, on one closed class.
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve every system of a stack; each gets the bits of its own solve."""
+    return np.linalg.solve(a, b[..., None])[..., 0]
+
+
+def _max_residual(x: np.ndarray, gen: np.ndarray) -> np.ndarray:
+    """max |x gen| at every point."""
+    return np.max(np.abs((x[:, None, :] @ gen)[:, 0, :]), axis=-1)
+
+
+def _stationary_on_class(sub: np.ndarray, residual_tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """LU solve of x(P - I) = 0, x summing to one, on one closed class, for
+    a stack of matrices.
 
     The generator diagonal is assembled from the off-diagonal row masses so
     that nothing cancels when self-loops dominate, and iterative refinement
     with compensated residuals recovers the forward accuracy that a single
-    LU pass loses on stiff chains (parameters close to 0 or 1).
+    LU pass loses on stiff chains (parameters close to 0 or 1).  Each point
+    keeps its best of up to five rounds and leaves the loop once it
+    converges.
     """
-    k = sub.shape[0]
+    points, k = sub.shape[:2]
+    diag = np.arange(k)
     gen = sub.copy()
-    for i in range(k):
-        gen[i, i] = -float(np.delete(sub[i], i).sum())
-    a = gen.T.copy()
-    a[-1, :] = 1.0
-    b = np.zeros(k)
-    b[-1] = 1.0
+    gen[:, diag, diag] = -_off_diagonal_sums(sub)
+    a = gen.transpose(0, 2, 1).copy()
+    a[:, -1, :] = 1.0
+    b = np.zeros((points, k))
+    b[:, -1] = 1.0
 
-    x = np.linalg.solve(a, b)
-    best = None
-    for _ in range(5):
-        x = x / x.sum()
-        resid = _compensated_residual(a, b, x)
-        true_res = float(np.max(np.abs(x @ gen)))
-        if best is None or true_res < best[1]:
-            best = (x.copy(), true_res)
-        if true_res <= residual_tol * 0.01:
+    x = _solve(a, b)
+    best = np.empty_like(x)
+    best_res = np.empty(points)
+    live = np.arange(points)
+    for round_ in range(5):
+        x = x / x.sum(axis=-1, keepdims=True)
+        res = _max_residual(x, gen if live.size == points else gen[live])
+        better = res < best_res[live] if round_ else np.ones(live.size, dtype=bool)
+        best[live[better]] = x[better]
+        best_res[live[better]] = res[better]
+        going = ~(res <= residual_tol * 0.01)
+        live, x = live[going], x[going]
+        if round_ == 4 or not live.size:
             break
-        x = x + np.linalg.solve(a, resid)
-    x, true_res = best
-    x = np.where(np.abs(x) < 1e-300, 0.0, np.clip(x, 0.0, None))
-    x = x / x.sum()
-    return x, float(np.max(np.abs(x @ gen)))
+        resid = np.array([_compensated_residual(a[p], b[p], xp) for p, xp in zip(live.tolist(), x)])
+        x = x + _solve(a[live], resid)
+    x = np.where(np.abs(best) < 1e-300, 0.0, np.clip(best, 0.0, None))
+    x = x / x.sum(axis=-1, keepdims=True)
+    return x, _max_residual(x, gen)
 
 
 def power_iteration(
@@ -345,6 +466,11 @@ def transient(tpm: np.ndarray, steps: int, start: Optional[np.ndarray] = None, i
 # ---------------------------------------------------------------------------
 
 
+# the largest disagreement between the two steady-state routes that is
+# taken for rounding rather than a solver bug
+_CROSS_CHECK_TOL = 1e-10
+
+
 @dataclass
 class SolveResult:
     chain: Chain
@@ -376,7 +502,26 @@ class SolveResult:
         return rows
 
 
-def solve_chain(chain: Chain, cross_check_tol: float = 1e-10) -> SolveResult:
+@dataclass
+class StackResult:
+    """``solve_chain``'s results at every point of a stack: the arrays lead
+    with the point axis, and ``errors[p]`` is the ``AnalysisError`` that
+    ``solve_chain`` raises at point ``p``, or None where it succeeds (the
+    arrays hold no meaningful values there)."""
+
+    sojourn: SojournStats
+    dtmc: np.ndarray
+    edtmc: np.ndarray
+    psi: np.ndarray
+    psi_star: np.ndarray
+    phi: np.ndarray
+    closed_class: List[List[int]]
+    edtmc_periodic: List[bool]
+    dtmc_periodic: List[bool]
+    errors: List[Optional[AnalysisError]]
+
+
+def solve_chain(chain: Chain, cross_check_tol: float = _CROSS_CHECK_TOL) -> SolveResult:
     """Stationary analysis by both routes, cross-checked.
 
     Route A weighs the embedded stationary vector by average sojourn times;
@@ -384,54 +529,104 @@ def solve_chain(chain: Chain, cross_check_tol: float = 1e-10) -> SolveResult:
     Their disagreement beyond ``cross_check_tol`` means a solver bug, so it
     raises instead of returning silently wrong numbers.
     """
-    stats = sojourn_stats(chain)
-    p_full = dtmc_tpm(chain)
-    p_emb = edtmc_tpm(chain)
-
-    emb = steady_state(p_emb)
-    full = steady_state(p_full)
-
-    comp = emb.closed_class
-    if full.closed_class != comp:
-        raise AnalysisError("embedded and full chains disagree on the closed class")
-
-    n = chain.size
-    phi = np.zeros(n)
-    if any(math.isinf(stats.average[i]) for i in comp):
-        # the closed class is one absorbing tangible state
-        if len(comp) > 1:
-            raise AnalysisError("infinite sojourn inside a non-trivial closed class")
-        if not chain.tangible[comp[0]]:
-            raise AnalysisError("absorbing vanishing state: time cannot progress")
-        phi[comp[0]] = 1.0
-    else:
-        weighted = emb.pmf * np.where(np.isinf(stats.average), 0.0, stats.average)
-        total = weighted.sum()
-        if total <= 0:
-            raise AnalysisError("no tangible state carries stationary probability")
-        phi = weighted / total
-
-    tangible_mass = sum(full.pmf[i] for i in range(n) if chain.tangible[i])
-    phi_b = np.array(
-        [full.pmf[i] / tangible_mass if chain.tangible[i] else 0.0 for i in range(n)]
-    )
-    if np.max(np.abs(phi - phi_b)) > cross_check_tol:
-        raise AnalysisError(
-            "steady-state routes disagree by %.2e" % float(np.max(np.abs(phi - phi_b)))
-        )
-
+    s = _solve_stack(chain.pm.copy()[None], chain.tangible, cross_check_tol)
+    if s.errors[0] is not None:
+        raise s.errors[0]
     return SolveResult(
         chain=chain,
-        sojourn=stats,
-        dtmc=p_full,
-        edtmc=p_emb,
-        psi=full.pmf,
-        psi_star=emb.pmf,
-        phi=phi,
-        closed_class=comp,
-        edtmc_periodic=emb.periodic,
-        dtmc_periodic=full.periodic,
+        sojourn=SojournStats(s.sojourn.average[0], s.sojourn.variance[0], s.sojourn.loop_factor[0]),
+        dtmc=s.dtmc[0],
+        edtmc=s.edtmc[0],
+        psi=s.psi[0],
+        psi_star=s.psi_star[0],
+        phi=s.phi[0],
+        closed_class=s.closed_class[0],
+        edtmc_periodic=s.edtmc_periodic[0],
+        dtmc_periodic=s.dtmc_periodic[0],
     )
+
+
+def solve_stack(chains: ChainStack) -> StackResult:
+    """``solve_chain`` at every point of a stack, without raising: a point
+    fails, with the same error, exactly where ``solve_chain`` would."""
+    return _solve_stack(chains.pm, chains.tangible, _CROSS_CHECK_TOL)
+
+
+def _support_groups(*stacks: np.ndarray) -> List[np.ndarray]:
+    """The points of equal support (positive entries) in every stack."""
+    points = stacks[0].shape[0]
+    if points == 1:
+        return [np.zeros(1, dtype=np.intp)]
+    support = np.packbits(np.concatenate([m.reshape(points, -1) > 0 for m in stacks], axis=1), axis=1)
+    groups: Dict[bytes, List[int]] = {}
+    for p, key in enumerate(support):
+        groups.setdefault(key.tobytes(), []).append(p)
+    return [np.array(group, dtype=np.intp) for group in groups.values()]
+
+
+def _solve_stack(pm: np.ndarray, tangible: Sequence[bool], cross_check_tol: float) -> StackResult:
+    points, n = pm.shape[:2]
+    stats, leave = _sojourn(pm, tangible)
+    emb = _embedded(pm, leave)
+    out = StackResult(stats, pm, emb, np.zeros((points, n)), np.zeros((points, n)), np.zeros((points, n)),
+                      [[]] * points, [False] * points, [False] * points, [None] * points)
+    groups = _support_groups(pm, emb)
+    for group in groups:
+        take = group if len(groups) > 1 else slice(None)  # one group: views, no copies
+        psi, psi_star, phi, comp, emb_periodic, full_periodic, errors = _solve_group(
+            pm[take], emb[take], stats.average[take], tangible, cross_check_tol
+        )
+        out.psi[take], out.psi_star[take], out.phi[take] = psi, psi_star, phi
+        for k, p in enumerate(group.tolist()):
+            out.closed_class[p] = comp
+            out.edtmc_periodic[p] = emb_periodic
+            out.dtmc_periodic[p] = full_periodic
+            out.errors[p] = errors[k]
+    return out
+
+
+def _solve_group(pm: np.ndarray, emb: np.ndarray, average: np.ndarray, tangible: Sequence[bool],
+                 cross_check_tol: float):
+    """Both routes on points that share one support."""
+    points, n = pm.shape[:2]
+    psi_star, comp, emb_periodic, emb_errors = _stationary_stack(emb, 1e-10)
+    psi, full_comp, full_periodic, full_errors = _stationary_stack(pm, 1e-10)
+    errors = [e or f for e, f in zip(emb_errors, full_errors)]
+
+    def fail(where: np.ndarray, message: str) -> None:
+        for p in np.flatnonzero(where):
+            errors[p] = errors[p] or AnalysisError(message)
+
+    if full_comp != comp:
+        fail(np.ones(points, dtype=bool), "embedded and full chains disagree on the closed class")
+
+    phi = np.zeros((points, n))
+    if comp:
+        infinite = np.isinf(average)
+        absorbed = infinite[:, comp].any(axis=-1)
+        if absorbed.any():
+            # the closed class is one absorbing tangible state
+            if len(comp) > 1:
+                fail(absorbed, "infinite sojourn inside a non-trivial closed class")
+            elif not tangible[comp[0]]:
+                fail(absorbed, "absorbing vanishing state: time cannot progress")
+            phi[absorbed, comp[0]] = 1.0
+        weighted = psi_star * np.where(infinite, 0.0, average)
+        total = weighted.sum(axis=-1)
+        fail(~absorbed & (total <= 0), "no tangible state carries stationary probability")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi = np.where(absorbed[:, None], phi, weighted / total[:, None])
+
+    tangible_mass = np.zeros(points)
+    for i in range(n):
+        if tangible[i]:
+            tangible_mass = tangible_mass + psi[:, i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi_b = np.where(np.asarray(tangible, dtype=bool), psi / tangible_mass[:, None], 0.0)
+    gap = np.max(np.abs(phi - phi_b), axis=-1)
+    for p in np.flatnonzero(gap > cross_check_tol):
+        errors[p] = errors[p] or AnalysisError("steady-state routes disagree by %.2e" % gap[p])
+    return psi, psi_star, phi, comp, emb_periodic, full_periodic, errors
 
 
 # ---------------------------------------------------------------------------
@@ -503,4 +698,85 @@ def evaluate_index(expr, result: SolveResult) -> float:
     if tag == "steprob":
         parts = Multiset.from_iterable(expr[1])
         return step_probability(result.chain, result.phi, parts)
+    raise ValueError("bad index expression %r" % (tag,))
+
+
+def evaluate_index_stack(expr, chains: ChainStack, solved: StackResult) -> Tuple[np.ndarray, List[Optional[str]]]:
+    """``evaluate_index`` at every point of a stack: the values, and at each
+    point the message of the error ``evaluate_index`` raises there (a
+    division by zero, a missing state), or None."""
+    messages: List[str] = []
+    # inf * 0, inf - inf and x / 0 give nan or inf, as Python floats do,
+    # without a numpy warning (points past a failure are evaluated too)
+    with np.errstate(all="ignore"):
+        values, failure = _evaluate_stack(expr, chains, solved, messages)
+    return values, [messages[c - 1] if c else None for c in failure.tolist()]
+
+
+def _zero_division_message() -> str:
+    """The message of the ``ZeroDivisionError`` that ``evaluate_index``
+    raises (Python's own, which differs between versions)."""
+    try:
+        return str(1.0 / 0.0)
+    except ZeroDivisionError as exc:
+        return str(exc)
+
+
+def _evaluate_stack(expr, chains: ChainStack, solved: StackResult,
+                    messages: List[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """Values and failure codes (0: defined, k: ``messages[k - 1]``); a
+    point keeps the first failure in ``evaluate_index``'s order."""
+    points = chains.pm.shape[0]
+    defined = np.zeros(points, dtype=np.intp)
+
+    def failing(message: str) -> int:
+        messages.append(message)
+        return len(messages)
+
+    tag = expr[0]
+    if tag == "num":
+        return np.full(points, float(expr[1])), defined
+    if tag == "neg":
+        values, failure = _evaluate_stack(expr[1], chains, solved, messages)
+        return -values, failure
+    if tag == "bin":
+        op = expr[1]
+        lhs, lhs_failure = _evaluate_stack(expr[2], chains, solved, messages)
+        rhs, rhs_failure = _evaluate_stack(expr[3], chains, solved, messages)
+        failure = np.where(lhs_failure != 0, lhs_failure, rhs_failure)
+        if op == "+":
+            return lhs + rhs, failure
+        if op == "-":
+            return lhs - rhs, failure
+        if op == "*":
+            return lhs * rhs, failure
+        if op == "/":
+            by_zero = (rhs == 0.0) & (failure == 0)
+            if by_zero.any():
+                failure = np.where(by_zero, failing(_zero_division_message()), failure)
+            return lhs / rhs, failure
+        raise ValueError("bad operator %r" % op)
+    if tag == "vec":
+        which, i = expr[1], expr[2] - 1
+        if not 0 <= i < chains.size:
+            return np.zeros(points), np.full(points, failing("state index %d out of range" % (i + 1)))
+        vectors = {
+            "phi": solved.phi,
+            "psi": solved.psi,
+            "psistar": solved.psi_star,
+            "sj": solved.sojourn.average,
+            "var": solved.sojourn.variance,
+        }
+        return vectors[which][:, i], defined
+    if tag == "steprob":
+        parts = Multiset.from_iterable(expr[1])
+        total = np.zeros(points)
+        for i, arcs in enumerate(chains.arcs):
+            here = np.zeros(points)
+            for label, k in arcs:
+                if parts.issubset(label):
+                    here = here + chains.arc_probs[:, k]
+            phi = solved.phi[:, i]
+            total = total + np.where(phi == 0.0, 0.0, phi * here)
+        return total, defined
     raise ValueError("bad index expression %r" % (tag,))

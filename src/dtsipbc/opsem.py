@@ -28,8 +28,11 @@ are normalized directly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+
+import numpy as np
 
 from .expr import (
     Act,
@@ -71,6 +74,7 @@ __all__ = [
     "build_ts",
     "ts_isomorphic",
     "leaf_values_of",
+    "Readiness",
 ]
 
 Step = FrozenSet[Activity]
@@ -275,13 +279,14 @@ class TransitionSystem:
         steps = set(self.exec_steps(i))
         if step not in steps:
             raise SemanticsError("step %r is not executable in state %d" % (sorted(map(str, step)), i + 1))
-        return self._ready(step, steps, self.states[i].tangible)
+        return self._ready(step, _singles(steps), self.states[i].tangible)
 
     @staticmethod
-    def _ready(step: Step, steps: Iterable[Step], tangible: bool) -> float:
+    def _ready(step: Step, singles: Set[Activity], tangible: bool) -> float:
+        """Readiness of ``step`` in a state whose single-activity steps are
+        ``singles``."""
         if not tangible:
             return sum(u.value for u in step)
-        singles = {next(iter(s)) for s in steps if len(s) == 1}
         prob = 1.0
         for u in step:
             prob *= u.value
@@ -294,14 +299,13 @@ class TransitionSystem:
         """Normalized probability to execute ``step`` in state ``i``."""
         steps = self.exec_steps(i)
         tang = self.states[i].tangible
-        return self.ready_prob(step, i) / sum(self._ready(s, steps, tang) for s in steps)
+        singles = _singles(steps)
+        return self.ready_prob(step, i) / sum(self._ready(s, singles, tang) for s in steps)
 
     def move_prob(self, i: int, j: int) -> float:
         return sum(t.prob for t in self.outgoing(i) if t.target == j)
 
     def pm_matrix(self):
-        import numpy as np
-
         n = len(self.states)
         pm = np.zeros((n, n))
         for t in self.transitions:
@@ -344,12 +348,18 @@ class TransitionSystem:
         return TransitionSystem(states, transitions, self.initial, expr)
 
 
+def _singles(steps: Iterable[Step]) -> Set[Activity]:
+    """The activities that form a step on their own."""
+    return {next(iter(s)) for s in steps if len(s) == 1}
+
+
 def _normalized(i: int, pairs: List[Tuple[Step, int]], tangible: bool) -> List[Transition]:
     """The transitions of state ``i``, one per (step, target) pair, each with
     its step's readiness divided by the total over the state's steps (each
-    readiness computed once)."""
+    readiness computed once, on one set of single-activity steps)."""
     steps = [s for s, _ in pairs]
-    ready = [TransitionSystem._ready(s, steps, tangible) for s in steps]
+    singles = _singles(steps)
+    ready = [TransitionSystem._ready(s, singles, tangible) for s in steps]
     total = sum(ready)
     return [Transition(i, s, r / total, j) for (s, j), r in zip(pairs, ready)]
 
@@ -371,6 +381,95 @@ def leaf_values_of(expr: StaticExpr) -> Dict[int, float]:
     for u in activities_of(expr):
         for i, v in u.leaves:
             out[i] = v
+    return out
+
+
+class Readiness:
+    """The readiness formulas of a transition system, as index arrays.
+
+    They give the transition probabilities at many parameter points at once,
+    from a matrix of leaf values with one row per point and, in column
+    ``c``, the base value of leaf ``c + 1``.  Probabilities in (0;1) and
+    positive weights keep every transition, so only the values change.
+
+    An activity's value is the product (stochastic) or the ``fsum``
+    (immediate) of its leaves.  A tangible transition's readiness is the
+    product of its activities' values and of ``1 - value`` for each
+    single-activity step of its state that it does not take; a vanishing
+    one's is the sum of its activities' weights.  Both follow step-key
+    order, where ``TransitionSystem._ready`` follows set order, so a
+    probability may differ from ``reweight``'s in the last bit.
+    """
+
+    def __init__(self, ts: TransitionSystem):
+        self.size = len(ts.states)
+        self.source = np.array([t.source for t in ts.transitions], dtype=np.intp)
+        self.target = np.array([t.target for t in ts.transitions], dtype=np.intp)
+        column: Dict[Activity, int] = {}
+        for t in ts.transitions:
+            for u in step_key(t.step):
+                column.setdefault(u, len(column))
+        self._activities = [(u.immediate, [leaf - 1 for leaf, _ in u.leaves]) for u in column]
+        # factor columns: 0 holds ones, 1 + k activity k's value, 1 + n + k
+        # one minus it, and 1 + 2n zeros (n activities)
+        n = len(column)
+        singles = [sorted(_singles(ts.exec_steps(i))) for i in range(self.size)]
+        products: List[List[int]] = []
+        sums: List[List[int]] = []
+        for t in ts.transitions:
+            taken = [1 + column[u] for u in step_key(t.step)]
+            if ts.states[t.source].tangible:
+                products.append(taken + [1 + n + column[v] for v in singles[t.source] if v not in t.step])
+            else:
+                sums.append(taken)
+        self._tangible = np.array([ts.states[t.source].tangible for t in ts.transitions], dtype=bool)
+        self._products = _padded(products, 0)
+        self._sums = _padded(sums, 1 + 2 * n)
+
+    def probabilities(self, leaf_values: np.ndarray) -> np.ndarray:
+        """Transition probabilities, one row per point, one column per
+        transition of the system, in its order."""
+        points = leaf_values.shape[0]
+        values = np.empty((points, len(self._activities)))
+        for k, (immediate, leaves) in enumerate(self._activities):
+            if immediate and len(leaves) > 2:
+                values[:, k] = [math.fsum(row) for row in leaf_values[:, leaves].tolist()]
+                continue
+            value = leaf_values[:, leaves[0]]
+            for leaf in leaves[1:]:
+                # the sum of two floats is their fsum; products go left to right, as math.prod
+                value = value + leaf_values[:, leaf] if immediate else value * leaf_values[:, leaf]
+            values[:, k] = value
+        ones, zeros = np.ones((points, 1)), np.zeros((points, 1))
+        factors = np.concatenate([ones, values, 1.0 - values, zeros], axis=1)
+        ready = np.empty((points, len(self.source)))
+        ready[:, self._tangible] = _folded(factors, self._products, np.multiply)
+        ready[:, ~self._tangible] = _folded(factors, self._sums, np.add)
+        total = np.zeros((points, self.size))
+        np.add.at(total, (slice(None), self.source), ready)
+        return ready / total[:, self.source]
+
+    def matrices(self, probs: np.ndarray) -> np.ndarray:
+        """One-step probability matrices, ``(points, states, states)``, with
+        parallel transitions added in order, as ``pm_matrix`` does."""
+        pm = np.zeros((probs.shape[0], self.size, self.size))
+        np.add.at(pm, (slice(None), self.source, self.target), probs)
+        return pm
+
+
+def _padded(rows: List[List[int]], fill: int) -> np.ndarray:
+    width = max([1] + [len(r) for r in rows])
+    out = np.full((len(rows), width), fill, dtype=np.intp)
+    for i, r in enumerate(rows):
+        out[i, : len(r)] = r
+    return out
+
+
+def _folded(factors: np.ndarray, index: np.ndarray, op) -> np.ndarray:
+    """``op`` over each row of ``index``'s factor columns, left to right."""
+    out = factors[:, index[:, 0]]
+    for k in range(1, index.shape[1]):
+        out = op(out, factors[:, index[:, k]])
     return out
 
 
@@ -702,7 +801,7 @@ def build_ts(expr: StaticExpr, max_states: int = 100_000, engine: Optional[Engin
         tangible = states[i].tangible
         steps = [s for s, _ in pairs]
         if tangible:
-            singles = {next(iter(s)) for s in steps if len(s) == 1}
+            singles = _singles(steps)
             in_steps = {u for s in steps for u in s}
             if singles != in_steps:
                 raise SemanticsError("subset closure violated in state %d" % (i + 1))

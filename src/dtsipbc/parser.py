@@ -50,6 +50,7 @@ from .expr import (
     Under,
     _children,
     _renumbered,
+    activities_of,
     is_dynamic,
     is_regular,
     is_stop,
@@ -369,12 +370,8 @@ def _instantiate(t: Template, bindings: Dict[str, float]) -> Union[StaticExpr, D
     tag = t[0]
     if tag == "act":
         actions, immediate, value = t[1], t[2], t[3]
-        if isinstance(value, str):
-            if value not in bindings:
-                raise ValueError("unbound parameter %r" % value)
-            value = bindings[value]
         part = Multiset.from_iterable(Action(n, c) for n, c in actions)
-        return Act(Activity.make(part, immediate, float(value), 0))
+        return Act(Activity.make(part, immediate, _bound(value, bindings), 0))
     if tag == "stop":
         return stop_expr()
     if tag in ("seq", "cho", "par"):
@@ -417,6 +414,34 @@ def _instantiate(t: Template, bindings: Dict[str, float]) -> Union[StaticExpr, D
             raise ValueError("an underbar must wrap a bar-free term")
         return Under(child)
     raise ValueError("bad template node %r" % (tag,))
+
+
+def _bound(value: Union[float, str], bindings: Dict[str, float]) -> float:
+    """A literal value, or the value bound to a parameter name."""
+    if isinstance(value, str):
+        if value not in bindings:
+            raise ValueError("unbound parameter %r" % value)
+        value = bindings[value]
+    return float(value)
+
+
+# the subtemplates of each composite template node, in the order in which
+# _instantiate builds them and renumber numbers their leaves
+_SUBTEMPLATES = {
+    "seq": (1, 2), "cho": (1, 2), "par": (1, 2), "rel": (1,), "rst": (1,), "syn": (1,),
+    "ite": (1, 2, 3), "over": (1,), "under": (1,),
+}
+
+
+def _leaf_sources(t: Template) -> List[Tuple[bool, Union[float, str]]]:
+    """(immediate, parameter name or literal value) of every activity that
+    ``_instantiate(t)`` builds, left to right."""
+    tag = t[0]
+    if tag == "act":
+        return [(t[2], t[3])]
+    if tag == "stop":
+        return [(u.immediate, u.value) for u in activities_of(stop_expr())]
+    return [source for k in _SUBTEMPLATES[tag] for source in _leaf_sources(t[k])]
 
 
 def parse_static(text: str, bindings: Optional[Dict[str, float]] = None) -> StaticExpr:
@@ -591,6 +616,8 @@ class ModelFile:
     indices: Dict[str, IndexExpr] = field(default_factory=dict)
     root: Optional[Template] = None
     peer: Optional[Template] = None
+    _leaves: Optional[List[Tuple[bool, Union[float, str]]]] = field(default=None, init=False, repr=False,
+                                                                    compare=False)
 
     def bindings(self, overrides: Optional[Dict[str, float]] = None) -> Dict[str, float]:
         out: Dict[str, float] = {}
@@ -611,6 +638,28 @@ class ModelFile:
         if not is_regular(expr):
             raise ValueError("root expression is not regular")
         return expr
+
+    def leaf_sources(self) -> List[Tuple[bool, Union[float, str]]]:
+        """What each numbered leaf of ``instantiate()`` reads, in leaf order:
+        whether its activity is immediate, and the name of its parameter or
+        its literal value.  Read off the root template once."""
+        if self._leaves is None:
+            if self.root is None:
+                raise ValueError("model has no root expression")
+            self._leaves = _leaf_sources(self.root)
+        return self._leaves
+
+    def leaf_values(self, overrides: Optional[Dict[str, float]] = None) -> Dict[int, float]:
+        """The base value of every leaf of ``instantiate(overrides)``, by leaf
+        number, without building the tree.  An unbound parameter or a value
+        out of range raises the ``ValueError`` that ``instantiate`` would."""
+        bindings = self.bindings(overrides)
+        out: Dict[int, float] = {}
+        for leaf, (immediate, source) in enumerate(self.leaf_sources(), 1):
+            value = _bound(source, bindings)
+            Activity.check_value(immediate, value)
+            out[leaf] = value
+        return out
 
     def instantiate_peer(self, overrides: Optional[Dict[str, float]] = None) -> StaticExpr:
         if self.peer is None:

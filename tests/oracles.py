@@ -8,7 +8,10 @@ Each re-derives the slow, plain way what the program computes fast:
   the program reads off one table of port groups;
 * by ``Multiset`` arithmetic on named places, what the net semantics
   computes on index-coded markings;
-* by scalar loops, what the solver vectorizes.
+* by scalar loops, one matrix and one state at a time, what the solver
+  computes on stacks of matrices;
+* by instantiating, reweighting and solving one grid point after another,
+  what the sweep computes for the whole grid at once.
 """
 
 from __future__ import annotations
@@ -42,6 +45,14 @@ from dtsipbc.expr import (
     Under,
     sync_activities,
 )
+from dtsipbc.markov import (
+    AnalysisError,
+    Chain,
+    SojournStats,
+    SolveResult,
+    StationaryResult,
+    evaluate_index,
+)
 from dtsipbc.netsem import DtsiBox, NetTransition, StructureReport, enabled, fire, marking_key
 from dtsipbc.opsem import (
     Engine,
@@ -54,6 +65,7 @@ from dtsipbc.opsem import (
     _forward_root,
     _rewrites,
     _saturate_step,
+    leaf_values_of,
     step_key,
 )
 from dtsipbc.parser import serialize
@@ -457,3 +469,184 @@ def compensated_residual(a, b, vec):
         terms = [a[i, j] * vec[j] for j in range(k)]
         rows.append(b[i] - math.fsum(terms))
     return np.asarray(rows)
+
+
+def exit_mass(pm, i: int) -> float:
+    return float(np.delete(pm[i], i).sum())
+
+
+def sojourn_stats(chain: Chain) -> SojournStats:
+    n = chain.size
+    avg = np.zeros(n)
+    var = np.zeros(n)
+    sl = np.ones(n)
+    for i in range(n):
+        p = chain.pm[i, i]
+        leave = exit_mass(chain.pm, i)
+        if p > 0:
+            sl[i] = math.inf if leave == 0.0 else 1.0 / leave
+        if chain.tangible[i]:
+            if leave == 0.0:
+                avg[i] = math.inf
+                var[i] = math.inf
+            else:
+                avg[i] = 1.0 / leave
+                with np.errstate(divide="ignore"):
+                    var[i] = p / leave**2
+    return SojournStats(avg, var, sl)
+
+
+def edtmc_tpm(chain: Chain) -> np.ndarray:
+    n = chain.size
+    out = np.zeros((n, n))
+    for i in range(n):
+        leave = exit_mass(chain.pm, i)
+        if leave == 0.0:
+            continue
+        out[i] = chain.pm[i] / leave
+        out[i, i] = 0.0
+        out[i] /= out[i].sum()
+    return out
+
+
+def stationary_on_class(sub, residual_tol: float):
+    k = sub.shape[0]
+    gen = sub.copy()
+    for i in range(k):
+        gen[i, i] = -exit_mass(sub, i)
+    a = gen.T.copy()
+    a[-1, :] = 1.0
+    b = np.zeros(k)
+    b[-1] = 1.0
+    x = np.linalg.solve(a, b)
+    best = None
+    for _ in range(5):
+        x = x / x.sum()
+        resid = compensated_residual(a, b, x)
+        true_res = float(np.max(np.abs(x @ gen)))
+        if best is None or true_res < best[1]:
+            best = (x.copy(), true_res)
+        if true_res <= residual_tol * 0.01:
+            break
+        x = x + np.linalg.solve(a, resid)
+    x, true_res = best
+    x = np.where(np.abs(x) < 1e-300, 0.0, np.clip(x, 0.0, None))
+    x = x / x.sum()
+    return x, float(np.max(np.abs(x @ gen)))
+
+
+def closed_classes(tpm) -> List[List[int]]:
+    """The closed communication classes, from the states that each state
+    reaches: a state's class is closed when every state it reaches reaches
+    it back, and the class is then all that it reaches."""
+    adjacency = [np.nonzero(tpm[i] > 0)[0].tolist() for i in range(tpm.shape[0])]
+    reach = []
+    for s in range(len(adjacency)):
+        seen, todo = {s}, [s]
+        while todo:
+            for w in adjacency[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach.append(seen)
+    closed = {tuple(sorted(r)) for s, r in enumerate(reach) if all(s in reach[w] for w in r)}
+    return sorted(list(c) for c in closed)
+
+
+def class_period(tpm, comp: List[int]) -> int:
+    """The gcd of the level differences of a breadth-first walk of a class."""
+    members = set(comp)
+    level = {comp[0]: 0}
+    queue = [comp[0]]
+    g = 0
+    for v in queue:
+        for w in np.nonzero(tpm[v] > 0)[0].tolist():
+            if w not in members:
+                continue
+            if w not in level:
+                level[w] = level[v] + 1
+                queue.append(w)
+            g = math.gcd(g, level[v] + 1 - level[w])
+    return abs(g) if g else 1
+
+
+def steady_state(tpm, residual_tol: float = 1e-10) -> StationaryResult:
+    n = tpm.shape[0]
+    closed = closed_classes(tpm)
+    if len(closed) != 1:
+        raise AnalysisError(
+            "chain has %d closed communication classes; expected one" % len(closed),
+            closed_classes=closed,
+        )
+    comp = closed[0]
+    pmf = np.zeros(n)
+    if len(comp) == 1 and tpm[comp[0]].sum() == 0:
+        pmf[comp[0]] = 1.0
+        return StationaryResult(pmf, comp, periodic=False)
+    sub = tpm[np.ix_(comp, comp)]
+    row_sums = sub.sum(axis=1)
+    if not np.allclose(row_sums, 1.0, atol=1e-9):
+        raise AnalysisError("closed class is not stochastic (row sums %s)" % row_sums)
+    x, residual = stationary_on_class(sub, residual_tol)
+    if residual > residual_tol:
+        raise AnalysisError("stationary solve residual %.2e exceeds %.2e" % (residual, residual_tol))
+    pmf[comp] = x
+    return StationaryResult(pmf, comp, periodic=class_period(tpm, comp) > 1)
+
+
+def solve_chain(chain: Chain, cross_check_tol: float = 1e-10) -> SolveResult:
+    """The solver one matrix and one state at a time."""
+    stats = sojourn_stats(chain)
+    p_full = chain.pm.copy()
+    p_emb = edtmc_tpm(chain)
+    emb = steady_state(p_emb)
+    full = steady_state(p_full)
+    comp = emb.closed_class
+    if full.closed_class != comp:
+        raise AnalysisError("embedded and full chains disagree on the closed class")
+    n = chain.size
+    phi = np.zeros(n)
+    if any(math.isinf(stats.average[i]) for i in comp):
+        if len(comp) > 1:
+            raise AnalysisError("infinite sojourn inside a non-trivial closed class")
+        if not chain.tangible[comp[0]]:
+            raise AnalysisError("absorbing vanishing state: time cannot progress")
+        phi[comp[0]] = 1.0
+    else:
+        weighted = emb.pmf * np.where(np.isinf(stats.average), 0.0, stats.average)
+        total = weighted.sum()
+        if total <= 0:
+            raise AnalysisError("no tangible state carries stationary probability")
+        phi = weighted / total
+    tangible_mass = sum(full.pmf[i] for i in range(n) if chain.tangible[i])
+    phi_b = np.array([full.pmf[i] / tangible_mass if chain.tangible[i] else 0.0 for i in range(n)])
+    if np.max(np.abs(phi - phi_b)) > cross_check_tol:
+        raise AnalysisError("steady-state routes disagree by %.2e" % float(np.max(np.abs(phi - phi_b))))
+    return SolveResult(chain, stats, p_full, p_emb, full.pmf, emb.pmf, phi, comp, emb.periodic, full.periodic)
+
+
+# ---------------------------------------------------------------------------
+# Parameter sweeps
+# ---------------------------------------------------------------------------
+
+
+def sweep_rows(model, base_ts: TransitionSystem, indices, points) -> List[Dict[str, float]]:
+    """Index values at each grid point, one point at a time: instantiate the
+    model, reweight the base transition system, build the chain, solve it,
+    evaluate the indices.  The first failure raises the ``AnalysisError``
+    message the CLI reports, naming its point."""
+    rows = []
+    for point in points:
+        ts = base_ts.reweight(leaf_values_of(model.instantiate(point)))
+        try:
+            result = solve_chain(Chain.from_ts(ts))
+            values = {}
+            for name, expr in indices.items():
+                try:
+                    values[name] = evaluate_index(expr, result)
+                except (ZeroDivisionError, ValueError) as exc:
+                    raise AnalysisError("index %s: %s" % (name, exc)) from None
+        except AnalysisError as exc:
+            raise AnalysisError("analysis error at %s: %s" % (point, exc)) from None
+        rows.append(values)
+    return rows

@@ -152,6 +152,24 @@ class TestExitCodes:
         assert code == 1
         assert "closed classes" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflow_fails_quietly(self, capsys):
+        # rho**2 and the squared exit masses underflow: three closed classes,
+        # and no numpy warning on stderr
+        code, _, err = run(capsys, "solve", "shared_memory_abstract", "--param", "rho=1e-200")
+        assert code == 1
+        assert err.startswith("error: analysis error") and err.count("\n") == 1, err
+
+    def test_singular_system(self, capsys, tmp_path):
+        model = tmp_path / "singular.dtsi"
+        model.write_text(
+            model_text("shared_memory_abstract").replace("param l = 1", "param l = 1\nparam eps = 1e-170")
+            .replace("({m,z1},rho)", "({m,z1},eps)").replace("({m,z2},rho)", "({m,z2},eps)")
+        )
+        code, _, err = run(capsys, "solve", str(model))
+        assert code == 1
+        assert err == "error: analysis error: stationary solve failed: singular matrix\n"
+
     def test_checkeq_rejects(self, capsys, tmp_path):
         model = tmp_path / "pair.dtsi"
         model.write_text("root = ({a},0.5)\npeer = ({a},0.6)\n")
@@ -179,6 +197,12 @@ class TestInputValidation:
     @pytest.mark.parametrize("grid", ["rho=0.9:0.1:-0.1", "rho=0.1:0.9:0", "rho=0.1:0.9:x"])
     def test_sweep_step_not_a_positive_number(self, capsys, grid):
         self.assert_refused(capsys, "sweep", "shared_memory_abstract", "--param", grid)
+
+    @pytest.mark.parametrize("route", [(), ("--quotient",), ("--per-point",)], ids=["batched", "quotient", "per_point"])
+    def test_sweep_value_out_of_range_at_a_later_point(self, capsys, tmp_path, route):
+        # rho = 0.5 is fine; rho = 1.0 is no probability
+        self.assert_refused(capsys, "sweep", "shared_memory_abstract", "--param", "rho=0.5:1.5:0.5",
+                            "--out", str(tmp_path), *route)
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     def test_tolerance_not_positive(self, capsys, tol):
