@@ -50,25 +50,30 @@ def _parse_param(text: str) -> Tuple[str, object]:
     return name, numbers
 
 
-def _split_params(raw: List[str]) -> Tuple[Dict[str, float], Dict[str, Tuple[float, float, float]]]:
-    scalars: Dict[str, float] = {}
-    ranges: Dict[str, Tuple[float, float, float]] = {}
-    for item in raw or []:
-        name, value = _parse_param(item)
-        if isinstance(value, tuple):
-            ranges[name] = value
-        else:
-            scalars[name] = value
-    return scalars, ranges
-
-
-def _load(args) -> ModelFile:
+def _load(args) -> Tuple[ModelFile, Dict[str, float], Dict[str, Tuple[float, float, float]]]:
+    """The model, and its ``--param`` values split into scalars and ranges.
+    A name given twice, or one the model neither declares nor reads, is an
+    input error."""
     try:
-        return load_model(args.model)
+        model = load_model(args.model)
     except FileNotFoundError as exc:
         raise CliError(str(exc), INPUT_ERROR)
     except ParseError as exc:
         raise CliError("parse error: %s" % exc, INPUT_ERROR)
+    known = model.parameter_names()
+    scalars: Dict[str, float] = {}
+    ranges: Dict[str, Tuple[float, float, float]] = {}
+    for item in args.param:
+        name, value = _parse_param(item)
+        if name in scalars or name in ranges:
+            raise CliError("--param %s is given twice" % name, INPUT_ERROR)
+        if name not in known:
+            raise CliError("model has no parameter named %r" % name, INPUT_ERROR)
+        if isinstance(value, tuple):
+            ranges[name] = value
+        else:
+            scalars[name] = value
+    return model, scalars, ranges
 
 
 def _instantiate(model: ModelFile, overrides: Dict[str, float]):
@@ -127,8 +132,7 @@ def _selected_indices(model: ModelFile, names: Optional[List[str]]) -> Dict[str,
 
 
 def cmd_ts(args) -> int:
-    model = _load(args)
-    scalars, _ = _split_params(args.param)
+    model, scalars, _ = _load(args)
     ts = _build_ts(_instantiate(model, scalars), args.max_states)
     if args.format == "dot":
         _emit(args, "ts.dot", export.ts_dot(ts))
@@ -141,8 +145,7 @@ def cmd_ts(args) -> int:
 
 
 def cmd_box(args) -> int:
-    model = _load(args)
-    scalars, _ = _split_params(args.param)
+    model, scalars, _ = _load(args)
     expr = _instantiate(model, scalars)
     try:
         box = box_of(expr)
@@ -165,8 +168,7 @@ def cmd_box(args) -> int:
 
 
 def cmd_rg(args) -> int:
-    model = _load(args)
-    scalars, _ = _split_params(args.param)
+    model, scalars, _ = _load(args)
     expr = _instantiate(model, scalars)
     try:
         rg = build_rg(box_of(expr), max_states=args.max_states)
@@ -180,8 +182,7 @@ def cmd_rg(args) -> int:
 
 
 def cmd_checkiso(args) -> int:
-    model = _load(args)
-    scalars, _ = _split_params(args.param)
+    model, scalars, _ = _load(args)
     expr = _instantiate(model, scalars)
     ts = _build_ts(expr, args.max_states)
     box = box_of(expr)
@@ -200,8 +201,7 @@ def cmd_checkiso(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    model = _load(args)
-    scalars, _ = _split_params(args.param)
+    model, scalars, _ = _load(args)
     indices = _selected_indices(model, args.index)
     ts = _build_ts(_instantiate(model, scalars), args.max_states)
     try:
@@ -226,8 +226,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_quotient(args) -> int:
-    model = _load(args)
-    scalars, _ = _split_params(args.param)
+    model, scalars, _ = _load(args)
     ts = _build_ts(_instantiate(model, scalars), args.max_states)
     q = quotient(ts)
     payload = export.quotient_json(q)
@@ -242,8 +241,7 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_checkeq(args) -> int:
-    model = _load(args)
-    scalars, _ = _split_params(args.param)
+    model, scalars, _ = _load(args)
     if model.peer is None:
         raise CliError("model defines no peer expression to compare against", INPUT_ERROR)
     root = _instantiate(model, scalars)
@@ -267,35 +265,27 @@ def _leaf_values(model: ModelFile, point: Dict[str, float]) -> Dict[int, float]:
         raise CliError(str(exc), INPUT_ERROR)
 
 
-def _sweep_indices_at(base_ts, model: ModelFile, indices, point: Dict[str, float],
-                      use_quotient: bool, remap_members: bool = False):
-    ts = base_ts.reweight(_leaf_values(model, point), remap_members=remap_members)
-    chain = quotient(ts).chain() if use_quotient else Chain.from_ts(ts)
-    result = solve_chain(chain)
-    values = {name: float(v) for name, v in _index_values(indices, result).items()}
-    return result, values
-
-
-def _sweep_per_point(args, base_ts, model: ModelFile, indices, points):
-    """Index values at each point, one reweighted chain after another, and
-    the solutions when ``--per-point`` writes them."""
+def _sweep_quotient(args, base_ts, model: ModelFile, indices, points):
+    """Index values on the quotient chain at each point, one reweighted
+    system after another (the partition depends on the values), and the
+    solutions when ``--per-point`` writes them."""
     values, results = [], []
     for point in points:
+        ts = base_ts.reweight(_leaf_values(model, point))
         try:
-            result, at = _sweep_indices_at(base_ts, model, indices, point, args.quotient,
-                                           remap_members=args.per_point)
+            result = solve_chain(quotient(ts).chain())
+            values.append({name: float(v) for name, v in _index_values(indices, result).items()})
         except AnalysisError as exc:
             raise CliError("analysis error at %s: %s" % (point, exc), ANALYSIS_ERROR)
-        values.append(at)
-        if args.per_point and args.out:
+        if args.per_point:
             results.append(result)
     return values, results
 
 
-def _sweep_batch(base_ts, model: ModelFile, indices, points) -> List[Dict[str, float]]:
-    """Index values at every point, from one stack of chains solved at once.
-    It fails at the first point, and with the error, where the per-point
-    route would."""
+def _sweep_batch(args, base_ts, model: ModelFile, indices, points):
+    """Index values at every point, from one stack of chains solved at once,
+    and the solutions when ``--per-point`` writes them.  It fails at the
+    first point, and with the error, where a point-by-point run would."""
     leaf_rows, input_error = [], None
     for point in points:
         try:
@@ -319,15 +309,22 @@ def _sweep_batch(base_ts, model: ModelFile, indices, points) -> List[Dict[str, f
     if input_error is not None:
         raise input_error
     series = {name: values.tolist() for name, (values, _) in evaluated.items()}
-    return [{name: series[name][k] for name in indices} for k in range(len(points))]
+    values = [{name: series[name][k] for name in indices} for k in range(len(points))]
+    results = []
+    if args.per_point:
+        # state keys serialize the values, so each point has its own
+        results = [solved.result(k, chains.chain(k, base_ts.keys_at(dict(enumerate(row, 1)))))
+                   for k, row in enumerate(leaf_rows)]
+    return values, results
 
 
 def cmd_sweep(args) -> int:
-    model = _load(args)
-    scalars, ranges = _split_params(args.param)
+    model, scalars, ranges = _load(args)
     indices = _selected_indices(model, args.index)
     if not indices:
         raise CliError("no indices to evaluate: define some in the model or pass --index", INPUT_ERROR)
+    if args.per_point and not args.out:
+        raise CliError("--per-point writes one file per point and needs --out", INPUT_ERROR)
     points = model.sweep_points(ranges)
     if scalars:
         points = [dict(p, **scalars) for p in points]
@@ -338,11 +335,10 @@ def cmd_sweep(args) -> int:
     )
     base_ts = _build_ts(_instantiate(model, points[0]), args.max_states)
 
-    results = []
-    if args.quotient or args.per_point:
-        values, results = _sweep_per_point(args, base_ts, model, indices, points)
+    if args.quotient:
+        values, results = _sweep_quotient(args, base_ts, model, indices, points)
     else:
-        values = _sweep_batch(base_ts, model, indices, points)
+        values, results = _sweep_batch(args, base_ts, model, indices, points)
     rows: List[Dict[str, float]] = []
     for point, at in zip(points, values):
         row = {name: point[name] for name in swept}
@@ -443,6 +439,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if not args.tol > 0:
             raise CliError("--tol must be positive, got %r" % args.tol, INPUT_ERROR)
+        if not args.max_states > 0:
+            raise CliError("--max-states must be positive, got %d" % args.max_states, INPUT_ERROR)
         return args.func(args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)

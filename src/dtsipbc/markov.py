@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .expr import Multiset
-from .opsem import Readiness, TransitionSystem
+from .opsem import TransitionSystem
 
 __all__ = [
     "AnalysisError",
@@ -106,13 +106,14 @@ class ChainStack:
     They share states and step arcs and differ in probabilities: ``pm`` is
     ``(points, n, n)``, and ``arc_probs[:, k]`` is the probability of
     transition ``k`` of the system at every point.  ``arcs[i]`` lists the
-    (label, transition) pairs of state ``i`` in ``Chain.arcs`` order.
+    (label, transition, target) triples of state ``i`` in ``Chain.arcs``
+    order.
     """
 
     keys: List[str]
     tangible: List[bool]
     pm: np.ndarray
-    arcs: List[List[Tuple[Multiset, int]]]
+    arcs: List[List[Tuple[Multiset, int, int]]]
     arc_probs: np.ndarray
 
     @staticmethod
@@ -120,19 +121,26 @@ class ChainStack:
         """The chains of ``ts`` reweighted to each row of ``leaf_values``
         (column ``c`` holds leaf ``c + 1``), as ``Chain.from_ts(ts.reweight(...))``
         would build them one at a time."""
-        readiness = Readiness(ts)
+        readiness = ts.readiness()
         probs = readiness.probabilities(leaf_values)
         labels = ts.labels()
         columns: List[List[int]] = [[] for _ in ts.states]
         for k, t in enumerate(ts.transitions):
             columns[t.source].append(k)
-        arcs = [[(labels[j], k) for j, k in zip(ts.label_ids(i), columns[i])] for i in range(len(ts.states))]
+        arcs = [[(labels[j], k, ts.transitions[k].target) for j, k in zip(ts.label_ids(i), columns[i])]
+                for i in range(len(ts.states))]
         return ChainStack([s.key for s in ts.states], [s.tangible for s in ts.states],
                           readiness.matrices(probs), arcs, probs)
 
     @property
     def size(self) -> int:
         return len(self.keys)
+
+    def chain(self, p: int, keys: List[str]) -> Chain:
+        """The chain at point ``p``, with the state keys given."""
+        probs = self.arc_probs[p].tolist()
+        arcs = [[StepArc(label, probs[k], target) for label, k, target in row] for row in self.arcs]
+        return Chain(keys, self.tangible, self.pm[p], arcs)
 
 
 @dataclass
@@ -520,6 +528,15 @@ class StackResult:
     dtmc_periodic: List[bool]
     errors: List[Optional[AnalysisError]]
 
+    def result(self, p: int, chain: Chain) -> SolveResult:
+        """The ``SolveResult`` of point ``p``, whose chain is ``chain``; it
+        raises the point's error instead."""
+        if self.errors[p] is not None:
+            raise self.errors[p]
+        sojourn = SojournStats(self.sojourn.average[p], self.sojourn.variance[p], self.sojourn.loop_factor[p])
+        return SolveResult(chain, sojourn, self.dtmc[p], self.edtmc[p], self.psi[p], self.psi_star[p], self.phi[p],
+                           self.closed_class[p], self.edtmc_periodic[p], self.dtmc_periodic[p])
+
 
 def solve_chain(chain: Chain, cross_check_tol: float = _CROSS_CHECK_TOL) -> SolveResult:
     """Stationary analysis by both routes, cross-checked.
@@ -529,21 +546,7 @@ def solve_chain(chain: Chain, cross_check_tol: float = _CROSS_CHECK_TOL) -> Solv
     Their disagreement beyond ``cross_check_tol`` means a solver bug, so it
     raises instead of returning silently wrong numbers.
     """
-    s = _solve_stack(chain.pm.copy()[None], chain.tangible, cross_check_tol)
-    if s.errors[0] is not None:
-        raise s.errors[0]
-    return SolveResult(
-        chain=chain,
-        sojourn=SojournStats(s.sojourn.average[0], s.sojourn.variance[0], s.sojourn.loop_factor[0]),
-        dtmc=s.dtmc[0],
-        edtmc=s.edtmc[0],
-        psi=s.psi[0],
-        psi_star=s.psi_star[0],
-        phi=s.phi[0],
-        closed_class=s.closed_class[0],
-        edtmc_periodic=s.edtmc_periodic[0],
-        dtmc_periodic=s.dtmc_periodic[0],
-    )
+    return _solve_stack(chain.pm.copy()[None], chain.tangible, cross_check_tol).result(0, chain)
 
 
 def solve_stack(chains: ChainStack) -> StackResult:
@@ -773,7 +776,7 @@ def _evaluate_stack(expr, chains: ChainStack, solved: StackResult,
         total = np.zeros(points)
         for i, arcs in enumerate(chains.arcs):
             here = np.zeros(points)
-            for label, k in arcs:
+            for label, k, _ in arcs:
                 if parts.issubset(label):
                     here = here + chains.arc_probs[:, k]
             phi = solved.phi[:, i]

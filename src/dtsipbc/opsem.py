@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -223,6 +223,7 @@ class TransitionSystem:
     expr: Optional[StaticExpr] = None
     _out: Optional[List[List[Transition]]] = field(default=None, repr=False)
     _labels: Optional[Tuple[List[Multiset], List[List[int]]]] = field(default=None, repr=False, compare=False)
+    _readiness: Optional["Readiness"] = field(default=None, repr=False, compare=False)
 
     def outgoing(self, i: int) -> List[Transition]:
         if self._out is None:
@@ -272,35 +273,12 @@ class TransitionSystem:
     def vanishing_states(self) -> List[int]:
         return [i for i, s in enumerate(self.states) if not s.tangible]
 
-    # -- probability functions over one state ------------------------------
-
-    def ready_prob(self, step: Step, i: int) -> float:
-        """Readiness probability (stochastic) or cumulative weight (immediate)."""
-        steps = set(self.exec_steps(i))
-        if step not in steps:
-            raise SemanticsError("step %r is not executable in state %d" % (sorted(map(str, step)), i + 1))
-        return self._ready(step, _singles(steps), self.states[i].tangible)
-
-    @staticmethod
-    def _ready(step: Step, singles: Set[Activity], tangible: bool) -> float:
-        """Readiness of ``step`` in a state whose single-activity steps are
-        ``singles``."""
-        if not tangible:
-            return sum(u.value for u in step)
-        prob = 1.0
-        for u in step:
-            prob *= u.value
-        for v in singles:
-            if v not in step:
-                prob *= 1.0 - v.value
-        return prob
-
     def step_prob(self, step: Step, i: int) -> float:
-        """Normalized probability to execute ``step`` in state ``i``."""
-        steps = self.exec_steps(i)
-        tang = self.states[i].tangible
-        singles = _singles(steps)
-        return self.ready_prob(step, i) / sum(self._ready(s, singles, tang) for s in steps)
+        """Probability to execute ``step`` in state ``i``."""
+        for t in self.outgoing(i):
+            if t.step == step:
+                return t.prob
+        raise SemanticsError("step %r is not executable in state %d" % (sorted(map(str, step)), i + 1))
 
     def move_prob(self, i: int, j: int) -> float:
         return sum(t.prob for t in self.outgoing(i) if t.target == j)
@@ -314,54 +292,41 @@ class TransitionSystem:
 
     # -- parameter sweeps ---------------------------------------------------
 
-    def reweight(self, leaf_values: Dict[int, float], remap_members: bool = False) -> "TransitionSystem":
+    def readiness(self) -> "Readiness":
+        """The readiness formulas of this system, compiled on first use and
+        kept."""
+        if self._readiness is None:
+            self._readiness = Readiness(
+                [s.tangible for s in self.states], [(t.source, step_key(t.step), t.target) for t in self.transitions]
+            )
+        return self._readiness
+
+    def reweight(self, leaf_values: Dict[int, float]) -> "TransitionSystem":
         """Same structure with new base probabilities and weights per leaf.
 
         The step structure of the semantics does not depend on the numeric
-        values, so parameter sweeps rebuild only activity values and step
-        probabilities.  Pass ``remap_members`` to also rewrite the member
-        expressions and state keys (slower; only exports need it).
+        values, so a parameter point needs only new activity values and step
+        probabilities, which ``readiness`` gives.  The states and ``expr``
+        are this system's: their expressions keep the old values.
         """
+        readiness = self.readiness()
+        row = readiness.leaf_row(leaf_values)
+        probs = readiness.probabilities(row[None])[0].tolist()
+        values = row.tolist()
+        activities = [
+            Activity(u.part, u.immediate, tuple((i, values[i - 1]) for i, _ in u.leaves), u.num)
+            for u in readiness.activities
+        ]
+        transitions = [
+            Transition(t.source, frozenset(activities[c] for c in columns), p, t.target)
+            for t, columns, p in zip(self.transitions, readiness.columns, probs)
+        ]
+        return TransitionSystem(list(self.states), transitions, self.initial, self.expr)
 
-        def remap(u: Activity) -> Activity:
-            leaves = tuple((i, leaf_values.get(i, v)) for i, v in u.leaves)
-            return Activity(u.part, u.immediate, leaves, u.num)
-
-        if remap_members:
-            states = [
-                State(
-                    serialize(_remap_leaves(s.members[0], leaf_values)),
-                    tuple(_remap_leaves(m, leaf_values) for m in s.members),
-                    s.tangible,
-                )
-                for s in self.states
-            ]
-        else:
-            states = list(self.states)
-        steps_by_state: List[List[Tuple[Step, int]]] = [[] for _ in self.states]
-        for t in self.transitions:
-            steps_by_state[t.source].append((frozenset(remap(u) for u in t.step), t.target))
-        transitions = []
-        for i, pairs in enumerate(steps_by_state):
-            transitions += _normalized(i, pairs, self.states[i].tangible)
-        expr = _remap_leaves(self.expr, leaf_values) if self.expr is not None else None
-        return TransitionSystem(states, transitions, self.initial, expr)
-
-
-def _singles(steps: Iterable[Step]) -> Set[Activity]:
-    """The activities that form a step on their own."""
-    return {next(iter(s)) for s in steps if len(s) == 1}
-
-
-def _normalized(i: int, pairs: List[Tuple[Step, int]], tangible: bool) -> List[Transition]:
-    """The transitions of state ``i``, one per (step, target) pair, each with
-    its step's readiness divided by the total over the state's steps (each
-    readiness computed once, on one set of single-activity steps)."""
-    steps = [s for s, _ in pairs]
-    singles = _singles(steps)
-    ready = [TransitionSystem._ready(s, singles, tangible) for s in steps]
-    total = sum(ready)
-    return [Transition(i, s, r / total, j) for (s, j), r in zip(pairs, ready)]
+    def keys_at(self, leaf_values: Dict[int, float]) -> List[str]:
+        """The state keys at other leaf values: each state's first member,
+        serialized with those values."""
+        return [serialize(_remap_leaves(s.members[0], leaf_values)) for s in self.states]
 
 
 def _remap_leaves(node, leaf_values: Dict[int, float]):
@@ -385,9 +350,10 @@ def leaf_values_of(expr: StaticExpr) -> Dict[int, float]:
 
 
 class Readiness:
-    """The readiness formulas of a transition system, as index arrays.
+    """The readiness formulas of a transition system, as index arrays: the
+    one place where activity values become step probabilities.
 
-    They give the transition probabilities at many parameter points at once,
+    They give the transition probabilities at one or many parameter points,
     from a matrix of leaf values with one row per point and, in column
     ``c``, the base value of leaf ``c + 1``.  Probabilities in (0;1) and
     positive weights keep every transition, so only the values change.
@@ -397,41 +363,59 @@ class Readiness:
     product of its activities' values and of ``1 - value`` for each
     single-activity step of its state that it does not take; a vanishing
     one's is the sum of its activities' weights.  Both follow step-key
-    order, where ``TransitionSystem._ready`` follows set order, so a
-    probability may differ from ``reweight``'s in the last bit.
+    order, given transitions in step-key order per state, as ``build_ts``
+    makes them.  A transition's probability is its readiness divided by the
+    sum over its state's transitions.
     """
 
-    def __init__(self, ts: TransitionSystem):
-        self.size = len(ts.states)
-        self.source = np.array([t.source for t in ts.transitions], dtype=np.intp)
-        self.target = np.array([t.target for t in ts.transitions], dtype=np.intp)
+    def __init__(self, tangible: Sequence[bool], transitions: Sequence[Tuple[int, Tuple[Activity, ...], int]]):
+        """``tangible`` has one flag per state, ``transitions`` one (source,
+        step key, target) triple per transition, in the system's order."""
+        self.size = len(tangible)
+        self.source = np.array([i for i, _, _ in transitions], dtype=np.intp)
+        self.target = np.array([j for _, _, j in transitions], dtype=np.intp)
         column: Dict[Activity, int] = {}
-        for t in ts.transitions:
-            for u in step_key(t.step):
-                column.setdefault(u, len(column))
-        self._activities = [(u.immediate, [leaf - 1 for leaf, _ in u.leaves]) for u in column]
-        # factor columns: 0 holds ones, 1 + k activity k's value, 1 + n + k
+        # each transition's step as activity columns, in step-key order
+        self.columns: List[List[int]] = [[column.setdefault(u, len(column)) for u in key] for _, key, _ in transitions]
+        self.activities: List[Activity] = list(column)
+        # the single-activity steps of each state, in the order of its
+        # transitions (step-key order, in a system from ``build_ts``)
+        singles: List[Dict[int, None]] = [{} for _ in range(self.size)]
+        for (i, _, _), columns in zip(transitions, self.columns):
+            if len(columns) == 1:
+                singles[i][columns[0]] = None
+        # factor columns: 0 holds ones, 1 + c activity c's value, 1 + n + c
         # one minus it, and 1 + 2n zeros (n activities)
-        n = len(column)
-        singles = [sorted(_singles(ts.exec_steps(i))) for i in range(self.size)]
+        n = len(self.activities)
         products: List[List[int]] = []
         sums: List[List[int]] = []
-        for t in ts.transitions:
-            taken = [1 + column[u] for u in step_key(t.step)]
-            if ts.states[t.source].tangible:
-                products.append(taken + [1 + n + column[v] for v in singles[t.source] if v not in t.step])
+        for (i, _, _), columns in zip(transitions, self.columns):
+            taken = [1 + c for c in columns]
+            if tangible[i]:
+                products.append(taken + [1 + n + c for c in singles[i] if c not in columns])
             else:
                 sums.append(taken)
-        self._tangible = np.array([ts.states[t.source].tangible for t in ts.transitions], dtype=bool)
+        self._tangible = np.array([tangible[i] for i, _, _ in transitions], dtype=bool)
         self._products = _padded(products, 0)
         self._sums = _padded(sums, 1 + 2 * n)
+        self._value_leaves = [(u.immediate, [leaf - 1 for leaf, _ in u.leaves]) for u in self.activities]
+
+    def leaf_row(self, leaf_values: Optional[Dict[int, float]] = None) -> np.ndarray:
+        """Leaf values for ``probabilities``: each activity's own, or the
+        one ``leaf_values`` gives for its leaf."""
+        leaf_values = leaf_values or {}
+        row = np.zeros(max([0] + [leaf for u in self.activities for leaf, _ in u.leaves]))
+        for u in self.activities:
+            for leaf, value in u.leaves:
+                row[leaf - 1] = leaf_values.get(leaf, value)
+        return row
 
     def probabilities(self, leaf_values: np.ndarray) -> np.ndarray:
         """Transition probabilities, one row per point, one column per
         transition of the system, in its order."""
         points = leaf_values.shape[0]
-        values = np.empty((points, len(self._activities)))
-        for k, (immediate, leaves) in enumerate(self._activities):
+        values = np.empty((points, len(self.activities)))
+        for k, (immediate, leaves) in enumerate(self._value_leaves):
             if immediate and len(leaves) > 2:
                 values[:, k] = [math.fsum(row) for row in leaf_values[:, leaves].tolist()]
                 continue
@@ -459,10 +443,7 @@ class Readiness:
 
 def _padded(rows: List[List[int]], fill: int) -> np.ndarray:
     width = max([1] + [len(r) for r in rows])
-    out = np.full((len(rows), width), fill, dtype=np.intp)
-    for i, r in enumerate(rows):
-        out[i, : len(r)] = r
-    return out
+    return np.array([r + [fill] * (width - len(r)) for r in rows], dtype=np.intp).reshape(len(rows), width)
 
 
 def _folded(factors: np.ndarray, index: np.ndarray, op) -> np.ndarray:
@@ -754,7 +735,7 @@ def build_ts(expr: StaticExpr, max_states: int = 100_000, engine: Optional[Engin
 
     index: Dict[Tuple[DynamicExpr, ...], int] = {}
     states: List[State] = []
-    step_data: List[List[Tuple[Step, int]]] = []
+    step_data: List[List[Tuple[Tuple[Activity, ...], Step, int]]] = []
 
     def intern(g: DynamicExpr) -> int:
         members = engine.operatives(g)
@@ -785,28 +766,30 @@ def build_ts(expr: StaticExpr, max_states: int = 100_000, engine: Optional[Engin
             tangible = False
         else:
             tangible = True
-        pairs: List[Tuple[Step, int]] = []
-        for step in sorted(variants, key=step_key):
-            targets = {intern(t) for t in variants[step]}
+        keyed = {step_key(step): step for step in variants}
+        triples: List[Tuple[Tuple[Activity, ...], Step, int]] = []
+        for key in sorted(keyed):
+            targets = {intern(t) for t in variants[keyed[key]]}
             if len(targets) != 1:
                 raise SemanticsError("step from state %d reaches two distinct classes" % (i + 1))
-            pairs.append((step, targets.pop()))
+            triples.append((key, keyed[key], targets.pop()))
         if tangible:
-            pairs.insert(0, (EMPTY_STEP, i))
+            triples.insert(0, ((), EMPTY_STEP, i))
         states[i] = State(states[i].key, members, tangible)
-        step_data[i] = pairs
+        step_data[i] = triples
 
-    transitions: List[Transition] = []
-    for i, pairs in enumerate(step_data):
-        tangible = states[i].tangible
-        steps = [s for s, _ in pairs]
-        if tangible:
-            singles = _singles(steps)
-            in_steps = {u for s in steps for u in s}
-            if singles != in_steps:
+    for i, triples in enumerate(step_data):
+        if states[i].tangible:
+            singles = {key[0] for key, _, _ in triples if len(key) == 1}
+            if singles != {u for key, _, _ in triples for u in key}:
                 raise SemanticsError("subset closure violated in state %d" % (i + 1))
-        transitions += _normalized(i, pairs, tangible)
 
+    # not kept on the system: callers that hold many systems would hold
+    # their index arrays too; ``readiness`` compiles them on first use
+    flat = [(i, key, step, j) for i, triples in enumerate(step_data) for key, step, j in triples]
+    readiness = Readiness([s.tangible for s in states], [(i, key, j) for i, key, _, j in flat])
+    probs = readiness.probabilities(readiness.leaf_row()[None])[0].tolist()
+    transitions = [Transition(i, step, p, j) for (i, _, step, j), p in zip(flat, probs)]
     return TransitionSystem(states, transitions, 0, expr)
 
 

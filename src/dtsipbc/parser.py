@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .expr import (
     Act,
@@ -660,6 +660,12 @@ class ModelFile:
             Activity.check_value(immediate, value)
             out[leaf] = value
         return out
+
+    def parameter_names(self) -> Set[str]:
+        """The parameters the model declares, and those its root or peer
+        reads."""
+        read = self.leaf_sources() + (_leaf_sources(self.peer) if self.peer is not None else [])
+        return set(self.params) | {source for _, source in read if isinstance(source, str)}
 
     def instantiate_peer(self, overrides: Optional[Dict[str, float]] = None) -> StaticExpr:
         if self.peer is None:

@@ -10,6 +10,8 @@ Each re-derives the slow, plain way what the program computes fast:
   computes on index-coded markings;
 * by scalar loops, one matrix and one state at a time, what the solver
   computes on stacks of matrices;
+* by one product per step in set order, the step probabilities that the
+  program compiles into index arrays (``opsem.Readiness``);
 * by instantiating, reweighting and solving one grid point after another,
   what the sweep computes for the whole grid at once.
 """
@@ -242,6 +244,65 @@ def enumerated_class(engine: Engine, g: DynamicExpr) -> Tuple[Tuple[DynamicExpr,
     members = engine.closure(g)
     ops = tuple(sorted((d for d in members if not _rewrites(d, _forward_root)), key=serialize))
     return ops, engine.is_initial(g), engine.is_final(g)
+
+
+# ---------------------------------------------------------------------------
+# Step probabilities, one state at a time in set order
+# ---------------------------------------------------------------------------
+
+
+def ready(step: Step, singles, tangible: bool) -> float:
+    """Readiness of ``step`` in a state whose single-activity steps are
+    ``singles``: the product of its activities' probabilities and of one
+    minus each other single's (tangible), or the sum of its weights."""
+    if not tangible:
+        return sum(u.value for u in step)
+    prob = 1.0
+    for u in step:
+        prob *= u.value
+    for v in singles:
+        if v not in step:
+            prob *= 1.0 - v.value
+    return prob
+
+
+def singles_of(steps) -> set:
+    """The activities that form a step on their own."""
+    return {next(iter(s)) for s in steps if len(s) == 1}
+
+
+def normalized(i: int, pairs: List[Tuple[Step, int]], tangible: bool) -> List[Transition]:
+    """The transitions of state ``i``, one per (step, target) pair, each with
+    its step's readiness divided by the total over the state's steps."""
+    singles = singles_of(s for s, _ in pairs)
+    readiness = [ready(s, singles, tangible) for s, _ in pairs]
+    total = sum(readiness)
+    return [Transition(i, s, r / total, j) for (s, j), r in zip(pairs, readiness)]
+
+
+def ready_prob(ts: TransitionSystem, step: Step, i: int) -> float:
+    """Readiness (stochastic) or cumulative weight (immediate) of an
+    executable step of state ``i``."""
+    steps = ts.exec_steps(i)
+    if step not in steps:
+        raise SemanticsError("step %r is not executable in state %d" % (sorted(map(str, step)), i + 1))
+    return ready(step, singles_of(steps), ts.states[i].tangible)
+
+
+def reweight(ts: TransitionSystem, leaf_values: Dict[int, float]) -> TransitionSystem:
+    """``ts`` with new base values per leaf: every activity rebuilt, every
+    state normalized again."""
+
+    def remap(u: Activity) -> Activity:
+        return Activity(u.part, u.immediate, tuple((i, leaf_values.get(i, v)) for i, v in u.leaves), u.num)
+
+    pairs: List[List[Tuple[Step, int]]] = [[] for _ in ts.states]
+    for t in ts.transitions:
+        pairs[t.source].append((frozenset(remap(u) for u in t.step), t.target))
+    transitions = []
+    for i, state_pairs in enumerate(pairs):
+        transitions += normalized(i, state_pairs, ts.states[i].tangible)
+    return TransitionSystem(list(ts.states), transitions, ts.initial, ts.expr)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +698,7 @@ def sweep_rows(model, base_ts: TransitionSystem, indices, points) -> List[Dict[s
     message the CLI reports, naming its point."""
     rows = []
     for point in points:
-        ts = base_ts.reweight(leaf_values_of(model.instantiate(point)))
+        ts = reweight(base_ts, leaf_values_of(model.instantiate(point)))
         try:
             result = solve_chain(Chain.from_ts(ts))
             values = {}

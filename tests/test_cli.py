@@ -1,11 +1,18 @@
 """End-to-end command-line runs: artifacts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dtsipbc
 from dtsipbc.cli import main
 from dtsipbc.models import model_text
+
+from conftest import shm_text
 
 
 def run(capsys, *argv):
@@ -208,6 +215,29 @@ class TestInputValidation:
     def test_tolerance_not_positive(self, capsys, tol):
         self.assert_refused(capsys, "checkeq", "ssbsspt_pair", "--tol", tol)
 
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_state_cap_not_positive(self, capsys, limit):
+        self.assert_refused(capsys, "ts", "ts_example", "--max-states", limit)
+
+    def test_unknown_param_name(self, capsys):
+        self.assert_refused(capsys, "solve", "shared_memory", "--param", "rhoo=0.9")
+
+    def test_param_given_twice(self, capsys, tmp_path):
+        self.assert_refused(capsys, "sweep", "shared_memory_abstract", "--param", "rho=0.1:0.2:0.1",
+                            "--param", "rho=0.3", "--out", str(tmp_path))
+        self.assert_refused(capsys, "solve", "shared_memory", "--param", "rho=0.3", "--param", "rho=0.3")
+
+    def test_undeclared_names_the_model_reads(self, capsys, tmp_path):
+        # the root reads p and the peer q, neither declared: both may be given
+        path = tmp_path / "free.dtsi"
+        path.write_text("root = ({a},p)\npeer = ({a},q)\n")
+        code, _, err = run(capsys, "checkeq", str(path), "--param", "p=0.5", "--param", "q=0.5")
+        assert code == 0, err
+        self.assert_refused(capsys, "checkeq", str(path), "--param", "p=0.5", "--param", "r=0.5")
+
+    def test_per_point_needs_out(self, capsys):
+        self.assert_refused(capsys, "sweep", "shared_memory_abstract", "--param", "rho=0.3:0.5:0.1", "--per-point")
+
 
 class TestIndexFailures:
     """An index undefined on the solution: a one-line message and exit 1."""
@@ -244,3 +274,42 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second and first
+
+
+class TestCrossSeedDeterminism:
+    """Artefacts do not depend on the string hash seed: each command runs in
+    fresh processes under two values of ``PYTHONHASHSEED``."""
+
+    COMMANDS = [
+        ("ts", "--members", "--param", "rho=0.7"),
+        ("solve", "--param", "rho=0.7"),
+        ("quotient", "--param", "rho=0.7"),
+        ("sweep", "--param", "rho=0.1:0.9:0.2"),
+        ("sweep", "--param", "rho=0.1:0.9:0.2", "--quotient"),
+        ("sweep", "--param", "rho=0.1:0.9:0.2", "--per-point"),
+    ]
+
+    def test_artefacts_identical_across_hash_seeds(self, tmp_path):
+        model = tmp_path / "shm3.dtsi"
+        model.write_text(shm_text(3, abstract=False) + "index idle = phi[2]\n")
+        src = str(Path(dtsipbc.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        seeds = ("0", "1")
+        for k, (command, *options) in enumerate(self.COMMANDS):
+            # the two seeds' runs of one command go side by side
+            runs = [subprocess.Popen([sys.executable, "-m", "dtsipbc.cli", command, str(model), *options,
+                                      "--out", str(tmp_path / seed / str(k))],
+                                     env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+                                     stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+                    for seed in seeds]
+            for run_ in runs:
+                try:
+                    _, err = run_.communicate(timeout=120)
+                finally:
+                    run_.kill()
+                assert run_.returncode == 0, err
+        first, second = ({str(p.relative_to(tmp_path / seed)): p.read_bytes()
+                          for p in sorted((tmp_path / seed).rglob("*")) if p.is_file()} for seed in seeds)
+        assert len(first) == 3 + 3 + 5 and first.keys() == second.keys()
+        for name in first:
+            assert first[name] == second[name], name

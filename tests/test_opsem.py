@@ -33,6 +33,7 @@ from dtsipbc.expr import (
     Seq,
     Under,
 )
+from dtsipbc.models import bundled_model_names, load_model
 from dtsipbc.netsem import box_of, build_rg
 from dtsipbc.opsem import (
     Engine,
@@ -43,6 +44,7 @@ from dtsipbc.opsem import (
     TransitionSystem,
     _backward_root,
     _forward_root,
+    _remap_leaves,
     build_ts,
     inaction_closure,
     leaf_values_of,
@@ -178,8 +180,8 @@ class TestProbabilities:
         ts = build_ts(parse_static("({a},%r)[]({a},%r)" % (rho, chi)))
         a1 = frozenset([Activity.make(Multiset.of(Action("a")), False, rho, 1)])
         a2 = frozenset([Activity.make(Multiset.of(Action("a")), False, chi, 2)])
-        assert ts.ready_prob(a1, 0) == pytest.approx(rho * (1 - chi), abs=1e-14)
-        assert ts.ready_prob(frozenset(), 0) == pytest.approx((1 - rho) * (1 - chi), abs=1e-14)
+        assert oracles.ready_prob(ts, a1, 0) == pytest.approx(rho * (1 - chi), abs=1e-14)
+        assert oracles.ready_prob(ts, frozenset(), 0) == pytest.approx((1 - rho) * (1 - chi), abs=1e-14)
         assert ts.step_prob(a1, 0) == pytest.approx(rho * (1 - chi) / (1 - rho * chi), abs=1e-12)
         assert ts.step_prob(a2, 0) == pytest.approx(chi * (1 - rho) / (1 - rho * chi), abs=1e-12)
         assert ts.step_prob(frozenset(), 0) == pytest.approx(
@@ -196,8 +198,8 @@ class TestProbabilities:
         ts = build_ts(parse_static("({a},#%r)[]({a},#%r)" % (l, m)))
         u1 = frozenset([Activity.make(Multiset.of(Action("a")), True, l, 1)])
         u2 = frozenset([Activity.make(Multiset.of(Action("a")), True, m, 2)])
-        assert ts.ready_prob(u1, 0) == pytest.approx(l)
-        assert ts.ready_prob(u2, 0) == pytest.approx(m)
+        assert oracles.ready_prob(ts, u1, 0) == pytest.approx(l)
+        assert oracles.ready_prob(ts, u2, 0) == pytest.approx(m)
         assert ts.step_prob(u1, 0) == pytest.approx(l / (l + m), abs=1e-12)
         assert ts.move_prob(0, 1) == pytest.approx(1.0, abs=1e-12)
 
@@ -213,21 +215,43 @@ class TestProbabilities:
             for i in range(len(ts.states)):
                 assert sum(t.prob for t in ts.outgoing(i)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_reweight_matches_rebuild(self):
-        rng = make_rng(99)
-        for _ in range(20):
-            text = random_regular_text(rng)
-            base = build_ts(parse_static(text))
-            rho = rng.uniform(0.1, 0.9)
-            target = parse_static(text)
-            values = {i: (v if v >= 1 else min(0.9, max(0.1, v * rho * 2))) for i, v in leaf_values_of(target).items()}
-            fresh_expr = target
-            re_ts = base.reweight(values, remap_members=True)
-            probs = sorted(round(t.prob, 12) for t in re_ts.transitions)
-            from dtsipbc.opsem import _remap_leaves
+    @staticmethod
+    def bits(ts):
+        """Each transition's source, step (as leaf numbers), target and the
+        exact bits of its probability."""
+        return [(t.source, sorted(tuple(i for i, _ in u.leaves) for u in t.step), t.target, t.prob.hex())
+                for t in ts.transitions]
 
+    def test_reweight_matches_rebuild(self):
+        # build_ts at a point and the base system reweighted to it compute
+        # every probability the same way, so they agree bit for bit
+        for name in bundled_model_names():
+            model = load_model(name)
+            base = build_ts(model.instantiate())
+            for point in ({}, {"rho": 0.7, "chi": 0.2, "l": 3.0}, {"rho": 0.999, "theta": 0.125, "m": 0.3}):
+                point = {k: v for k, v in point.items() if k in model.parameter_names()}
+                rebuilt = build_ts(model.instantiate(point))
+                assert self.bits(base.reweight(model.leaf_values(point))) == self.bits(rebuilt), (name, point)
+        rng = make_rng(99)
+        for _ in range(40):
+            text = random_regular_text(rng)
+            target = parse_static(text)
+            base = build_ts(target)
+            rho = rng.uniform(0.1, 0.9)
+            values = {i: (v if v >= 1 else min(0.9, max(0.1, v * rho * 2))) for i, v in leaf_values_of(target).items()}
             rebuilt = build_ts(_remap_leaves(target, values))
-            assert sorted(round(t.prob, 12) for t in rebuilt.transitions) == probs
+            assert self.bits(base.reweight(values)) == self.bits(rebuilt), text
+
+    def test_reweight_matches_the_set_order_oracle(self):
+        rng = make_rng(98)
+        for _ in range(20):
+            target = parse_static(random_regular_text(rng, max_activities=8, max_sync=3))
+            base = build_ts(target, max_states=20_000)
+            values = {i: (v * 1.5 if v >= 1 else v * 0.75) for i, v in leaf_values_of(target).items()}
+            got, want = base.reweight(values), oracles.reweight(base, values)
+            assert [t.step for t in got.transitions] == [t.step for t in want.transitions]
+            for t, w in zip(got.transitions, want.transitions):
+                assert t.prob == pytest.approx(w.prob, rel=1e-14, abs=0)
 
 
 class TestTransitionSystems:

@@ -21,7 +21,7 @@ from dtsipbc import markov
 from dtsipbc.markov import AnalysisError, Chain, ChainStack, solve_chain, solve_stack
 from dtsipbc.models import bundled_model_names, load_model, model_text
 from dtsipbc.netsem import box_of, build_rg
-from dtsipbc.opsem import Readiness, build_ts, leaf_values_of
+from dtsipbc.opsem import build_ts, leaf_values_of
 from dtsipbc.parser import parse_model, parse_static
 
 from conftest import make_rng, random_regular_text, shm_text
@@ -277,8 +277,10 @@ class TestCompiledModel:
             assert str(got.value) == str(want.value)
 
     def test_readiness_matches_reweight(self):
-        # bundled roots and random terms (some with three-way synchronized
-        # immediate activities, whose weights are fsums of three leaves)
+        # against the oracle's reweight, which shares no probability code
+        # with the program; bundled roots and random terms (some with
+        # three-way synchronized immediate activities, whose weights are
+        # fsums of three leaves)
         rng = make_rng(777)
         systems = [build_ts(load_model(name).instantiate()) for name in bundled_model_names()]
         systems += [build_ts(parse_static(random_regular_text(rng, max_activities=8, max_sync=3)), max_states=20_000)
@@ -291,12 +293,32 @@ class TestCompiledModel:
             table = values.uniform(0.01, 0.99, (5, width))
             for leaf in immediate:
                 table[:, leaf - 1] *= 5
-            readiness = Readiness(ts)
+            readiness = ts.readiness()
             probs = readiness.probabilities(table)
             pm = readiness.matrices(probs)
             for k in range(5):
-                ref = ts.reweight({leaf: table[k, leaf - 1] for leaf in leaves})
+                ref = oracles.reweight(ts, {leaf: table[k, leaf - 1] for leaf in leaves})
                 want = np.array([t.prob for t in ref.transitions])
                 assert np.allclose(probs[k], want, rtol=1e-14, atol=0)
                 assert np.allclose(pm[k], ref.pm_matrix(), rtol=1e-14, atol=0)
                 assert ((pm[k] > 0) == (ref.pm_matrix() > 0)).all()
+
+    def test_stack_at_the_base_row_is_build_ts(self):
+        # the stack, reweight and build_ts share one readiness route, so at
+        # the system's own values the stack gives build_ts's bits
+        systems = []
+        for name in bundled_model_names():
+            model = load_model(name)
+            for point in ({}, {"rho": 0.7}, {"rho": 0.999}):
+                point = {k: v for k, v in point.items() if k in model.parameter_names()}
+                systems.append((build_ts(model.instantiate(point)), model.leaf_values(point)))
+        rng = make_rng(4242)
+        for _ in range(40):
+            expr = parse_static(random_regular_text(rng, max_activities=8, max_sync=3))
+            systems.append((build_ts(expr, max_states=20_000), leaf_values_of(expr)))
+        for ts, leaf_values in systems:
+            row = np.array([[leaf_values[leaf] for leaf in range(1, max(leaf_values) + 1)]])
+            stack = ChainStack.from_ts(ts, row)
+            assert stack.arc_probs[0].tobytes() == np.array([t.prob for t in ts.transitions]).tobytes()
+            assert stack.pm[0].tobytes() == ts.pm_matrix().tobytes()
+            assert ts.reweight(leaf_values).transitions == ts.transitions
