@@ -83,15 +83,6 @@ def _instantiate(model: ModelFile, overrides: Dict[str, float]):
         raise CliError(str(exc), INPUT_ERROR)
 
 
-def _build_ts(expr, max_states: int):
-    try:
-        return build_ts(expr, max_states=max_states)
-    except StateSpaceLimit as exc:
-        raise CliError(str(exc), ANALYSIS_ERROR)
-    except SemanticsError as exc:
-        raise CliError(str(exc), INPUT_ERROR)
-
-
 def _index_values(indices: Dict[str, tuple], result) -> Dict[str, float]:
     """Named index values; an index undefined on this solution (a division by
     zero, a state the chain does not have) is an analysis failure."""
@@ -133,7 +124,7 @@ def _selected_indices(model: ModelFile, names: Optional[List[str]]) -> Dict[str,
 
 def cmd_ts(args) -> int:
     model, scalars, _ = _load(args)
-    ts = _build_ts(_instantiate(model, scalars), args.max_states)
+    ts = build_ts(_instantiate(model, scalars), max_states=args.max_states)
     if args.format == "dot":
         _emit(args, "ts.dot", export.ts_dot(ts))
     else:
@@ -147,10 +138,7 @@ def cmd_ts(args) -> int:
 def cmd_box(args) -> int:
     model, scalars, _ = _load(args)
     expr = _instantiate(model, scalars)
-    try:
-        box = box_of(expr)
-    except SemanticsError as exc:
-        raise CliError(str(exc), INPUT_ERROR)
+    box = box_of(expr)
     if args.format == "dot":
         _emit(args, "net.dot", export.box_dot(box))
     else:
@@ -170,10 +158,7 @@ def cmd_box(args) -> int:
 def cmd_rg(args) -> int:
     model, scalars, _ = _load(args)
     expr = _instantiate(model, scalars)
-    try:
-        rg = build_rg(box_of(expr), max_states=args.max_states)
-    except StateSpaceLimit as exc:
-        raise CliError(str(exc), ANALYSIS_ERROR)
+    rg = build_rg(box_of(expr), max_states=args.max_states)
     if args.format == "dot":
         _emit(args, "rg.dot", export.ts_dot(rg, name="rg"))
     else:
@@ -184,7 +169,7 @@ def cmd_rg(args) -> int:
 def cmd_checkiso(args) -> int:
     model, scalars, _ = _load(args)
     expr = _instantiate(model, scalars)
-    ts = _build_ts(expr, args.max_states)
+    ts = build_ts(expr, max_states=args.max_states)
     box = box_of(expr)
     rg = build_rg(box, max_states=args.max_states)
     report = check_safe_clean(box, max_states=args.max_states)
@@ -203,7 +188,7 @@ def cmd_checkiso(args) -> int:
 def cmd_solve(args) -> int:
     model, scalars, _ = _load(args)
     indices = _selected_indices(model, args.index)
-    ts = _build_ts(_instantiate(model, scalars), args.max_states)
+    ts = build_ts(_instantiate(model, scalars), max_states=args.max_states)
     try:
         if args.quotient:
             chain = quotient(ts).chain()
@@ -227,7 +212,7 @@ def cmd_solve(args) -> int:
 
 def cmd_quotient(args) -> int:
     model, scalars, _ = _load(args)
-    ts = _build_ts(_instantiate(model, scalars), args.max_states)
+    ts = build_ts(_instantiate(model, scalars), max_states=args.max_states)
     q = quotient(ts)
     payload = export.quotient_json(q)
     try:
@@ -249,8 +234,8 @@ def cmd_checkeq(args) -> int:
         peer = model.instantiate_peer(scalars)
     except (ParseError, ValueError) as exc:
         raise CliError(str(exc), INPUT_ERROR)
-    result = bisim_equivalent_ts(_build_ts(root, args.max_states), _build_ts(peer, args.max_states),
-                                 quantum=args.tol)
+    result = bisim_equivalent_ts(build_ts(root, max_states=args.max_states),
+                                 build_ts(peer, max_states=args.max_states), quantum=args.tol)
     if result.equivalent:
         print("equivalent: initial states share a block (%d blocks over the union)" % result.partition.size)
         return 0
@@ -325,15 +310,16 @@ def cmd_sweep(args) -> int:
         raise CliError("no indices to evaluate: define some in the model or pass --index", INPUT_ERROR)
     if args.per_point and not args.out:
         raise CliError("--per-point writes one file per point and needs --out", INPUT_ERROR)
-    points = model.sweep_points(ranges)
-    if scalars:
-        points = [dict(p, **scalars) for p in points]
+    overrides = {**scalars, **ranges}
+    try:
+        points = model.sweep_points(overrides)
+    except ValueError as exc:  # a range the model declares with a step <= 0
+        raise CliError(str(exc), INPUT_ERROR)
     if len(points) <= 1:
         raise CliError("sweep needs at least one ranged parameter (name=start:stop:step)", INPUT_ERROR)
-    swept = sorted(ranges) or sorted(
-        name for name, spec in model.params.items() if spec.sweep is not None
-    )
-    base_ts = _build_ts(_instantiate(model, points[0]), args.max_states)
+    steps = {name: rng[2] for name, rng in model.sweep_axes(overrides)}
+    swept = sorted(steps)
+    base_ts = build_ts(_instantiate(model, points[0]), max_states=args.max_states)
 
     if args.quotient:
         values, results = _sweep_quotient(args, base_ts, model, indices, points)
@@ -345,10 +331,7 @@ def cmd_sweep(args) -> int:
         row.update(at)
         rows.append(row)
 
-    note = "sweep over %s; grid steps %s" % (
-        ",".join(swept),
-        ",".join(str(ranges[n][2]) if n in ranges else str(model.params[n].sweep[2]) for n in swept),
-    )
+    note = "sweep over %s; grid steps %s" % (",".join(swept), ",".join(str(steps[n]) for n in swept))
     text = export.sweep_csv(swept, sorted(indices), rows, header_note=note)
     _emit(args, "sweep.csv", text)
 
@@ -442,11 +425,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not args.max_states > 0:
             raise CliError("--max-states must be positive, got %d" % args.max_states, INPUT_ERROR)
         return args.func(args)
+    # the message only: the exception would keep its traceback's frames alive
     except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return exc.code
+        message, code = str(exc), exc.code
+    except StateSpaceLimit as exc:
+        message, code = str(exc), ANALYSIS_ERROR
+    except SemanticsError as exc:  # a malformed model
+        message, code = str(exc), INPUT_ERROR
     except BrokenPipeError:
         return 0
+    print("error: %s" % message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

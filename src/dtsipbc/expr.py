@@ -7,7 +7,11 @@ The 17 kinds of expression node are described once, in ``_KINDS``: the
 subtree fields in order, the other fields (``activity``, ``func``,
 ``action``) and the static or barred counterpart (``Seq`` and ``DSeq``).
 Tree walks read a node through ``_children`` and ``_rebuild`` and name only
-the kinds they treat specially, so no walk re-lists every kind.
+the kinds they treat specially, so no walk re-lists every kind.  What
+differs per kind is kept in tables keyed by kind: the bar-moving rules and
+the step maps of the derivation (``opsem``), the box operators
+(``netsem``), and the surface syntax that the printer and template
+instantiation share (``parser``).
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,10 +51,12 @@ from .expr import (
     Over,
     StaticExpr,
     Under,
+    _KINDS,
     _attributes,
     _children,
     _kind,
     _rebuild,
+    apply_relabel,
     is_regular,
     sync_activities,
     underlying,
@@ -638,18 +641,6 @@ class Engine:
             return out
         if isinstance(h, Under):
             return out
-        if isinstance(h, DSeq):
-            dyn_left = isinstance(h.left, DynamicExpr)
-            child = h.left if dyn_left else h.right
-            for step, tgt in self.derive(child):
-                put(step, DSeq(tgt, h.right) if dyn_left else DSeq(h.left, tgt))
-            return out
-        if isinstance(h, DCho):
-            dyn_left = isinstance(h.left, DynamicExpr)
-            child = h.left if dyn_left else h.right
-            for step, tgt in self.derive(child):
-                put(step, DCho(tgt, h.right) if dyn_left else DCho(h.left, tgt))
-            return out
         if isinstance(h, DPar):
             left_steps = self.derive(h.left)
             right_steps = self.derive(h.right)
@@ -661,34 +652,50 @@ class Engine:
                 if is_immediate_step(s1) == is_immediate_step(s2):
                     put(s1 | s2, DPar(t1, t2))
             return out
-        if isinstance(h, DRel):
-            for step, tgt in self.derive(h.child):
-                put(frozenset(h.func.apply_activity(u) for u in step), DRel(tgt, h.func))
-            return out
-        if isinstance(h, DRst):
-            a, ah = Action(h.action), Action(h.action, True)
-            for step, tgt in self.derive(h.child):
-                if all(a not in u.part and ah not in u.part for u in step):
-                    put(step, DRst(tgt, h.action))
-            return out
-        if isinstance(h, DSyn):
-            action = Action(h.action)
-            for step, tgt in self.derive(h.child):
-                for merged in _saturate_step(step, action):
-                    put(merged, DSyn(tgt, h.action))
-            return out
-        if isinstance(h, DIte):
-            if isinstance(h.init, DynamicExpr):
-                for step, tgt in self.derive(h.init):
-                    put(step, DIte(tgt, h.body, h.term))
-            elif isinstance(h.body, DynamicExpr):
-                for step, tgt in self.derive(h.body):
-                    put(step, DIte(h.init, tgt, h.term))
-            else:
-                for step, tgt in self.derive(h.term):
-                    put(step, DIte(h.init, h.body, tgt))
-            return out
-        raise TypeError(repr(h))
+        # one dynamic argument: its steps, mapped by the kind, lead to the
+        # node rebuilt around the argument's targets
+        kind = type(h)
+        get_fields, step_map = _ONE_ARGUMENT[kind]
+        args = get_fields(h)
+        at = 0
+        while not isinstance(args[at], DynamicExpr):
+            at += 1
+        before, after = args[:at], args[at + 1:]
+        derived = [(step, kind(*before, tgt, *after)) for step, tgt in self.derive(args[at])]
+        for step, target in step_map(h, derived) if step_map else derived:
+            put(step, target)
+        return out
+
+
+def _relabeled(node: DRel, derived: List[Tuple[Step, DynamicExpr]]) -> Iterable[Tuple[Step, DynamicExpr]]:
+    """The steps with every activity relabeled."""
+    return ((apply_relabel(node.func, step), target) for step, target in derived)
+
+
+def _restricted(node: DRst, derived: List[Tuple[Step, DynamicExpr]]) -> Iterable[Tuple[Step, DynamicExpr]]:
+    """The steps in which no activity holds the action or its conjugate."""
+    return ((step, target) for step, target in derived
+            if not any(x.name == node.action for u in step for x in u.part))
+
+
+def _synchronized(node: DSyn, derived: List[Tuple[Step, DynamicExpr]]) -> Iterable[Tuple[Step, DynamicExpr]]:
+    """Each step's closure under pairwise synchronization on the action."""
+    action = Action(node.action)
+    return ((merged, target) for step, target in derived for merged in _saturate_step(step, action))
+
+
+# How the (step, target) pairs of the dynamic argument, with the node rebuilt
+# around each target, become the node's own: relabeling renames the steps,
+# restriction drops some, synchronization closes each under synchronization.
+# Every other kind keeps them as they are.
+_STEP_MAPS = {DRel: _relabeled, DRst: _restricted, DSyn: _synchronized}
+
+# per barred operator kind, for the generic rule: a getter of all fields of a
+# node at once, in constructor order (the subtrees, then the other fields),
+# and the step map
+_ONE_ARGUMENT = {
+    kind: (attrgetter(*_KINDS[kind].subtrees, *_KINDS[kind].attributes), _STEP_MAPS.get(kind)) for kind in _PORT_GROUPS
+}
 
 
 def _saturate_step(step: Step, a: Action) -> List[Step]:

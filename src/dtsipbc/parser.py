@@ -22,20 +22,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
 from .expr import (
     Act,
     Action,
     Activity,
     Cho,
-    DCho,
-    DIte,
     DPar,
-    DRel,
-    DRst,
-    DSeq,
-    DSyn,
     DynamicExpr,
     Ite,
     Multiset,
@@ -48,6 +42,7 @@ from .expr import (
     StaticExpr,
     Syn,
     Under,
+    _KINDS,
     _children,
     _renumbered,
     activities_of,
@@ -362,6 +357,45 @@ class _ExprParser:
 
 
 # ---------------------------------------------------------------------------
+# Operator syntax
+# ---------------------------------------------------------------------------
+
+_PAR, _CHO, _SEQ, _UNARY, _ATOM = 0, 1, 2, 3, 4
+
+
+class _Syntax(NamedTuple):
+    tag: str  # the template tag
+    level: int  # binding level; an operand that needs a higher one is parenthesized
+    form: str  # the text, from the operands and then the other fields
+    operands: Tuple[Tuple[str, int], ...]  # each subtree field, with the level it needs
+    attributes: Tuple[str, ...]  # the other fields
+    bars_error: Optional[str]  # the error when more arguments are barred than the operator takes
+
+
+def _syntax(kind: type, tag: str, level: int, form: str, needs: Tuple[int, ...],
+            bars_error: Optional[str] = None) -> _Syntax:
+    fields = _KINDS[kind]
+    return _Syntax(tag, level, form, tuple(zip(fields.subtrees, needs)), fields.attributes, bars_error)
+
+
+# each operator, by its static kind
+_SYNTAX = {row[0]: _syntax(*row) for row in (
+    (Par, "par", _PAR, "%s||%s", (_PAR, _PAR + 1), "both operands of || must be barred, or neither"),
+    (Cho, "cho", _CHO, "%s[]%s", (_CHO, _CHO + 1), "only one operand of '[]' may be barred"),
+    (Seq, "seq", _SEQ, "%s;%s", (_SEQ, _SEQ + 1), "only one operand of ';' may be barred"),
+    (Rel, "rel", _UNARY, "%s%s", (_UNARY,)),
+    (Rst, "rst", _UNARY, "%s rs %s", (_UNARY,)),
+    (Syn, "syn", _UNARY, "%s sy %s", (_UNARY,)),
+    (Ite, "ite", _ATOM, "[%s * %s * %s]", (_PAR, _PAR, _PAR), "only one argument of an iteration may be barred"),
+    (Over, "over", _UNARY, "~%s", (_ATOM,), "an overbar must wrap a bar-free term"),
+    (Under, "under", _UNARY, "_%s", (_ATOM,), "an underbar must wrap a bar-free term"),
+)}
+_KIND_OF_TAG = {syntax.tag: kind for kind, syntax in _SYNTAX.items()}
+# the barred kind of an operator shares its row
+_SYNTAX.update({_KINDS[kind].counterpart: syntax for kind, syntax in list(_SYNTAX.items()) if _KINDS[kind].counterpart})
+
+
+# ---------------------------------------------------------------------------
 # Template instantiation
 # ---------------------------------------------------------------------------
 
@@ -374,46 +408,24 @@ def _instantiate(t: Template, bindings: Dict[str, float]) -> Union[StaticExpr, D
         return Act(Activity.make(part, immediate, _bound(value, bindings), 0))
     if tag == "stop":
         return stop_expr()
-    if tag in ("seq", "cho", "par"):
-        left = _instantiate(t[1], bindings)
-        right = _instantiate(t[2], bindings)
-        ld, rd = is_dynamic(left), is_dynamic(right)
-        if tag == "par":
-            if ld != rd:
-                raise ValueError("both operands of || must be barred, or neither")
-            return DPar(left, right) if ld else Par(left, right)
-        cls_s, cls_d = (Seq, DSeq) if tag == "seq" else (Cho, DCho)
-        if ld and rd:
-            raise ValueError("only one operand of %r may be barred" % (";" if tag == "seq" else "[]"))
-        return cls_d(left, right) if (ld or rd) else cls_s(left, right)
-    if tag == "rel":
-        child = _instantiate(t[1], bindings)
-        return DRel(child, t[2]) if is_dynamic(child) else Rel(child, t[2])
-    if tag == "rst":
-        child = _instantiate(t[1], bindings)
-        return DRst(child, t[2]) if is_dynamic(child) else Rst(child, t[2])
-    if tag == "syn":
-        child = _instantiate(t[1], bindings)
-        return DSyn(child, t[2]) if is_dynamic(child) else Syn(child, t[2])
-    if tag == "ite":
-        parts = [_instantiate(x, bindings) for x in t[1:4]]
-        dyn = [is_dynamic(x) for x in parts]
-        if not any(dyn):
-            return Ite(*parts)
-        if sum(dyn) > 1:
-            raise ValueError("only one argument of an iteration may be barred")
-        return DIte(*parts)
-    if tag == "over":
-        child = _instantiate(t[1], bindings)
-        if is_dynamic(child):
-            raise ValueError("an overbar must wrap a bar-free term")
-        return Over(child)
-    if tag == "under":
-        child = _instantiate(t[1], bindings)
-        if is_dynamic(child):
-            raise ValueError("an underbar must wrap a bar-free term")
-        return Under(child)
-    raise ValueError("bad template node %r" % (tag,))
+    kind = _KIND_OF_TAG.get(tag)
+    if kind is None:
+        raise ValueError("bad template node %r" % (tag,))
+    arity = len(_KINDS[kind].subtrees)
+    args = [_instantiate(x, bindings) for x in t[1:1 + arity]]
+    barred = sum(map(is_dynamic, args))
+    # a bar may wrap only a bar-free term, both operands of || carry bars
+    # or neither does, and every other operator takes at most one barred
+    # argument; with any, the node is the barred kind
+    if kind in (Over, Under):
+        allowed = barred == 0
+    elif _KINDS[kind].counterpart is DPar:
+        allowed = barred in (0, arity)
+    else:
+        allowed = barred <= 1
+    if not allowed:
+        raise ValueError(_SYNTAX[kind].bars_error)
+    return (_KINDS[kind].counterpart if barred else kind)(*args, *t[1 + arity:])
 
 
 def _bound(value: Union[float, str], bindings: Dict[str, float]) -> float:
@@ -425,14 +437,6 @@ def _bound(value: Union[float, str], bindings: Dict[str, float]) -> float:
     return float(value)
 
 
-# the subtemplates of each composite template node, in the order in which
-# _instantiate builds them and renumber numbers their leaves
-_SUBTEMPLATES = {
-    "seq": (1, 2), "cho": (1, 2), "par": (1, 2), "rel": (1,), "rst": (1,), "syn": (1,),
-    "ite": (1, 2, 3), "over": (1,), "under": (1,),
-}
-
-
 def _leaf_sources(t: Template) -> List[Tuple[bool, Union[float, str]]]:
     """(immediate, parameter name or literal value) of every activity that
     ``_instantiate(t)`` builds, left to right."""
@@ -441,7 +445,10 @@ def _leaf_sources(t: Template) -> List[Tuple[bool, Union[float, str]]]:
         return [(t[2], t[3])]
     if tag == "stop":
         return [(u.immediate, u.value) for u in activities_of(stop_expr())]
-    return [source for k in _SUBTEMPLATES[tag] for source in _leaf_sources(t[k])]
+    # the subtemplates, in the order in which _instantiate builds them and
+    # renumber numbers their leaves
+    subtemplates = t[1:1 + len(_KINDS[_KIND_OF_TAG[tag]].subtrees)]
+    return [source for sub in subtemplates for source in _leaf_sources(sub)]
 
 
 def parse_static(text: str, bindings: Optional[Dict[str, float]] = None) -> StaticExpr:
@@ -474,20 +481,6 @@ def parse_dynamic(text: str, bindings: Optional[Dict[str, float]] = None) -> Dyn
 # Pretty-printer
 # ---------------------------------------------------------------------------
 
-_PAR, _CHO, _SEQ, _UNARY, _ATOM = 0, 1, 2, 3, 4
-
-
-def _level(e) -> int:
-    if isinstance(e, (Par, DPar)):
-        return _PAR
-    if isinstance(e, (Cho, DCho)):
-        return _CHO
-    if isinstance(e, (Seq, DSeq)):
-        return _SEQ
-    if isinstance(e, (Rel, Rst, Syn, DRel, DRst, DSyn, Over, Under)):
-        return _UNARY
-    return _ATOM
-
 
 def serialize(e) -> str:
     """Deterministic text form; ``parse`` of the result rebuilds the same tree."""
@@ -495,36 +488,18 @@ def serialize(e) -> str:
 
 
 def _ser(e, need: int) -> str:
-    text = _ser_node(e)
-    if _level(e) < need:
-        return "(%s)" % text
-    return text
-
-
-def _ser_node(e) -> str:
     if isinstance(e, Act):
         return str(e.activity)
+    syntax = _SYNTAX.get(type(e))
+    if syntax is None:
+        raise TypeError("cannot serialize %r" % (e,))
+    _, level, form, operands, attributes, _ = syntax
     if isinstance(e, StaticExpr) and is_stop(e):
-        return "Stop"
-    if isinstance(e, (Seq, DSeq)):
-        return "%s;%s" % (_ser(e.left, _SEQ), _ser(e.right, _SEQ + 1))
-    if isinstance(e, (Cho, DCho)):
-        return "%s[]%s" % (_ser(e.left, _CHO), _ser(e.right, _CHO + 1))
-    if isinstance(e, (Par, DPar)):
-        return "%s||%s" % (_ser(e.left, _PAR), _ser(e.right, _PAR + 1))
-    if isinstance(e, (Rel, DRel)):
-        return "%s%s" % (_ser(e.child, _UNARY), e.func)
-    if isinstance(e, (Rst, DRst)):
-        return "%s rs %s" % (_ser(e.child, _UNARY), e.action)
-    if isinstance(e, (Syn, DSyn)):
-        return "%s sy %s" % (_ser(e.child, _UNARY), e.action)
-    if isinstance(e, (Ite, DIte)):
-        return "[%s * %s * %s]" % (_ser(e.init, _PAR), _ser(e.body, _PAR), _ser(e.term, _PAR))
-    if isinstance(e, Over):
-        return "~%s" % _ser(e.expr, _ATOM)
-    if isinstance(e, Under):
-        return "_%s" % _ser(e.expr, _ATOM)
-    raise TypeError("cannot serialize %r" % (e,))
+        text = "Stop"
+    else:
+        fields = [_ser(getattr(e, name), at) for name, at in operands] + [getattr(e, name) for name in attributes]
+        text = form % tuple(fields)
+    return "(%s)" % text if level < need else text
 
 
 # ---------------------------------------------------------------------------
@@ -675,25 +650,25 @@ class ModelFile:
             raise ValueError("peer expression is not regular")
         return expr
 
-    def sweep_points(self, overrides: Optional[Dict[str, Tuple[float, float, float]]] = None) -> List[Dict[str, float]]:
-        """Cartesian grid over every swept parameter (usually a single one)."""
-        base = self.bindings()
-        sweeps: List[Tuple[str, List[float]]] = []
-        for name, spec in self.params.items():
-            if overrides and name in overrides:
-                start, stop, step = overrides[name]
-                sweeps.append((name, ParamSpec(sweep=(start, stop, step)).grid()))
-            elif spec.sweep is not None:
-                sweeps.append((name, spec.grid()))
-        if overrides:
-            for name, rng in overrides.items():
-                if name not in self.params:
-                    sweeps.append((name, ParamSpec(sweep=rng).grid()))
-        if not sweeps:
-            return [base]
-        points = [dict(base)]
-        for name, values in sweeps:
-            points = [dict(p, **{name: v}) for p in points for v in values]
+    def sweep_axes(self, overrides: Optional[Dict[str, Union[float, Tuple[float, float, float]]]] = None
+                   ) -> List[Tuple[str, Tuple[float, float, float]]]:
+        """The parameters on the sweep grid, in grid order, with their
+        start:stop:step ranges: the model's ranges and then the other ranges
+        in ``overrides``.  A name that ``overrides`` gives one value is held
+        at that value, off the grid."""
+        overrides = overrides or {}
+        axes = [(name, overrides.get(name, spec.sweep)) for name, spec in self.params.items()]
+        axes += [(name, value) for name, value in overrides.items() if name not in self.params]
+        return [(name, value) for name, value in axes if isinstance(value, tuple)]
+
+    def sweep_points(self, overrides: Optional[Dict[str, Union[float, Tuple[float, float, float]]]] = None
+                     ) -> List[Dict[str, float]]:
+        """Cartesian grid over the ``sweep_axes`` (usually a single one); the
+        single values in ``overrides`` hold at every point."""
+        scalars = {name: v for name, v in (overrides or {}).items() if not isinstance(v, tuple)}
+        points = [self.bindings(scalars)]
+        for name, rng in self.sweep_axes(overrides):
+            points = [dict(p, **{name: v}) for p in points for v in ParamSpec(sweep=rng).grid()]
         return points
 
 

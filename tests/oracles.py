@@ -5,7 +5,8 @@ Each re-derives the slow, plain way what the program computes fast:
 * by brute force over single terms or whole enumerated classes, what the
   step semantics computes compositionally;
 * by one hand-written rule list per node kind, the bar-moving rules that
-  the program reads off one table of port groups;
+  the program reads off one table of port groups, and the step derivation
+  that the program writes as one generic rule and a table of step maps;
 * by ``Multiset`` arithmetic on named places, what the net semantics
   computes on index-coded markings;
 * by scalar loops, one matrix and one state at a time, what the solver
@@ -306,7 +307,8 @@ def reweight(ts: TransitionSystem, leaf_values: Dict[int, float]) -> TransitionS
 
 
 # ---------------------------------------------------------------------------
-# Potentially and currently executable step sets of one operative term
+# Step derivation, and the potentially and currently executable step sets,
+# of one operative term
 # ---------------------------------------------------------------------------
 
 
@@ -351,6 +353,67 @@ def potential_steps(h: DynamicExpr) -> FrozenSet[Step]:
         child = next(x for x in (h.init, h.body, h.term) if isinstance(x, DynamicExpr))
         return potential_steps(child)
     raise TypeError(repr(h))
+
+
+def derive(h: DynamicExpr) -> Tuple[Tuple[Step, DynamicExpr], ...]:
+    """Every non-empty step of one operative term with its target, in
+    step-key order, by one hand-written rule per node kind."""
+    out: Dict[Step, DynamicExpr] = {}
+
+    def put(step: Step, target: DynamicExpr) -> None:
+        old = out.get(step)
+        if old is not None and old != target:
+            raise SemanticsError("step %s from %s reaches two targets" % ([str(u) for u in step], serialize(h)))
+        out[step] = target
+
+    if isinstance(h, Over):
+        if isinstance(h.expr, Act):
+            put(frozenset((h.expr.activity,)), Under(h.expr))
+    elif isinstance(h, Under):
+        pass
+    elif isinstance(h, DSeq):
+        dyn_left = isinstance(h.left, DynamicExpr)
+        for step, tgt in derive(h.left if dyn_left else h.right):
+            put(step, DSeq(tgt, h.right) if dyn_left else DSeq(h.left, tgt))
+    elif isinstance(h, DCho):
+        dyn_left = isinstance(h.left, DynamicExpr)
+        for step, tgt in derive(h.left if dyn_left else h.right):
+            put(step, DCho(tgt, h.right) if dyn_left else DCho(h.left, tgt))
+    elif isinstance(h, DPar):
+        left_steps, right_steps = derive(h.left), derive(h.right)
+        for step, tgt in left_steps:
+            put(step, DPar(tgt, h.right))
+        for step, tgt in right_steps:
+            put(step, DPar(h.left, tgt))
+        for s1, t1 in left_steps:
+            for s2, t2 in right_steps:
+                if next(iter(s1)).immediate == next(iter(s2)).immediate:
+                    put(s1 | s2, DPar(t1, t2))
+    elif isinstance(h, DRel):
+        for step, tgt in derive(h.child):
+            put(frozenset(h.func.apply_activity(u) for u in step), DRel(tgt, h.func))
+    elif isinstance(h, DRst):
+        a, ah = Action(h.action), Action(h.action, True)
+        for step, tgt in derive(h.child):
+            if all(a not in u.part and ah not in u.part for u in step):
+                put(step, DRst(tgt, h.action))
+    elif isinstance(h, DSyn):
+        for step, tgt in derive(h.child):
+            for merged in _saturate_step(step, Action(h.action)):
+                put(merged, DSyn(tgt, h.action))
+    elif isinstance(h, DIte):
+        if isinstance(h.init, DynamicExpr):
+            for step, tgt in derive(h.init):
+                put(step, DIte(tgt, h.body, h.term))
+        elif isinstance(h.body, DynamicExpr):
+            for step, tgt in derive(h.body):
+                put(step, DIte(h.init, tgt, h.term))
+        else:
+            for step, tgt in derive(h.term):
+                put(step, DIte(h.init, h.body, tgt))
+    else:
+        raise TypeError(repr(h))
+    return tuple(sorted(out.items(), key=lambda kv: step_key(kv[0])))
 
 
 def current_steps(h: DynamicExpr) -> FrozenSet[Step]:

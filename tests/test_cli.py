@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import dtsipbc
+from dtsipbc import cli
 from dtsipbc.cli import main
 from dtsipbc.models import model_text
+from dtsipbc.opsem import SemanticsError
 
 from conftest import shm_text
 
@@ -130,6 +132,45 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "shared_memory_abstract", "--param", "rho=0.5")
         assert code == 2
 
+    @pytest.fixture
+    def ranged_model(self, tmp_path):
+        """shared_memory_abstract with a declared range for rho."""
+        path = tmp_path / "ranged.dtsi"
+        path.write_text(model_text("shared_memory_abstract").replace("param rho = 0.5", "param rho = 0.2:0.6:0.2"))
+        return str(path)
+
+    def sweep_csv(self, capsys, tmp_path, *argv):
+        code, _, err = run(capsys, "sweep", *argv, "--index", "utilization", "--out", str(tmp_path))
+        lines = (tmp_path / "sweep.csv").read_text().splitlines() if code == 0 else []
+        return code, err, lines
+
+    def test_scalar_takes_a_declared_range_off_the_grid(self, capsys, tmp_path, ranged_model):
+        code, err, _ = self.sweep_csv(capsys, tmp_path, ranged_model, "--param", "rho=0.5")
+        assert code == 2
+        assert err == "error: sweep needs at least one ranged parameter (name=start:stop:step)\n"
+
+    def test_every_grid_parameter_has_a_column(self, capsys, tmp_path, ranged_model):
+        code, _, lines = self.sweep_csv(capsys, tmp_path, ranged_model, "--param", "l=1:2:1")
+        assert code == 0
+        assert lines[0] == "# sweep over l,rho; grid steps 1.0,0.2"
+        assert lines[1] == "l,rho,utilization"
+        assert [tuple(line.split(",")[:2]) for line in lines[2:]] == [
+            (l, rho) for rho in ("0.2", "0.4", "0.6") for l in ("1.0", "2.0")
+        ]
+
+    def test_scalar_holds_beside_a_declared_range(self, capsys, tmp_path, ranged_model):
+        code, _, lines = self.sweep_csv(capsys, tmp_path, ranged_model, "--param", "l=2")
+        assert code == 0
+        assert lines[:2] == ["# sweep over rho; grid steps 0.2", "rho,utilization"]
+        assert len(lines) == 2 + 3
+
+    def test_declared_step_not_positive(self, capsys, tmp_path):
+        path = tmp_path / "zero_step.dtsi"
+        path.write_text("param rho = 0.1:0.9:0\nroot = ({a},rho)\nindex u = phi[1]\n")
+        code, _, err = run(capsys, "sweep", str(path))
+        assert code == 2
+        assert err == "error: sweep step must be positive\n"
+
 
 class TestExitCodes:
     def test_missing_model(self, capsys):
@@ -188,6 +229,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "ts", "shared_memory", "--max-states", "3")
         assert code == 1
         assert "limit" in err
+
+    @pytest.mark.parametrize("command", ["ts", "box", "rg", "checkiso", "solve", "quotient"])
+    def test_state_cap_on_every_command(self, capsys, command):
+        code, _, err = run(capsys, command, "shared_memory", "--max-states", "3")
+        assert code == 1
+        assert err == "error: state-space limit of 3 exceeded\n"
+
+    def test_semantics_error_is_an_input_error(self, capsys, monkeypatch):
+        def malformed(expr, **kwargs):
+            raise SemanticsError("step from state 1 reaches two distinct classes")
+
+        monkeypatch.setattr(cli, "build_ts", malformed)
+        code, _, err = run(capsys, "solve", "ts_example")
+        assert code == 2
+        assert err == "error: step from state 1 reaches two distinct classes\n"
 
 
 class TestInputValidation:

@@ -520,3 +520,33 @@ class TestRuleTable:
         rng = make_rng(9000 + seed)
         assert_rules_match(parse_static(random_regular_text(rng, max_activities=8, max_sync=2)))
 
+
+# ---------------------------------------------------------------------------
+# Step derivation against the hand-written rules
+# ---------------------------------------------------------------------------
+
+
+def assert_derivations_match(expr):
+    """On every operative of every reachable class, ``Engine.derive`` gives
+    the hand-written rules' steps, targets and order, and its steps are the
+    term's potential steps that do not mix immediate and stochastic
+    activities (the parallel rule joins only steps of one kind)."""
+    engine = Engine()
+    for state in build_ts(expr).states:
+        for h in state.members:
+            got = engine.derive(h)
+            assert got == oracles.derive(h), serialize(h)
+            homogeneous = {s for s in potential_steps(h) if len({u.immediate for u in s}) == 1}
+            assert {step for step, _ in got} == homogeneous, serialize(h)
+
+
+class TestDerivationReference:
+    @pytest.mark.parametrize("expr", [pytest.param(e, id=label) for label, e in bundled_roots()]
+                             + [pytest.param(parse_static(t), id=t) for t in RELABELING_TERMS])
+    def test_bundled_roots_and_relabelings(self, expr):
+        assert_derivations_match(expr)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_terms(self, seed):
+        rng = make_rng(11000 + seed)
+        assert_derivations_match(parse_static(random_regular_text(rng, max_activities=8, max_sync=2)))
