@@ -18,7 +18,7 @@ import numpy as np
 
 from . import export
 from .equiv import bisim_equivalent_ts, quotient
-from .markov import AnalysisError, Chain, ChainStack, evaluate_index, evaluate_index_stack, solve_chain, solve_stack
+from .markov import AnalysisError, Chain, ChainStack, StackResult, evaluate_index_stack, solve_chain, solve_stack
 from .models import bundled_model_names, load_model
 from .netsem import box_of, build_rg, check_safe_clean
 from .opsem import SemanticsError, StateSpaceLimit, build_ts, ts_isomorphic
@@ -50,10 +50,11 @@ def _parse_param(text: str) -> Tuple[str, object]:
     return name, numbers
 
 
-def _load(args) -> Tuple[ModelFile, Dict[str, float], Dict[str, Tuple[float, float, float]]]:
-    """The model, and its ``--param`` values split into scalars and ranges.
-    A name given twice, or one the model neither declares nor reads, is an
-    input error."""
+def _load(args) -> Tuple[ModelFile, Dict[str, object]]:
+    """The model, and its ``--param`` values: numbers, and for ``sweep``
+    (start, stop, step) ranges.  A name given twice, one the model neither
+    declares nor reads, or a range given to another command is an input
+    error."""
     try:
         model = load_model(args.model)
     except FileNotFoundError as exc:
@@ -61,19 +62,17 @@ def _load(args) -> Tuple[ModelFile, Dict[str, float], Dict[str, Tuple[float, flo
     except ParseError as exc:
         raise CliError("parse error: %s" % exc, INPUT_ERROR)
     known = model.parameter_names()
-    scalars: Dict[str, float] = {}
-    ranges: Dict[str, Tuple[float, float, float]] = {}
+    overrides: Dict[str, object] = {}
     for item in args.param:
         name, value = _parse_param(item)
-        if name in scalars or name in ranges:
+        if name in overrides:
             raise CliError("--param %s is given twice" % name, INPUT_ERROR)
         if name not in known:
             raise CliError("model has no parameter named %r" % name, INPUT_ERROR)
-        if isinstance(value, tuple):
-            ranges[name] = value
-        else:
-            scalars[name] = value
-    return model, scalars, ranges
+        if isinstance(value, tuple) and args.command != "sweep":
+            raise CliError("--param %s is a range; ranges belong to sweep" % name, INPUT_ERROR)
+        overrides[name] = value
+    return model, overrides
 
 
 def _instantiate(model: ModelFile, overrides: Dict[str, float]):
@@ -83,16 +82,31 @@ def _instantiate(model: ModelFile, overrides: Dict[str, float]):
         raise CliError(str(exc), INPUT_ERROR)
 
 
-def _index_values(indices: Dict[str, tuple], result) -> Dict[str, float]:
-    """Named index values; an index undefined on this solution (a division by
-    zero, a state the chain does not have) is an analysis failure."""
-    values = {}
-    for name, expr in indices.items():
-        try:
-            values[name] = evaluate_index(expr, result)
-        except (ZeroDivisionError, ValueError) as exc:
-            raise AnalysisError("index %s: %s" % (name, exc)) from None
-    return values
+def _index_rows(indices: Dict[str, tuple], chains: ChainStack, solved: StackResult,
+                points: Optional[List[Dict[str, float]]] = None) -> List[Dict[str, float]]:
+    """The named index values at every point of a solved stack.  The first
+    point where the solver or an index fails is an analysis failure, with
+    the solver's error there, or else that of the first index undefined
+    there (a division by zero, a state the chain does not have); the message
+    names the point when ``points`` are given."""
+    evaluated = {name: evaluate_index_stack(expr, chains, solved) for name, expr in indices.items()}
+    failed = np.array([e is not None for e in solved.errors])
+    for _, errors in evaluated.values():
+        failed |= np.array([e is not None for e in errors])
+    if failed.any():
+        k = int(np.argmax(failed))
+        error = solved.errors[k] or next(
+            AnalysisError("index %s: %s" % (name, errors[k])) for name, (_, errors) in evaluated.items()
+            if errors[k] is not None
+        )
+        if points is not None:
+            raise CliError("analysis error at %s: %s" % (points[k], error), ANALYSIS_ERROR)
+        detail = ""
+        if error.closed_classes:
+            detail = "; closed classes: %s" % [[i + 1 for i in c] for c in error.closed_classes]
+        raise CliError("analysis error: %s%s" % (error, detail), ANALYSIS_ERROR)
+    series = {name: values.tolist() for name, (values, _) in evaluated.items()}
+    return [{name: series[name][k] for name in indices} for k in range(len(solved.errors))]
 
 
 def _emit(args, filename: str, text: str) -> None:
@@ -123,8 +137,8 @@ def _selected_indices(model: ModelFile, names: Optional[List[str]]) -> Dict[str,
 
 
 def cmd_ts(args) -> int:
-    model, scalars, _ = _load(args)
-    ts = build_ts(_instantiate(model, scalars), max_states=args.max_states)
+    model, overrides = _load(args)
+    ts = build_ts(_instantiate(model, overrides), max_states=args.max_states)
     if args.format == "dot":
         _emit(args, "ts.dot", export.ts_dot(ts))
     else:
@@ -136,8 +150,8 @@ def cmd_ts(args) -> int:
 
 
 def cmd_box(args) -> int:
-    model, scalars, _ = _load(args)
-    expr = _instantiate(model, scalars)
+    model, overrides = _load(args)
+    expr = _instantiate(model, overrides)
     box = box_of(expr)
     if args.format == "dot":
         _emit(args, "net.dot", export.box_dot(box))
@@ -156,8 +170,8 @@ def cmd_box(args) -> int:
 
 
 def cmd_rg(args) -> int:
-    model, scalars, _ = _load(args)
-    expr = _instantiate(model, scalars)
+    model, overrides = _load(args)
+    expr = _instantiate(model, overrides)
     rg = build_rg(box_of(expr), max_states=args.max_states)
     if args.format == "dot":
         _emit(args, "rg.dot", export.ts_dot(rg, name="rg"))
@@ -167,8 +181,8 @@ def cmd_rg(args) -> int:
 
 
 def cmd_checkiso(args) -> int:
-    model, scalars, _ = _load(args)
-    expr = _instantiate(model, scalars)
+    model, overrides = _load(args)
+    expr = _instantiate(model, overrides)
     ts = build_ts(expr, max_states=args.max_states)
     box = box_of(expr)
     rg = build_rg(box, max_states=args.max_states)
@@ -186,21 +200,14 @@ def cmd_checkiso(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    model, scalars, _ = _load(args)
+    model, overrides = _load(args)
     indices = _selected_indices(model, args.index)
-    ts = build_ts(_instantiate(model, scalars), max_states=args.max_states)
-    try:
-        if args.quotient:
-            chain = quotient(ts).chain()
-        else:
-            chain = Chain.from_ts(ts)
-        result = solve_chain(chain)
-        values = _index_values(indices, result)
-    except AnalysisError as exc:
-        detail = ""
-        if exc.closed_classes:
-            detail = "; closed classes: %s" % [[i + 1 for i in c] for c in exc.closed_classes]
-        raise CliError("analysis error: %s%s" % (exc, detail), ANALYSIS_ERROR)
+    ts = build_ts(_instantiate(model, overrides), max_states=args.max_states)
+    chain = quotient(ts).chain() if args.quotient else Chain.from_ts(ts)
+    chains = ChainStack.of(chain)
+    solved = solve_stack(chains)
+    values = _index_rows(indices, chains, solved)[0]
+    result = solved.result(0, chain)
     if args.format == "csv":
         _emit(args, "states.csv", export.states_csv(result))
     else:
@@ -211,8 +218,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_quotient(args) -> int:
-    model, scalars, _ = _load(args)
-    ts = build_ts(_instantiate(model, scalars), max_states=args.max_states)
+    model, overrides = _load(args)
+    ts = build_ts(_instantiate(model, overrides), max_states=args.max_states)
     q = quotient(ts)
     payload = export.quotient_json(q)
     try:
@@ -226,12 +233,12 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_checkeq(args) -> int:
-    model, scalars, _ = _load(args)
+    model, overrides = _load(args)
     if model.peer is None:
         raise CliError("model defines no peer expression to compare against", INPUT_ERROR)
-    root = _instantiate(model, scalars)
+    root = _instantiate(model, overrides)
     try:
-        peer = model.instantiate_peer(scalars)
+        peer = model.instantiate_peer(overrides)
     except (ParseError, ValueError) as exc:
         raise CliError(str(exc), INPUT_ERROR)
     result = bisim_equivalent_ts(build_ts(root, max_states=args.max_states),
@@ -256,14 +263,12 @@ def _sweep_quotient(args, base_ts, model: ModelFile, indices, points):
     solutions when ``--per-point`` writes them."""
     values, results = [], []
     for point in points:
-        ts = base_ts.reweight(_leaf_values(model, point))
-        try:
-            result = solve_chain(quotient(ts).chain())
-            values.append({name: float(v) for name, v in _index_values(indices, result).items()})
-        except AnalysisError as exc:
-            raise CliError("analysis error at %s: %s" % (point, exc), ANALYSIS_ERROR)
+        chain = quotient(base_ts.reweight(_leaf_values(model, point))).chain()
+        chains = ChainStack.of(chain)
+        solved = solve_stack(chains)
+        values += _index_rows(indices, chains, solved, [point])
         if args.per_point:
-            results.append(result)
+            results.append(solved.result(0, chain))
     return values, results
 
 
@@ -280,21 +285,9 @@ def _sweep_batch(args, base_ts, model: ModelFile, indices, points):
             break
     chains = ChainStack.from_ts(base_ts, np.array(leaf_rows))
     solved = solve_stack(chains)
-    evaluated = {name: evaluate_index_stack(expr, chains, solved) for name, expr in indices.items()}
-    failed = np.array([e is not None for e in solved.errors])
-    for _, messages in evaluated.values():
-        failed |= np.array([m is not None for m in messages])
-    if failed.any():
-        k = int(np.argmax(failed))
-        error = solved.errors[k] or next(
-            AnalysisError("index %s: %s" % (name, messages[k])) for name, (_, messages) in evaluated.items()
-            if messages[k] is not None
-        )
-        raise CliError("analysis error at %s: %s" % (points[k], error), ANALYSIS_ERROR)
+    values = _index_rows(indices, chains, solved, points)
     if input_error is not None:
         raise input_error
-    series = {name: values.tolist() for name, (values, _) in evaluated.items()}
-    values = [{name: series[name][k] for name in indices} for k in range(len(points))]
     results = []
     if args.per_point:
         # state keys serialize the values, so each point has its own
@@ -304,13 +297,12 @@ def _sweep_batch(args, base_ts, model: ModelFile, indices, points):
 
 
 def cmd_sweep(args) -> int:
-    model, scalars, ranges = _load(args)
+    model, overrides = _load(args)
     indices = _selected_indices(model, args.index)
     if not indices:
         raise CliError("no indices to evaluate: define some in the model or pass --index", INPUT_ERROR)
     if args.per_point and not args.out:
         raise CliError("--per-point writes one file per point and needs --out", INPUT_ERROR)
-    overrides = {**scalars, **ranges}
     try:
         points = model.sweep_points(overrides)
     except ValueError as exc:  # a range the model declares with a step <= 0

@@ -190,11 +190,41 @@ def numbering_str(num: Numbering) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Hashed nodes
+# ---------------------------------------------------------------------------
+
+
+def _node(cls):
+    """Frozen, ordered dataclass whose hash is computed once per instance.
+
+    The hash is the dataclass field hash, so equal trees still hash equal;
+    keeping it on the node lets memo tables keyed by deep trees hash every
+    node once instead of re-walking the subtree on each lookup.  It is left
+    out of the pickled state, because string hashes differ between processes.
+    """
+    cls = dataclass(frozen=True, order=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = field_hash(self)
+        return h
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Activities
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
+@_node
 class Activity:
     """Stochastic or immediate multiaction occurrence.
 
@@ -321,36 +351,6 @@ class Relabeling:
 def apply_relabel(f: Relabeling, step: Iterable[Activity]) -> frozenset:
     """Relabel every activity of a step elementwise; kinds and numberings stay."""
     return frozenset(f.apply_activity(u) for u in step)
-
-
-# ---------------------------------------------------------------------------
-# Expression nodes
-# ---------------------------------------------------------------------------
-
-
-def _node(cls):
-    """Frozen, ordered dataclass whose hash is computed once per instance.
-
-    The hash is the dataclass field hash, so equal trees still hash equal;
-    keeping it on the node lets memo tables keyed by deep trees hash every
-    node once instead of re-walking the subtree on each lookup.  It is left
-    out of the pickled state, because string hashes differ between processes.
-    """
-    cls = dataclass(frozen=True, order=True)(cls)
-    field_hash = cls.__hash__
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = field_hash(self)
-        return h
-
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    return cls
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,10 @@ support, the linear algebra for all points at once, and every check still
 runs at every point.  ``solve_chain`` is the one-point case, and gives the
 bits that a per-matrix computation gives: each row is reduced, and each
 system solved, exactly as it would be on its own.
+
+Performance indices are evaluated the same way: one walk of the index tree
+over a stack of solutions (``evaluate_index_stack``), of which
+``evaluate_index`` is the one-point case.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ __all__ = [
     "solve_chain",
     "solve_stack",
     "trace_prob",
-    "step_probability",
     "reward_probability",
     "evaluate_index",
     "evaluate_index_stack",
@@ -135,6 +138,15 @@ class ChainStack:
     @property
     def size(self) -> int:
         return len(self.keys)
+
+    @staticmethod
+    def of(chain: Chain) -> "ChainStack":
+        """``chain`` as a stack of one point."""
+        arcs, probs = [], []
+        for row in chain.arcs:
+            arcs.append([(arc.label, len(probs) + k, arc.target) for k, arc in enumerate(row)])
+            probs += [arc.prob for arc in row]
+        return ChainStack(chain.keys, chain.tangible, chain.pm[None], arcs, np.array([probs], dtype=float))
 
     def chain(self, p: int, keys: List[str]) -> Chain:
         """The chain at point ``p``, with the state keys given."""
@@ -650,18 +662,6 @@ def trace_prob(chain: Chain, start: int, labels: Sequence[Multiset]) -> float:
     return total
 
 
-def step_probability(chain: Chain, phi: np.ndarray, parts: Multiset) -> float:
-    """Steady-state probability of performing a step containing the given
-    multiset of multiactions."""
-    total = 0.0
-    for i in range(chain.size):
-        if phi[i] == 0.0:
-            continue
-        here = sum(arc.prob for arc in chain.arcs[i] if parts.issubset(arc.label))
-        total += float(phi[i]) * here
-    return float(total)
-
-
 def reward_probability(phi: np.ndarray, rewards: Sequence[float]) -> float:
     if any(not 0.0 <= r <= 1.0 for r in rewards):
         raise ValueError("rewards must lie in [0;1]")
@@ -669,83 +669,72 @@ def reward_probability(phi: np.ndarray, rewards: Sequence[float]) -> float:
 
 
 def evaluate_index(expr, result: SolveResult) -> float:
-    """Evaluate a model-file index expression against a solved chain."""
-    tag = expr[0]
-    if tag == "num":
-        return float(expr[1])
-    if tag == "neg":
-        return -evaluate_index(expr[1], result)
-    if tag == "bin":
-        op, lhs, rhs = expr[1], evaluate_index(expr[2], result), evaluate_index(expr[3], result)
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "/":
-            return lhs / rhs
-        raise ValueError("bad operator %r" % op)
-    if tag == "vec":
-        which, i = expr[1], expr[2] - 1
-        if not 0 <= i < result.chain.size:
-            raise ValueError("state index %d out of range" % (i + 1))
-        vectors = {
-            "phi": result.phi,
-            "psi": result.psi,
-            "psistar": result.psi_star,
-            "sj": result.sojourn.average,
-            "var": result.sojourn.variance,
-        }
-        return float(vectors[which][i])
-    if tag == "steprob":
-        parts = Multiset.from_iterable(expr[1])
-        return step_probability(result.chain, result.phi, parts)
-    raise ValueError("bad index expression %r" % (tag,))
+    """Evaluate a model-file index expression against a solved chain: point 0
+    of ``evaluate_index_stack`` on a one-point view of ``result``.  An index
+    undefined on the solution raises ``ZeroDivisionError`` (a division by
+    zero) or ``ValueError`` (a state the chain does not have)."""
+    chains = ChainStack.of(result.chain)
+    values, errors = _evaluate_index(expr, chains, {name: v[None] for name, v in _index_vectors(result).items()})
+    if errors[0] is not None:
+        raise errors[0]
+    return float(values[0])
 
 
-def evaluate_index_stack(expr, chains: ChainStack, solved: StackResult) -> Tuple[np.ndarray, List[Optional[str]]]:
+def evaluate_index_stack(expr, chains: ChainStack, solved: StackResult) -> Tuple[np.ndarray, List[Optional[Exception]]]:
     """``evaluate_index`` at every point of a stack: the values, and at each
-    point the message of the error ``evaluate_index`` raises there (a
-    division by zero, a missing state), or None."""
-    messages: List[str] = []
+    point the error ``evaluate_index`` raises there, or None."""
+    return _evaluate_index(expr, chains, _index_vectors(solved))
+
+
+def _index_vectors(solved) -> Dict[str, np.ndarray]:
+    """The state vectors of a ``SolveResult`` or a ``StackResult``, by the
+    names an index reads them by."""
+    return {"phi": solved.phi, "psi": solved.psi, "psistar": solved.psi_star,
+            "sj": solved.sojourn.average, "var": solved.sojourn.variance}
+
+
+def _evaluate_index(expr, chains: ChainStack, vectors: Dict[str, np.ndarray]):
+    """Values and errors at every point, from ``(points, n)`` state vectors
+    and the step arcs of ``chains``."""
+    errors: List[Exception] = []
     # inf * 0, inf - inf and x / 0 give nan or inf, as Python floats do,
     # without a numpy warning (points past a failure are evaluated too)
     with np.errstate(all="ignore"):
-        values, failure = _evaluate_stack(expr, chains, solved, messages)
-    return values, [messages[c - 1] if c else None for c in failure.tolist()]
+        values, failure = _evaluate_stack(expr, chains, vectors, errors)
+    return values, [errors[c - 1] if c else None for c in failure.tolist()]
 
 
 def _zero_division_message() -> str:
-    """The message of the ``ZeroDivisionError`` that ``evaluate_index``
-    raises (Python's own, which differs between versions)."""
+    """The message of the ``ZeroDivisionError`` that Python's float division
+    raises (it differs between versions)."""
     try:
         return str(1.0 / 0.0)
     except ZeroDivisionError as exc:
         return str(exc)
 
 
-def _evaluate_stack(expr, chains: ChainStack, solved: StackResult,
-                    messages: List[str]) -> Tuple[np.ndarray, np.ndarray]:
-    """Values and failure codes (0: defined, k: ``messages[k - 1]``); a
-    point keeps the first failure in ``evaluate_index``'s order."""
+def _evaluate_stack(expr, chains: ChainStack, vectors: Dict[str, np.ndarray],
+                    errors: List[Exception]) -> Tuple[np.ndarray, np.ndarray]:
+    """Values and failure codes (0: defined, k: ``errors[k - 1]``); a point
+    keeps the first failure in the order Python evaluates the expression,
+    left operand before right."""
     points = chains.pm.shape[0]
     defined = np.zeros(points, dtype=np.intp)
 
-    def failing(message: str) -> int:
-        messages.append(message)
-        return len(messages)
+    def failing(error: Exception) -> int:
+        errors.append(error)
+        return len(errors)
 
     tag = expr[0]
     if tag == "num":
         return np.full(points, float(expr[1])), defined
     if tag == "neg":
-        values, failure = _evaluate_stack(expr[1], chains, solved, messages)
+        values, failure = _evaluate_stack(expr[1], chains, vectors, errors)
         return -values, failure
     if tag == "bin":
         op = expr[1]
-        lhs, lhs_failure = _evaluate_stack(expr[2], chains, solved, messages)
-        rhs, rhs_failure = _evaluate_stack(expr[3], chains, solved, messages)
+        lhs, lhs_failure = _evaluate_stack(expr[2], chains, vectors, errors)
+        rhs, rhs_failure = _evaluate_stack(expr[3], chains, vectors, errors)
         failure = np.where(lhs_failure != 0, lhs_failure, rhs_failure)
         if op == "+":
             return lhs + rhs, failure
@@ -756,20 +745,13 @@ def _evaluate_stack(expr, chains: ChainStack, solved: StackResult,
         if op == "/":
             by_zero = (rhs == 0.0) & (failure == 0)
             if by_zero.any():
-                failure = np.where(by_zero, failing(_zero_division_message()), failure)
+                failure = np.where(by_zero, failing(ZeroDivisionError(_zero_division_message())), failure)
             return lhs / rhs, failure
         raise ValueError("bad operator %r" % op)
     if tag == "vec":
         which, i = expr[1], expr[2] - 1
         if not 0 <= i < chains.size:
-            return np.zeros(points), np.full(points, failing("state index %d out of range" % (i + 1)))
-        vectors = {
-            "phi": solved.phi,
-            "psi": solved.psi,
-            "psistar": solved.psi_star,
-            "sj": solved.sojourn.average,
-            "var": solved.sojourn.variance,
-        }
+            return np.zeros(points), np.full(points, failing(ValueError("state index %d out of range" % (i + 1))))
         return vectors[which][:, i], defined
     if tag == "steprob":
         parts = Multiset.from_iterable(expr[1])
@@ -779,7 +761,7 @@ def _evaluate_stack(expr, chains: ChainStack, solved: StackResult,
             for label, k, _ in arcs:
                 if parts.issubset(label):
                     here = here + chains.arc_probs[:, k]
-            phi = solved.phi[:, i]
+            phi = vectors["phi"][:, i]
             total = total + np.where(phi == 0.0, 0.0, phi * here)
         return total, defined
     raise ValueError("bad index expression %r" % (tag,))

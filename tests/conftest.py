@@ -183,6 +183,16 @@ def random_regular_text(
 # ---------------------------------------------------------------------------
 
 
+# index lines over the nine states of shared_memory_abstract that use every
+# vector, every operator, unary minus and multi-part steps
+INDEX_FORMS = [
+    "index mixed = psi[2] - psistar[5] + psi[9] / psistar[2]",
+    "index sojourn = sj[2] * var[3] + var[1] - sj[4] / sj[6]",
+    "index steps = steprob[{r}] + steprob[{r},{r}] * 3 - steprob[{d}] / steprob[{m}]",
+    "index negated = -(phi[2] - -phi[3])",
+]
+
+
 def shm_text(n: int, abstract: bool = True) -> str:
     """Model text of the shared-memory system with ``n`` processors.
 

@@ -13,6 +13,8 @@ Each re-derives the slow, plain way what the program computes fast:
   computes on stacks of matrices;
 * by one product per step in set order, the step probabilities that the
   program compiles into index arrays (``opsem.Readiness``);
+* by Python float arithmetic, one index and one solution at a time, the
+  index values that the program evaluates over a stack of solutions;
 * by instantiating, reweighting and solving one grid point after another,
   what the sweep computes for the whole grid at once.
 """
@@ -54,7 +56,6 @@ from dtsipbc.markov import (
     SojournStats,
     SolveResult,
     StationaryResult,
-    evaluate_index,
 )
 from dtsipbc.netsem import DtsiBox, NetTransition, StructureReport, enabled, fire, marking_key
 from dtsipbc.opsem import (
@@ -747,6 +748,61 @@ def solve_chain(chain: Chain, cross_check_tol: float = 1e-10) -> SolveResult:
     if np.max(np.abs(phi - phi_b)) > cross_check_tol:
         raise AnalysisError("steady-state routes disagree by %.2e" % float(np.max(np.abs(phi - phi_b))))
     return SolveResult(chain, stats, p_full, p_emb, full.pmf, emb.pmf, phi, comp, emb.periodic, full.periodic)
+
+
+# ---------------------------------------------------------------------------
+# Performance indices
+# ---------------------------------------------------------------------------
+
+
+def step_probability(chain: Chain, phi: np.ndarray, parts: Multiset) -> float:
+    """Steady-state probability of performing a step containing the given
+    multiset of multiactions."""
+    total = 0.0
+    for i in range(chain.size):
+        if phi[i] == 0.0:
+            continue
+        here = sum(arc.prob for arc in chain.arcs[i] if parts.issubset(arc.label))
+        total += float(phi[i]) * here
+    return float(total)
+
+
+def evaluate_index(expr, result: SolveResult) -> float:
+    """A model-file index expression on one solution, walked in Python
+    floats: a division by zero raises ``ZeroDivisionError``, a state the
+    chain does not have ``ValueError``."""
+    tag = expr[0]
+    if tag == "num":
+        return float(expr[1])
+    if tag == "neg":
+        return -evaluate_index(expr[1], result)
+    if tag == "bin":
+        op, lhs, rhs = expr[1], evaluate_index(expr[2], result), evaluate_index(expr[3], result)
+        if op == "+":
+            return lhs + rhs
+        if op == "-":
+            return lhs - rhs
+        if op == "*":
+            return lhs * rhs
+        if op == "/":
+            return lhs / rhs
+        raise ValueError("bad operator %r" % op)
+    if tag == "vec":
+        which, i = expr[1], expr[2] - 1
+        if not 0 <= i < result.chain.size:
+            raise ValueError("state index %d out of range" % (i + 1))
+        vectors = {
+            "phi": result.phi,
+            "psi": result.psi,
+            "psistar": result.psi_star,
+            "sj": result.sojourn.average,
+            "var": result.sojourn.variance,
+        }
+        return float(vectors[which][i])
+    if tag == "steprob":
+        parts = Multiset.from_iterable(expr[1])
+        return step_probability(result.chain, result.phi, parts)
+    raise ValueError("bad index expression %r" % (tag,))
 
 
 # ---------------------------------------------------------------------------

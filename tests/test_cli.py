@@ -291,6 +291,16 @@ class TestInputValidation:
         assert code == 0, err
         self.assert_refused(capsys, "checkeq", str(path), "--param", "p=0.5", "--param", "r=0.5")
 
+    @pytest.mark.parametrize("command", ["ts", "box", "rg", "checkiso", "solve", "quotient", "checkeq"])
+    def test_range_outside_sweep(self, capsys, tmp_path, command):
+        # only sweep evaluates a grid; another command would run at the
+        # model's own value of rho
+        path = tmp_path / "looping.dtsi"
+        body = "[({a},rho) * ({b},rho) * Stop]"
+        path.write_text("param rho = 0.5\nroot = %s\npeer = %s\n" % (body, body))
+        code, _, err = run(capsys, command, str(path), "--param", "rho=0.1:0.9:0.1")
+        assert (code, err) == (2, "error: --param rho is a range; ranges belong to sweep\n")
+
     def test_per_point_needs_out(self, capsys):
         self.assert_refused(capsys, "sweep", "shared_memory_abstract", "--param", "rho=0.3:0.5:0.1", "--per-point")
 

@@ -193,10 +193,17 @@ class TestNodeHash:
         # string hashes differ between processes, so an unpickled node must
         # compute its hash afresh
         g = parse_dynamic("~((({a},0.5);({b},0.5))||({c},0.5))")
-        h = hash(g)
-        copy = pickle.loads(pickle.dumps(g))
-        assert "_hash" not in copy.__dict__
-        assert copy == g and hash(copy) == h
+        u = Activity.make(ms("a", "b^"), False, 0.5, 3)
+        for node in (g, u):
+            h = hash(node)
+            assert node.__dict__["_hash"] == h
+            copy = pickle.loads(pickle.dumps(node))
+            assert "_hash" not in copy.__dict__
+            assert copy == node and hash(copy) == h
+        # the numbering stays out of equality, hashing and ordering
+        renumbered = dataclasses.replace(u, num=7)
+        assert renumbered == u and hash(renumbered) == hash(u)
+        assert not renumbered < u and not u < renumbered
 
 
 class TestNodeKinds:

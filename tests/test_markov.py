@@ -20,16 +20,15 @@ from dtsipbc.markov import (
     sojourn_stats,
     solve_chain,
     steady_state,
-    step_probability,
     trace_prob,
     transient,
 )
-from dtsipbc.models import load_model
+from dtsipbc.models import bundled_model_names, load_model, model_text
 from dtsipbc.netsem import box_of, build_rg
 from dtsipbc.opsem import build_ts, step_label
 from dtsipbc.parser import parse_model, parse_static
 
-from conftest import bundled_roots, fast_ts, make_rng, shared_memory_order, shm_text, ts_of
+from conftest import INDEX_FORMS, bundled_roots, fast_ts, make_rng, shared_memory_order, shm_text, ts_of
 
 ERGODIC_MODELS = ("ts_example", "qts_f", "shared_memory", "shared_memory_abstract")
 ABSORBING_MODELS = ("choice_stoch", "choice_imm", "sync_pair")
@@ -381,7 +380,9 @@ class TestTracesAndIndices:
     def test_step_probability_direct(self):
         result = solve_chain(chain_of("choice_imm"))
         # absorbing final state never performs an a-step
-        assert step_probability(result.chain, result.phi, Multiset.of(Multiset.of(Action("a")))) == 0.0
+        a_step = Multiset.of(Action("a"))
+        assert evaluate_index(("steprob", (a_step,)), result) == 0.0
+        assert oracles.step_probability(result.chain, result.phi, Multiset.of(a_step)) == 0.0
 
     def test_index_arithmetic(self):
         result = solve_chain(chain_of("ts_example"))
@@ -389,3 +390,49 @@ class TestTracesAndIndices:
         assert evaluate_index(expr, result) == pytest.approx(5.0)
         with pytest.raises(ValueError):
             evaluate_index(("vec", "phi", 99), result)
+
+
+def index_cases():
+    """(label, model text, parameter point) of every model with indices."""
+    for name in bundled_model_names():
+        if load_model(name).indices:
+            yield name, model_text(name), {}
+    for abstract in (True, False):
+        request = "r" if abstract else "r1"
+        yield "shm3-%s" % ("abstract" if abstract else "concrete"), shm_text(3, abstract) + (
+            "index mix = phi[2] / sj[2] + steprob[{%s}] - psi[4] * psistar[3] + var[1]\n" % request), {}
+    for rho in (0.01, 0.5, 0.99):
+        yield "forms-%s" % rho, model_text("shared_memory_abstract") + "\n".join(INDEX_FORMS) + "\n", {"rho": rho}
+    # an absorbing tangible state: infinite sojourns, and nan values
+    yield "absorbing", model_text("choice_stoch") + "index z = sj[1] * phi[2] + sj[2] * phi[1]\n", {}
+
+
+class TestOneIndexEvaluator:
+    """``evaluate_index`` walks a one-point stack; ``oracles.evaluate_index``
+    walks the tree in Python floats.  On the same solution they give the
+    same bits, and fail with the same error."""
+
+    @staticmethod
+    def solved(text, **params):
+        model = parse_model(text)
+        return model, solve_chain(Chain.from_ts(build_ts(model.instantiate(params or None))))
+
+    @pytest.mark.parametrize("text, params", [pytest.param(text, params, id=label)
+                                              for label, text, params in index_cases()])
+    def test_values_are_the_scalar_walks(self, text, params):
+        model, result = self.solved(text, **params)
+        for name, expr in model.indices.items():
+            got, want = evaluate_index(expr, result), oracles.evaluate_index(expr, result)
+            assert type(got) is float
+            assert got == want or (math.isnan(got) and math.isnan(want)), (name, got, want)
+
+    @pytest.mark.parametrize("index", ["1 / phi[1]", "phi[70]", "phi[2] / (phi[70] + 1)",
+                                       "phi[3] + 1 / (phi[2] - phi[2])"])
+    def test_failures_are_the_scalar_walks(self, index):
+        # state 1 of shared_memory is transient (phi[1] = 0); it has 9 states
+        model, result = self.solved(model_text("shared_memory") + "index z = %s\n" % index)
+        with pytest.raises((ZeroDivisionError, ValueError)) as want:
+            oracles.evaluate_index(model.indices["z"], result)
+        with pytest.raises((ZeroDivisionError, ValueError)) as got:
+            evaluate_index(model.indices["z"], result)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)

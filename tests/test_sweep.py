@@ -24,7 +24,7 @@ from dtsipbc.netsem import box_of, build_rg
 from dtsipbc.opsem import build_ts, leaf_values_of
 from dtsipbc.parser import parse_model, parse_static
 
-from conftest import make_rng, random_regular_text, shm_text
+from conftest import INDEX_FORMS, make_rng, random_regular_text, shm_text
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -75,12 +75,7 @@ class TestAgainstPerPoint:
         assert_agree(rows, points, want, ["l", "rho"])
 
     def test_every_index_form(self, capsys, tmp_path):
-        text = model_text("shared_memory_abstract") + "\n".join([
-            "index mixed = psi[2] - psistar[5] + psi[9] / psistar[2]",
-            "index sojourn = sj[2] * var[3] + var[1] - sj[4] / sj[6]",
-            "index steps = steprob[{r}] + steprob[{r},{r}] * 3 - steprob[{d}] / steprob[{m}]",
-            "index negated = -(phi[2] - -phi[3])",
-        ]) + "\n"
+        text = model_text("shared_memory_abstract") + "\n".join(INDEX_FORMS) + "\n"
         path = tmp_path / "indices.dtsi"
         path.write_text(text)
         code, _, rows = cli_sweep(capsys, tmp_path, path, "rho=0.01:0.99:0.07", "l=0.5:2:0.5")
