@@ -59,6 +59,11 @@ def _load(args) -> Tuple[ModelFile, Dict[str, object]]:
         model = load_model(args.model)
     except FileNotFoundError as exc:
         raise CliError(str(exc), INPUT_ERROR)
+    except OSError as exc:  # a directory, or a file that cannot be read
+        raise CliError("cannot read model %s: %s" % (args.model, exc.strerror or exc), INPUT_ERROR)
+    except UnicodeDecodeError as exc:
+        raise CliError("cannot read model %s: not UTF-8 text (%s at byte %d)" % (args.model, exc.reason, exc.start),
+                       INPUT_ERROR)
     except ParseError as exc:
         raise CliError("parse error: %s" % exc, INPUT_ERROR)
     known = model.parameter_names()
@@ -111,13 +116,21 @@ def _index_rows(indices: Dict[str, tuple], chains: ChainStack, solved: StackResu
 
 def _emit(args, filename: str, text: str) -> None:
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        target = out_dir / filename
-        target.write_text(text, encoding="utf-8")
+        target = Path(args.out) / filename
+        _write(target, text)
         print("wrote %s" % target)
     else:
         sys.stdout.write(text)
+
+
+def _write(target: Path, text: str) -> None:
+    """Write a file under ``--out``, making its directory; a path that
+    cannot be written is an input error."""
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError("cannot write %s: %s" % (target, exc.strerror or exc), INPUT_ERROR)
 
 
 def _selected_indices(model: ModelFile, names: Optional[List[str]]) -> Dict[str, tuple]:
@@ -327,12 +340,8 @@ def cmd_sweep(args) -> int:
     text = export.sweep_csv(swept, sorted(indices), rows, header_note=note)
     _emit(args, "sweep.csv", text)
 
-    if results:
-        points_dir = Path(args.out) / "points"
-        points_dir.mkdir(parents=True, exist_ok=True)
-        for k, result in enumerate(results):
-            name = "point_%05d.csv" % (k + 1)
-            (points_dir / name).write_text(export.states_csv(result), encoding="utf-8")
+    for k, result in enumerate(results):
+        _write(Path(args.out) / "points" / ("point_%05d.csv" % (k + 1)), export.states_csv(result))
 
     grid = [tuple(row[p] for p in swept) for row in rows]
     for name in sorted(indices):

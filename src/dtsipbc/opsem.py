@@ -2,15 +2,18 @@
 
 States are structural-equivalence classes of barred expressions: the closure
 of a term under the bar-moving rules, which are written once, as one table
-of port groups (``_PORT_GROUPS``), and read forwards and backwards.  A state
-is represented by its operative members (those no forward rule rewrites),
-which the derivation rules start from.  They are computed from the classes
-of the subterms, never by enumerating the class: equivalent expressions
-denote the same marking of the box, so the class of a parallel composition
-is the product of its components' classes, and the class of any other node
-joins the classes of its dynamic argument that the same table links
-(``Engine._summary``).  ``Engine.closure`` still enumerates whole classes;
-it is the reference the tests check the summaries against.
+of port groups (``_PORT_GROUPS``), and read forwards and backwards.
+Equivalent expressions denote the same marking of the box, so a class is
+interned as a tree of class ids (``Engine``): the class of a parallel
+composition is the pair of its components' classes, the class of any other
+node is the set of classes of its dynamic argument that the same table
+links, and a barred activity is a leaf.  Steps are derived per class, from
+the steps of the component classes, and lead to class ids.  A state's key
+is the least serialization of its operative members (those no forward rule
+rewrites), composed from the components' least ones; the members
+themselves are enumerated only on demand (``State.members``).
+``Engine.closure`` still enumerates whole classes by rewriting; it is the
+reference the tests check the tree against.
 
 A step is a set of activities executed in one clock tick (stochastic) or
 instantaneously (immediate).  Immediate steps pre-empt stochastic ones, which
@@ -29,9 +32,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import abc
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,9 +53,12 @@ from .expr import (
     DynamicExpr,
     Multiset,
     Over,
+    Par,
+    Rel,
+    Rst,
     StaticExpr,
+    Syn,
     Under,
-    _KINDS,
     _attributes,
     _children,
     _kind,
@@ -59,9 +66,8 @@ from .expr import (
     apply_relabel,
     is_regular,
     sync_activities,
-    underlying,
 )
-from .parser import serialize
+from .parser import binding_level, compose, serialize
 
 __all__ = [
     "SemanticsError",
@@ -458,35 +464,96 @@ def _folded(factors: np.ndarray, index: np.ndarray, op) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The derivation engine
+# The class tree
 # ---------------------------------------------------------------------------
 
 
-# operative members of a class, whether it holds Over(e), whether it holds Under(e)
-Summary = Tuple[FrozenSet[DynamicExpr], bool, bool]
+_BAR_LEVEL = binding_level(Under)
+
+# The target of a step, built on demand: a class id, a pair (left, right) of
+# targets (the parallel class of the two), or (skeleton, k, target) (the
+# class of the skeleton's barred kind with the target at argument k).
+Target = Union[int, tuple]
+
+# the target class of a step whose derivations reach two classes
+_CONFLICT = -1
+
+
+class _Class:
+    """One interned structural-equivalence class.
+
+    ``shape`` says how its operative members are made:
+
+    * ``(Act,)``: ``Over(skel)`` of an activity, or no member but the final
+      one;
+    * ``(DPar, left, right)``: ``DPar(x, y)`` for every member ``x`` of the
+      class ``left`` and ``y`` of ``right``, except pairs of two underbarred
+      terms, which rewrite to ``Under(skel)``;
+    * ``(kind, ports)``: a node with one dynamic argument, rebuilt around
+      every member of the argument class ``c`` at each port ``(k, c)`` that is
+      not underbarred there (that one rewrites at the node's root), the
+      other arguments being the skeleton's.
+
+    A final class has ``Under(skel)`` as one more operative member.  ``count``
+    is the number of the others, and ``least`` the one among them with the
+    least serialization, as (text, member); its text binds at ``level``.
+    ``steps`` is filled on first use.
+    """
+
+    __slots__ = ("skel", "initial", "final", "count", "least", "level", "shape", "steps", "under")
+
+    def __init__(self, skel: StaticExpr, initial: bool, final: bool, count: int,
+                 least: Optional[Tuple[str, DynamicExpr]], level: int, shape: tuple):
+        self.skel = skel
+        self.initial = initial
+        self.final = final
+        self.count = count
+        self.least = least
+        self.level = level
+        self.shape = shape
+        self.steps: Optional[Dict[Step, Target]] = None
+        self.under: Optional[str] = None  # the text of Under(skel), on first use
 
 
 class Engine:
-    """Caches class summaries and step derivations.
+    """Interns structural-equivalence classes as a tree of class ids and
+    derives the steps of whole classes.
 
-    A state's operative members are computed from the classes of its
-    subterms (see ``_summary``); ``closure`` still enumerates a whole class
-    and is kept as the reference the tests compare against.
+    Equivalent dynamic expressions denote the same marking of the box, so a
+    class splits along the term structure.  The class of a parallel
+    composition is the pair of its components' class ids.  The class of a
+    node with one dynamic argument is the set of argument classes, each at
+    its argument position, that the node's bar-moving rules link (the
+    ports of ``_PORT_GROUPS``).  The class of a barred activity is a leaf.
+    No class is enumerated to build it: a class keeps its flags, the number
+    of its operative members (those no forward rule rewrites) and the least
+    serialization among them, composed from its components' least ones.
+    The members themselves are enumerated only on demand (``members``).
+    ``closure`` still enumerates a whole class by rewriting; it is the
+    reference the tests check the tree against.
 
-    The derivation rules are applied without their stochastic guards; the
-    pre-emption of stochastic steps by immediate ones is enforced once per
-    equivalence class, after restriction has filtered the derived steps.
-    Evaluating the priority on the class (instead of on subterms) is what
-    makes it agree with the net semantics, where restricted immediate
-    transitions do not exist and therefore cannot pre-empt anything.
+    The steps of a class are the union of its members' derivations, and
+    derive from its components' steps: the steps of a parallel class are
+    the left class's, the right class's and the union of every pair of one
+    of each of the same kind (immediate or stochastic), and a node with one
+    dynamic argument maps its argument classes' steps through ``_STEP_MAPS``.
+    A step's target is a class id.  The derivation rules are applied
+    without their stochastic guards; the pre-emption of stochastic steps by
+    immediate ones is enforced once per state's class, after restriction
+    has filtered the derived steps (``steps``).  Evaluating the priority on
+    the class (instead of on subterms) is what makes it agree with the net
+    semantics, where restricted immediate transitions do not exist and
+    therefore cannot pre-empt anything.
     """
 
     def __init__(self, closure_limit: int = 10**6):
         self.closure_limit = closure_limit
         self._closures: Dict[DynamicExpr, FrozenSet[DynamicExpr]] = {}
-        self._summaries: Dict[DynamicExpr, Summary] = {}
-        self._operative: Dict[FrozenSet[DynamicExpr], Tuple[DynamicExpr, ...]] = {}
-        self._derived: Dict[DynamicExpr, Tuple[Tuple[Step, DynamicExpr], ...]] = {}
+        self._classes: List[_Class] = []
+        self._bar_ids: Dict[DynamicExpr, int] = {}  # Over(e) or Under(e) -> class id
+        self._pair_ids: Dict[Tuple[int, int], int] = {}  # component class ids -> class id
+        self._port_ids: Dict[Tuple[StaticExpr, int, int], int] = {}  # (skeleton, k, argument class id) -> class id
+        self._step_actions: Dict[Step, FrozenSet[Action]] = {}
 
     # -- structural equivalence --------------------------------------------
 
@@ -510,192 +577,313 @@ class Engine:
             self._closures[member] = result
         return result
 
-    def operatives(self, g: DynamicExpr) -> Tuple[DynamicExpr, ...]:
-        """Members of the class of ``g`` that no forward rule rewrites, in
-        serialization order."""
-        ops = self._summary(g)[0]
-        cached = self._operative.get(ops)
-        if cached is None:
-            cached = self._operative[ops] = tuple(sorted(ops, key=serialize))
-        return cached
+    def class_of(self, g: DynamicExpr) -> int:
+        """The id of the class of ``g``."""
+        if isinstance(g, (Over, Under)):
+            cid = self._bar_ids.get(g)
+            if cid is None:
+                if isinstance(g.expr, Act):
+                    over = isinstance(g, Over)
+                    cid = self._add(_Class(g.expr, over, not over, int(over), (serialize(g), g) if over else None,
+                                           _BAR_LEVEL, (Act,)))
+                else:
+                    # one root rule away from a compound node of the same class
+                    cid = self.class_of((_forward_root if isinstance(g, Over) else _backward_root)(g)[0])
+                self._bar_ids[g] = cid
+            return cid
+        if isinstance(g, DPar):
+            return self._pair(self.class_of(g.left), self.class_of(g.right))
+        args = _children(g)
+        at = next(k for k, x in enumerate(args) if isinstance(x, DynamicExpr))
+        arg = self.class_of(args[at])
+        args[at] = self._classes[arg].skel
+        return self._port(_rebuild(g, args, _kind(g).counterpart), at, arg)
 
     def is_initial(self, g: DynamicExpr) -> bool:
-        return Over(underlying(g)) in self.closure(g)
+        return self._classes[self.class_of(g)].initial
 
     def is_final(self, g: DynamicExpr) -> bool:
-        return Under(underlying(g)) in self.closure(g)
+        return self._classes[self.class_of(g)].final
 
-    def _summary(self, g: DynamicExpr) -> Summary:
-        """Operatives and initial/final flags of the class of ``g``, from the
-        classes of its subterms.
+    def key(self, cid: int) -> str:
+        """The least serialization of an operative member of the class."""
+        return self._first(cid)[0]
 
-        Equivalent dynamic expressions denote the same marking of the box, so
-        a class splits along the term structure: a parallel class is the
-        product of its components' classes, and the class of a node with one
-        dynamic argument joins the argument classes its root rules link.
-        """
-        cached = self._summaries.get(g)
-        if cached is not None:
-            return cached
-        if isinstance(g, (Over, Under)):
-            if isinstance(g.expr, Act):
-                result = (frozenset((g,)), isinstance(g, Over), isinstance(g, Under))
-            else:
-                # one root rule away from a compound node of the same class
-                root_rule = _forward_root if isinstance(g, Over) else _backward_root
-                result = self._summary(root_rule(g)[0])
-        elif isinstance(g, DPar):
-            left_ops, left_initial, left_final = self._summary(g.left)
-            right_ops, right_initial, right_final = self._summary(g.right)
-            ops = {
-                DPar(x, y)
-                for x in left_ops
-                for y in right_ops
-                if not (isinstance(x, Under) and isinstance(y, Under))
-            }
-            final = left_final and right_final
-            if final:
-                ops.add(Under(underlying(g)))
-            result = (frozenset(ops), left_initial and right_initial, final)
-        else:
-            result = self._linked(g)
-        self._summaries[g] = result
-        return result
+    def members(self, cid: int) -> "Members":
+        """The operative members of the class, in serialization order."""
+        return Members(self, cid)
 
-    def _linked(self, g: DynamicExpr) -> Summary:
-        """Summary of a node with one dynamic argument: a fixed point over the
-        argument classes that the node's links reach from the one in ``g``."""
-        kind, group_of = type(g), _GROUP_OF[type(g)]
-        args, attributes = _children(g), _attributes(g)
-        at = next(k for k, x in enumerate(args) if isinstance(x, DynamicExpr))
-        static: Optional[List[object]] = None  # args with the skeleton at ``at``
-        ops = set()
+    def _add(self, c: _Class) -> int:
+        self._classes.append(c)
+        return len(self._classes) - 1
+
+    def _pair(self, left: int, right: int) -> int:
+        """The class of ``DPar(x, y)`` for ``x`` of class ``left`` and ``y``
+        of class ``right``."""
+        cid = self._pair_ids.get((left, right))
+        if cid is None:
+            lc, rc = self._classes[left], self._classes[right]
+            # serializations are balanced, so none is a proper prefix of
+            # another, and the members of a class that are not underbarred
+            # print at one binding level: the least pair joins the least
+            # left text with the least right text allowed beside it, and the
+            # candidates on a side are its least member that is not
+            # underbarred and Under(skel)
+            best = min(((compose(DPar, [(tx, lx), (ty, ly)]), x, y)
+                        for tx, lx, x in self._sides(lc) for ty, ly, y in self._sides(rc)
+                        if not (isinstance(x, Under) and isinstance(y, Under))),
+                       key=itemgetter(0), default=None)
+            count = lc.count * rc.count + lc.count * rc.final + lc.final * rc.count
+            cid = self._pair_ids[left, right] = self._add(_Class(
+                Par(lc.skel, rc.skel), lc.initial and rc.initial, lc.final and rc.final, count,
+                None if best is None else (best[0], DPar(best[1], best[2])), binding_level(DPar), (DPar, left, right)))
+        return cid
+
+    def _sides(self, c: _Class) -> List[Tuple[str, int, DynamicExpr]]:
+        """The candidates for the least member of a pair on one side: the
+        least member that is not underbarred and ``Under(skel)``, each as
+        (text, level, member)."""
+        out = [(c.least[0], c.level, c.least[1])] if c.count else []
+        if c.final:
+            out.append((self._under_text(c), _BAR_LEVEL, Under(c.skel)))
+        return out
+
+    def _port(self, skel: StaticExpr, at: int, arg: int) -> int:
+        """The class of the barred counterpart of ``skel`` with a member of
+        class ``arg`` at argument ``at``: a fixed point over the argument
+        classes that the node's port groups link to that one."""
+        cid = self._port_ids.get((skel, at, arg))
+        if cid is not None:
+            return cid
+        kind = _kind(skel).counterpart
+        group_of = _GROUP_OF[kind]
+        static = _children(skel)
+        ports: List[Tuple[int, int]] = []
         whole = set()
         active = set()
-        todo = [(at, args[at])]
+        todo = [(at, arg)]
         seen = set(todo)
         while todo:
-            k, child = todo.pop()
-            child_ops, initial, final = self._summary(child)
-            around = args if k == at else static
-            for x in child_ops:
-                # Under(child) would rewrite forward at this node's root
-                if not isinstance(x, Under):
-                    ops.add(kind(*around[:k], x, *around[k + 1:], *attributes))
-            for bar, reached in ((Over, initial), (Under, final)):
+            k, c = todo.pop()
+            ports.append((k, c))
+            child = self._classes[c]
+            for bar, reached in ((Over, child.initial), (Under, child.final)):
                 group = group_of[(k, bar)]
                 if not reached or group in active:
                     continue
                 active.add(group)
-                if static is None:
-                    static = list(args)
-                    static[at] = underlying(args[at])
                 for j, end in group:
                     if j is None:
                         whole.add(end)
                         continue
-                    port = (j, end(static[j]))
+                    port = (j, self.class_of(end(static[j])))
                     if port not in seen:
                         seen.add(port)
                         todo.append(port)
-        if Under in whole:
-            ops.add(Under(underlying(g)))
-        return frozenset(ops), Over in whole, Under in whole
+        attributes = _attributes(skel)
+        # the texts of the arguments that stay static beside a port; a node
+        # with one argument has none (printing its skeleton at every level
+        # of a deep chain of wrappers would cost more than the rest)
+        texts = [(serialize(x), binding_level(type(x))) for x in static] if len(static) > 1 else [None]
+        count = 0
+        best = None
+        for k, c in ports:
+            child = self._classes[c]
+            count += child.count
+            if child.count:
+                text = compose(kind, texts[:k] + [(child.least[0], child.level)] + texts[k + 1:], attributes)
+                if best is None or text < best[0]:
+                    best = (text, k, child.least[1])
+        least = None
+        if best is not None:
+            text, k, x = best
+            least = (text, kind(*static[:k], x, *static[k + 1:], *attributes))
+        cid = self._add(_Class(skel, Over in whole, Under in whole, count, least, binding_level(kind), (kind, tuple(ports))))
+        for k, c in ports:
+            self._port_ids[(skel, k, c)] = cid
+        return cid
+
+    def _under_text(self, c: _Class) -> str:
+        if c.under is None:
+            c.under = serialize(Under(c.skel))
+        return c.under
+
+    def _first(self, cid: int) -> Tuple[str, DynamicExpr]:
+        """The operative member with the least serialization, and that text."""
+        c = self._classes[cid]
+        if c.final and (c.least is None or self._under_text(c) < c.least[0]):
+            return self._under_text(c), Under(c.skel)
+        return c.least
+
+    def _size(self, cid: int) -> int:
+        c = self._classes[cid]
+        return c.count + c.final
+
+    def _operatives(self, cid: int) -> List[DynamicExpr]:
+        """Every operative member of the class, enumerated."""
+        c = self._classes[cid]
+        out = self._proper(cid)
+        if c.final:
+            out.append(Under(c.skel))
+        return out
+
+    def _proper(self, cid: int) -> List[DynamicExpr]:
+        """The operative members of the class that are not ``Under(skel)``."""
+        c = self._classes[cid]
+        shape = c.shape
+        if shape[0] is Act:
+            return [c.least[1]] if c.count else []
+        if shape[0] is DPar:
+            return [DPar(x, y) for x in self._operatives(shape[1]) for y in self._operatives(shape[2])
+                    if not (isinstance(x, Under) and isinstance(y, Under))]
+        kind, ports = shape
+        static, attributes = _children(c.skel), _attributes(c.skel)
+        return [kind(*static[:k], x, *static[k + 1:], *attributes) for k, a in ports for x in self._proper(a)]
 
     # -- step derivation ------------------------------------------------------
 
-    def derive(self, h: DynamicExpr) -> Tuple[Tuple[Step, DynamicExpr], ...]:
-        """All non-empty steps derivable from one operative expression."""
-        cached = self._derived.get(h)
-        if cached is not None:
-            return cached
-        result = tuple(sorted(self._derive(h).items(), key=lambda kv: step_key(kv[0])))
-        self._derived[h] = result
-        return result
+    def steps(self, cid: int) -> Tuple[List[Tuple[Tuple[Activity, ...], Step, int]], bool]:
+        """The executable steps of the class in step-key order, as (step key,
+        step, target class id), and whether the class is tangible: if any
+        immediate step is derivable, only immediate steps are executable.
+        The target is ``_CONFLICT`` where a step reaches two classes."""
+        steps = self._steps(cid)
+        tangible = not any(is_immediate_step(s) for s in steps)
+        if not tangible:
+            steps = {s: t for s, t in steps.items() if is_immediate_step(s)}
+        return sorted(((step_key(s), s, self._resolve(t)) for s, t in steps.items()), key=itemgetter(0)), tangible
 
-    def class_steps(self, members: Iterable[DynamicExpr]) -> Dict[Step, DynamicExpr]:
-        """Executable steps of a whole equivalence class, priority applied."""
-        merged: Dict[Step, DynamicExpr] = {}
-        for h in members:
-            for step, tgt in self.derive(h):
-                merged.setdefault(step, tgt)
-        if any(is_immediate_step(s) for s in merged):
-            merged = {s: t for s, t in merged.items() if is_immediate_step(s)}
-        return merged
+    def _steps(self, cid: int) -> Dict[Step, Target]:
+        """Every step of a member of the class with its target, priority not
+        applied.  Targets are built lazily (``Target``): most steps of a
+        component are dropped by a restriction or by priority further up,
+        and their targets are never interned."""
+        c = self._classes[cid]
+        if c.steps is not None:
+            return c.steps
+        out: Dict[Step, Target] = {}
 
-    def _derive(self, h: DynamicExpr) -> Dict[Step, DynamicExpr]:
-        out: Dict[Step, DynamicExpr] = {}
+        def put(step: Step, target: Target) -> None:
+            old = out.setdefault(step, target)
+            if old is not target and self._resolve(old) != self._resolve(target):
+                out[step] = _CONFLICT
 
-        def put(step: Step, target: DynamicExpr) -> None:
-            old = out.get(step)
-            if old is not None and old != target:
-                raise SemanticsError(
-                    "step %s from %s reaches two targets" % ([str(u) for u in step], serialize(h))
-                )
-            out[step] = target
-
-        if isinstance(h, Over):
-            if isinstance(h.expr, Act):
-                u = h.expr.activity
-                put(frozenset((u,)), Under(h.expr))
-            return out
-        if isinstance(h, Under):
-            return out
-        if isinstance(h, DPar):
-            left_steps = self.derive(h.left)
-            right_steps = self.derive(h.right)
-            for step, tgt in left_steps:
-                put(step, DPar(tgt, h.right))
-            for step, tgt in right_steps:
-                put(step, DPar(h.left, tgt))
-            for (s1, t1), (s2, t2) in itertools.product(left_steps, right_steps):
-                if is_immediate_step(s1) == is_immediate_step(s2):
-                    put(s1 | s2, DPar(t1, t2))
-            return out
-        # one dynamic argument: its steps, mapped by the kind, lead to the
-        # node rebuilt around the argument's targets
-        kind = type(h)
-        get_fields, step_map = _ONE_ARGUMENT[kind]
-        args = get_fields(h)
-        at = 0
-        while not isinstance(args[at], DynamicExpr):
-            at += 1
-        before, after = args[:at], args[at + 1:]
-        derived = [(step, kind(*before, tgt, *after)) for step, tgt in self.derive(args[at])]
-        for step, target in step_map(h, derived) if step_map else derived:
-            put(step, target)
+        shape = c.shape
+        if shape[0] is Act:
+            if c.initial:
+                put(frozenset((c.skel.activity,)), self.class_of(Under(c.skel)))
+        elif shape[0] is DPar:
+            _, left, right = shape
+            left_steps = [(s, t, is_immediate_step(s)) for s, t in self._steps(left).items()]
+            right_steps = [(s, t, is_immediate_step(s)) for s, t in self._steps(right).items()]
+            for s, t, _ in left_steps:
+                put(s, _CONFLICT if t == _CONFLICT else (t, right))
+            for s, t, _ in right_steps:
+                put(s, _CONFLICT if t == _CONFLICT else (left, t))
+            for s1, t1, immediate in left_steps:
+                for s2, t2, other in right_steps:
+                    if immediate == other:
+                        put(s1 | s2, _CONFLICT if _CONFLICT in (t1, t2) else (t1, t2))
+        else:
+            kind, ports = shape
+            step_map = _STEP_MAPS.get(kind)
+            for k, arg in ports:
+                derived = [(s, _CONFLICT if t == _CONFLICT else (c.skel, k, t)) for s, t in self._steps(arg).items()]
+                for s, t in step_map(c.skel, derived, self._actions) if step_map else derived:
+                    put(s, t)
+        c.steps = out
         return out
 
+    def _actions(self, step: Step) -> FrozenSet[Action]:
+        """The actions in the multiactions of a step."""
+        actions = self._step_actions.get(step)
+        if actions is None:
+            actions = self._step_actions[step] = frozenset(x for u in step for x in u.part)
+        return actions
 
-def _relabeled(node: DRel, derived: List[Tuple[Step, DynamicExpr]]) -> Iterable[Tuple[Step, DynamicExpr]]:
+    def _resolve(self, target: Target) -> int:
+        """The class id of a target."""
+        if type(target) is int:
+            return target
+        if len(target) == 2:
+            return self._pair(self._resolve(target[0]), self._resolve(target[1]))
+        skel, k, t = target
+        return self._port(skel, k, self._resolve(t))
+
+
+class Members(abc.Sequence):
+    """The operative members of one class of an ``Engine``, in serialization
+    order.  The first comes from the class tree; the others are enumerated
+    on first use."""
+
+    __slots__ = ("_engine", "_cid", "_all")
+
+    def __init__(self, engine: Engine, cid: int):
+        self._engine = engine
+        self._cid = cid
+        self._all: Optional[Tuple[DynamicExpr, ...]] = None
+
+    def _enumerated(self) -> Tuple[DynamicExpr, ...]:
+        if self._all is None:
+            self._all = tuple(sorted(self._engine._operatives(self._cid), key=serialize))
+        return self._all
+
+    def __len__(self) -> int:
+        return self._engine._size(self._cid)
+
+    def __getitem__(self, i):
+        if i == 0:
+            return self._engine._first(self._cid)[1]
+        return self._enumerated()[i]
+
+    def __iter__(self):
+        return iter(self._enumerated())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Members) and other._engine is self._engine:
+            return other._cid == self._cid
+        if isinstance(other, (Members, tuple)):
+            return self._enumerated() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._enumerated())
+
+    def __repr__(self) -> str:
+        return "Members(%r)" % (self._enumerated(),)
+
+
+def _relabeled(node: Rel, derived: List[Tuple[Step, Target]], actions) -> Iterable[Tuple[Step, Target]]:
     """The steps with every activity relabeled."""
     return ((apply_relabel(node.func, step), target) for step, target in derived)
 
 
-def _restricted(node: DRst, derived: List[Tuple[Step, DynamicExpr]]) -> Iterable[Tuple[Step, DynamicExpr]]:
+def _restricted(node: Rst, derived: List[Tuple[Step, Target]], actions) -> Iterable[Tuple[Step, Target]]:
     """The steps in which no activity holds the action or its conjugate."""
-    return ((step, target) for step, target in derived
-            if not any(x.name == node.action for u in step for x in u.part))
+    a = Action(node.action)
+    ah = a.conjugate()
+    return ((step, target) for step, target in derived if not (a in actions(step) or ah in actions(step)))
 
 
-def _synchronized(node: DSyn, derived: List[Tuple[Step, DynamicExpr]]) -> Iterable[Tuple[Step, DynamicExpr]]:
+def _synchronized(node: Syn, derived: List[Tuple[Step, Target]], actions) -> Iterable[Tuple[Step, Target]]:
     """Each step's closure under pairwise synchronization on the action."""
-    action = Action(node.action)
-    return ((merged, target) for step, target in derived for merged in _saturate_step(step, action))
+    a = Action(node.action)
+    ah = a.conjugate()
+    for step, target in derived:
+        if a in actions(step) and ah in actions(step):
+            for merged in _saturate_step(step, a):
+                yield merged, target
+        else:  # nothing to synchronize
+            yield step, target
 
 
-# How the (step, target) pairs of the dynamic argument, with the node rebuilt
-# around each target, become the node's own: relabeling renames the steps,
-# restriction drops some, synchronization closes each under synchronization.
-# Every other kind keeps them as they are.
+# How the (step, target) pairs of a node's dynamic argument, each target
+# taken to the node's class around it, become the node's own: relabeling
+# renames the steps, restriction drops some, synchronization closes each
+# under synchronization.  Every other kind keeps them as they are.  A map
+# reads only the other fields of the node (its skeleton, here), and the
+# actions of a step from ``actions``, which the engine keeps per step.
 _STEP_MAPS = {DRel: _relabeled, DRst: _restricted, DSyn: _synchronized}
-
-# per barred operator kind, for the generic rule: a getter of all fields of a
-# node at once, in constructor order (the subtrees, then the other fields),
-# and the step map
-_ONE_ARGUMENT = {
-    kind: (attrgetter(*_KINDS[kind].subtrees, *_KINDS[kind].attributes), _STEP_MAPS.get(kind)) for kind in _PORT_GROUPS
-}
 
 
 def _saturate_step(step: Step, a: Action) -> List[Step]:
@@ -706,12 +894,13 @@ def _saturate_step(step: Step, a: Action) -> List[Step]:
     while frontier:
         current = frontier.pop()
         items = sorted(current)
-        for u, v in itertools.permutations(items, 2):
-            if u.immediate != v.immediate or (u.content & v.content):
-                continue
-            if a in u.part and ah in v.part:
-                w = sync_activities(u, v, a)
-                merged = (current - {u, v}) | {w}
+        takers = [v for v in items if ah in v.part]
+        # the synchronizable pairs, in the order of itertools.permutations(items, 2)
+        for u in (u for u in items if a in u.part):
+            for v in takers:
+                if v is u or u.immediate != v.immediate or (u.content & v.content):
+                    continue
+                merged = (current - {u, v}) | {sync_activities(u, v, a)}
                 if merged not in seen:
                     seen.add(merged)
                     frontier.append(merged)
@@ -726,12 +915,8 @@ def _saturate_step(step: Step, a: Action) -> List[Step]:
 def inaction_closure(g: DynamicExpr, engine: Optional[Engine] = None) -> State:
     """The structural-equivalence class of ``g`` as a semantic state."""
     engine = engine or Engine()
-    members = engine.operatives(g)
-    if not members:
-        raise SemanticsError("no operative member for %s" % serialize(g))
-    steps = engine.class_steps(members)
-    tangible = not any(is_immediate_step(s) for s in steps)
-    return State(serialize(members[0]), members, tangible)
+    cid = engine.class_of(g)
+    return State(engine.key(cid), engine.members(cid), engine.steps(cid)[1])
 
 
 def build_ts(expr: StaticExpr, max_states: int = 100_000, engine: Optional[Engine] = None) -> TransitionSystem:
@@ -740,61 +925,47 @@ def build_ts(expr: StaticExpr, max_states: int = 100_000, engine: Optional[Engin
         raise SemanticsError("expression is not regular: %s" % serialize(expr))
     engine = engine or Engine()
 
-    index: Dict[Tuple[DynamicExpr, ...], int] = {}
-    states: List[State] = []
-    step_data: List[List[Tuple[Tuple[Activity, ...], Step, int]]] = []
+    index: Dict[int, int] = {}  # class id -> state number
+    classes: List[int] = []
 
-    def intern(g: DynamicExpr) -> int:
-        members = engine.operatives(g)
-        idx = index.get(members)
+    def intern(cid: int) -> int:
+        idx = index.get(cid)
         if idx is None:
-            idx = len(states)
+            idx = len(classes)
             if idx >= max_states:
                 raise StateSpaceLimit(max_states)
-            index[members] = idx
-            states.append(State(serialize(members[0]), members, True))
-            step_data.append([])
+            index[cid] = idx
+            classes.append(cid)
         return idx
 
-    intern(Over(expr))
-    cursor = 0
-    while cursor < len(states):
-        i = cursor
-        cursor += 1
-        members = states[i].members
-        # collect every derivation of each executable step, then intern the
-        # targets in sorted step order so that state numbering is stable
-        variants: Dict[Step, List[DynamicExpr]] = {}
-        for h in members:
-            for step, tgt in engine.derive(h):
-                variants.setdefault(step, []).append(tgt)
-        if any(is_immediate_step(s) for s in variants):
-            variants = {s: t for s, t in variants.items() if is_immediate_step(s)}
-            tangible = False
-        else:
-            tangible = True
-        keyed = {step_key(step): step for step in variants}
+    intern(engine.class_of(Over(expr)))
+    tangible: List[bool] = []
+    step_data: List[List[Tuple[Tuple[Activity, ...], Step, int]]] = []
+    while len(step_data) < len(classes):
+        i = len(step_data)
+        # targets are interned in step-key order, so state numbering is stable
+        steps, tangible_i = engine.steps(classes[i])
         triples: List[Tuple[Tuple[Activity, ...], Step, int]] = []
-        for key in sorted(keyed):
-            targets = {intern(t) for t in variants[keyed[key]]}
-            if len(targets) != 1:
+        for key, step, target in steps:
+            if target == _CONFLICT:
                 raise SemanticsError("step from state %d reaches two distinct classes" % (i + 1))
-            triples.append((key, keyed[key], targets.pop()))
-        if tangible:
+            triples.append((key, step, intern(target)))
+        if tangible_i:
             triples.insert(0, ((), EMPTY_STEP, i))
-        states[i] = State(states[i].key, members, tangible)
-        step_data[i] = triples
+        tangible.append(tangible_i)
+        step_data.append(triples)
 
     for i, triples in enumerate(step_data):
-        if states[i].tangible:
+        if tangible[i]:
             singles = {key[0] for key, _, _ in triples if len(key) == 1}
             if singles != {u for key, _, _ in triples for u in key}:
                 raise SemanticsError("subset closure violated in state %d" % (i + 1))
 
+    states = [State(engine.key(cid), engine.members(cid), t) for cid, t in zip(classes, tangible)]
     # not kept on the system: callers that hold many systems would hold
     # their index arrays too; ``readiness`` compiles them on first use
     flat = [(i, key, step, j) for i, triples in enumerate(step_data) for key, step, j in triples]
-    readiness = Readiness([s.tangible for s in states], [(i, key, j) for i, key, _, j in flat])
+    readiness = Readiness(tangible, [(i, key, j) for i, key, _, j in flat])
     probs = readiness.probabilities(readiness.leaf_row()[None])[0].tolist()
     transitions = [Transition(i, step, p, j) for (i, _, step, j), p in zip(flat, probs)]
     return TransitionSystem(states, transitions, 0, expr)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .expr import (
     Act,
@@ -499,7 +499,26 @@ def _ser(e, need: int) -> str:
     else:
         fields = [_ser(getattr(e, name), at) for name, at in operands] + [getattr(e, name) for name in attributes]
         text = form % tuple(fields)
+    return _wrapped(text, level, need)
+
+
+def _wrapped(text: str, level: int, need: int) -> str:
     return "(%s)" % text if level < need else text
+
+
+def binding_level(kind: type) -> int:
+    """The binding level of the text of a node of ``kind``: printed where a
+    higher one is needed, the text is parenthesized."""
+    return _ATOM if kind is Act else _SYNTAX[kind].level
+
+
+def compose(kind: type, operands: Sequence[Tuple[str, int]], attributes: Sequence[object] = ()) -> str:
+    """What ``serialize`` prints for a node of ``kind`` whose subtrees print
+    as the given texts, each with its binding level, and whose other fields
+    are ``attributes``."""
+    syntax = _SYNTAX[kind]
+    fields = [_wrapped(text, level, at) for (text, level), (_, at) in zip(operands, syntax.operands)]
+    return syntax.form % tuple(fields + list(attributes))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ Each re-derives the slow, plain way what the program computes fast:
 
 * by brute force over single terms or whole enumerated classes, what the
   step semantics computes compositionally;
+* by sets of member terms built from the members of subterm classes, the
+  classes that the step semantics interns as a tree of class ids;
 * by one hand-written rule list per node kind, the bar-moving rules that
   the program reads off one table of port groups, and the step derivation
   that the program writes as one generic rule and a table of step maps;
@@ -48,7 +50,10 @@ from dtsipbc.expr import (
     Seq,
     Syn,
     Under,
+    _attributes,
+    _children,
     sync_activities,
+    underlying,
 )
 from dtsipbc.markov import (
     AnalysisError,
@@ -59,6 +64,7 @@ from dtsipbc.markov import (
 )
 from dtsipbc.netsem import DtsiBox, NetTransition, StructureReport, enabled, fire, marking_key
 from dtsipbc.opsem import (
+    _GROUP_OF,
     Engine,
     SemanticsError,
     State,
@@ -66,6 +72,7 @@ from dtsipbc.opsem import (
     Step,
     Transition,
     TransitionSystem,
+    _backward_root,
     _forward_root,
     _rewrites,
     _saturate_step,
@@ -245,7 +252,102 @@ def enumerated_class(engine: Engine, g: DynamicExpr) -> Tuple[Tuple[DynamicExpr,
     flags of the class of ``g``, read off the whole enumerated closure."""
     members = engine.closure(g)
     ops = tuple(sorted((d for d in members if not _rewrites(d, _forward_root)), key=serialize))
-    return ops, engine.is_initial(g), engine.is_final(g)
+    return ops, Over(underlying(g)) in members, Under(underlying(g)) in members
+
+
+# ---------------------------------------------------------------------------
+# Classes from the members of their subterms' classes
+# ---------------------------------------------------------------------------
+
+
+# operative members of a class, whether it holds Over(e), whether it holds Under(e)
+Summary = Tuple[FrozenSet[DynamicExpr], bool, bool]
+
+
+class MemberClasses:
+    """The operative members of a class, built as sets of terms from the
+    members of its subterms' classes: the product of the components'
+    members under a parallel composition, and a fixed point over the linked
+    argument classes under any other node.  This is the route that the
+    class tree replaced; it builds every member."""
+
+    def __init__(self):
+        self._summaries: Dict[DynamicExpr, Summary] = {}
+
+    def operatives(self, g: DynamicExpr) -> Tuple[DynamicExpr, ...]:
+        """Members of the class of ``g`` that no forward rule rewrites, in
+        serialization order."""
+        return tuple(sorted(self.summary(g)[0], key=serialize))
+
+    def summary(self, g: DynamicExpr) -> Summary:
+        """Operatives and initial/final flags of the class of ``g``."""
+        cached = self._summaries.get(g)
+        if cached is not None:
+            return cached
+        if isinstance(g, (Over, Under)):
+            if isinstance(g.expr, Act):
+                result = (frozenset((g,)), isinstance(g, Over), isinstance(g, Under))
+            else:
+                # one root rule away from a compound node of the same class
+                root_rule = _forward_root if isinstance(g, Over) else _backward_root
+                result = self.summary(root_rule(g)[0])
+        elif isinstance(g, DPar):
+            left_ops, left_initial, left_final = self.summary(g.left)
+            right_ops, right_initial, right_final = self.summary(g.right)
+            ops = {
+                DPar(x, y)
+                for x in left_ops
+                for y in right_ops
+                if not (isinstance(x, Under) and isinstance(y, Under))
+            }
+            final = left_final and right_final
+            if final:
+                ops.add(Under(underlying(g)))
+            result = (frozenset(ops), left_initial and right_initial, final)
+        else:
+            result = self._linked(g)
+        self._summaries[g] = result
+        return result
+
+    def _linked(self, g: DynamicExpr) -> Summary:
+        """Summary of a node with one dynamic argument: a fixed point over the
+        argument classes that the node's links reach from the one in ``g``."""
+        kind, group_of = type(g), _GROUP_OF[type(g)]
+        args, attributes = _children(g), _attributes(g)
+        at = next(k for k, x in enumerate(args) if isinstance(x, DynamicExpr))
+        static: Optional[List[object]] = None  # args with the skeleton at ``at``
+        ops = set()
+        whole = set()
+        active = set()
+        todo = [(at, args[at])]
+        seen = set(todo)
+        while todo:
+            k, child = todo.pop()
+            child_ops, initial, final = self.summary(child)
+            around = args if k == at else static
+            for x in child_ops:
+                # Under(child) would rewrite forward at this node's root
+                if not isinstance(x, Under):
+                    ops.add(kind(*around[:k], x, *around[k + 1:], *attributes))
+            for bar, reached in ((Over, initial), (Under, final)):
+                group = group_of[(k, bar)]
+                if not reached or group in active:
+                    continue
+                active.add(group)
+                if static is None:
+                    static = list(args)
+                    static[at] = underlying(args[at])
+                for j, end in group:
+                    if j is None:
+                        whole.add(end)
+                        continue
+                    port = (j, end(static[j]))
+                    if port not in seen:
+                        seen.add(port)
+                        todo.append(port)
+        if Under in whole:
+            ops.add(Under(underlying(g)))
+        return frozenset(ops), Over in whole, Under in whole
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +517,20 @@ def derive(h: DynamicExpr) -> Tuple[Tuple[Step, DynamicExpr], ...]:
     else:
         raise TypeError(repr(h))
     return tuple(sorted(out.items(), key=lambda kv: step_key(kv[0])))
+
+
+def class_steps(members) -> List[Tuple[Step, FrozenSet[DynamicExpr]]]:
+    """The executable steps of a class given its operative members, in
+    step-key order, each with the targets it reaches from them: the union
+    of ``derive`` over the members, and only its immediate steps if it has
+    any."""
+    targets: Dict[Step, set] = {}
+    for h in members:
+        for step, target in derive(h):
+            targets.setdefault(step, set()).add(target)
+    if any(next(iter(s)).immediate for s in targets):
+        targets = {s: t for s, t in targets.items() if next(iter(s)).immediate}
+    return [(s, frozenset(targets[s])) for s in sorted(targets, key=step_key)]
 
 
 def current_steps(h: DynamicExpr) -> FrozenSet[Step]:

@@ -185,6 +185,25 @@ class TestExitCodes:
         assert code == 2
         assert "parse error" in err
 
+    def test_model_is_a_directory(self, capsys, tmp_path):
+        code, _, err = run(capsys, "ts", str(tmp_path))
+        assert code == 2
+        assert err == "error: cannot read model %s: Is a directory\n" % tmp_path
+
+    def test_model_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.dtsi"
+        bad.write_bytes("root = ({a},0.5) // \xe9t\xe9\n".encode("latin-1"))
+        code, _, err = run(capsys, "ts", str(bad))
+        assert code == 2
+        assert err.startswith("error: cannot read model %s: not UTF-8 text" % bad) and err.count("\n") == 1
+
+    def test_out_below_a_file(self, capsys, tmp_path):
+        blocker = tmp_path / "somefile"
+        blocker.write_text("")
+        code, _, err = run(capsys, "ts", "shared_memory", "--out", str(blocker / "x"))
+        assert code == 2
+        assert err == "error: cannot write %s: Not a directory\n" % (blocker / "x" / "ts.json")
+
     def test_non_regular_model(self, capsys, tmp_path):
         bad = tmp_path / "irregular.dtsi"
         bad.write_text("root = [({a},0.5) * (({b},0.5)||({c},0.5)) * ({d},0.5)]\n")
@@ -379,3 +398,16 @@ class TestCrossSeedDeterminism:
         assert len(first) == 3 + 3 + 5 and first.keys() == second.keys()
         for name in first:
             assert first[name] == second[name], name
+
+
+class TestScale:
+    def test_shm5_solve_finishes(self, tmp_path):
+        # the step semantics of shm-5 (113 states) used to take minutes
+        model = tmp_path / "shm5.dtsi"
+        model.write_text(shm_text(5, abstract=True))
+        src = str(Path(dtsipbc.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "dtsipbc.cli", "solve", str(model)], capture_output=True,
+                              text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+        assert done.returncode == 0, done.stderr
+        assert len(json.loads(done.stdout)["states"]) == 113

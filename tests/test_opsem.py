@@ -88,12 +88,12 @@ class TestInactionClosure:
         h2 = parse_dynamic("({a},#1)[]~({b},0.5)")
         engine = Engine()
         assert h2 in engine.closure(h)
-        assert engine.operatives(h) == engine.operatives(h2)
+        assert engine.class_of(h) == engine.class_of(h2)
 
     def test_operatives_are_irreducible(self):
         g = parse_dynamic("~((({a},0.5);({b},0.5))||({c},0.5))")
         engine = Engine()
-        for member in engine.operatives(g):
+        for member in engine.members(engine.class_of(g)):
             state = inaction_closure(member, engine)
             assert member in state.members
 
@@ -434,17 +434,26 @@ class TestExecOracle:
 
 
 def assert_classes_match(expr, every_member=False):
-    """Each reachable class, summarized from subterms, equals the class read
-    off its enumeration; with ``every_member``, starting from each member."""
-    ts = build_ts(expr)
-    engine, reference = Engine(), Engine()
+    """Each reachable class equals the class read off its enumeration, both
+    as the class tree interns it and as sets of members built from the
+    members of subterm classes; with ``every_member``, starting from each
+    member.  The tree's composed key is the least serialization of the
+    enumerated members, and its first member is the one with that text."""
+    engine, reference, member_classes = Engine(), Engine(), oracles.MemberClasses()
+    ts = build_ts(expr, engine=engine)
     for state in ts.states:
         starts = reference.closure(state.members[0]) if every_member else state.members
         for g in starts:
             want = enumerated_class(reference, g)
-            _, initial, final = engine._summary(g)
-            assert (engine.operatives(g), initial, final) == want, serialize(g)
-            assert want[0] == state.members
+            _, initial, final = member_classes.summary(g)
+            assert (member_classes.operatives(g), initial, final) == want, serialize(g)
+            cid = engine.class_of(g)
+            members = engine.members(cid)
+            assert (tuple(members), engine.is_initial(g), engine.is_final(g)) == want, serialize(g)
+            assert len(members) == len(want[0]), serialize(g)
+            assert engine.key(cid) == serialize(want[0][0]) == state.key, serialize(g)
+            assert members[0] == want[0][0], serialize(g)
+            assert want[0] == tuple(state.members)
 
 
 class TestCompositionalClasses:
@@ -472,10 +481,11 @@ class TestCompositionalClasses:
             assert build_ts(expr).states, label
 
     @pytest.mark.parametrize("abstract", [True, False])
-    def test_shm3_matches_net(self, abstract):
-        expr = parse_model(shm_text(3, abstract)).instantiate()
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_shm_matches_net(self, n, abstract):
+        expr = parse_model(shm_text(n, abstract)).instantiate()
         ts = build_ts(expr)
-        assert len(ts.states) == 21
+        assert len(ts.states) == (n + 2) * 2 ** (n - 1) + 1
         assert ts_isomorphic(ts, build_rg(box_of(expr))) is not None
 
 
@@ -527,17 +537,27 @@ class TestRuleTable:
 
 
 def assert_derivations_match(expr):
-    """On every operative of every reachable class, ``Engine.derive`` gives
-    the hand-written rules' steps, targets and order, and its steps are the
-    term's potential steps that do not mix immediate and stochastic
+    """On every reachable class, the class tree's steps are the union of the
+    hand-written rules' derivations over the enumerated members with
+    priority applied, in step-key order, and each leads to the class of
+    every target the members reach by it.  Before priority, they are the
+    members' potential steps that do not mix immediate and stochastic
     activities (the parallel rule joins only steps of one kind)."""
     engine = Engine()
-    for state in build_ts(expr).states:
-        for h in state.members:
-            got = engine.derive(h)
-            assert got == oracles.derive(h), serialize(h)
-            homogeneous = {s for s in potential_steps(h) if len({u.immediate for u in s}) == 1}
-            assert {step for step, _ in got} == homogeneous, serialize(h)
+    ts = build_ts(expr, engine=engine)
+    number = {s.key: i for i, s in enumerate(ts.states)}
+    for i, state in enumerate(ts.states):
+        cid = engine.class_of(state.members[0])
+        members = tuple(state.members)
+        got, tangible = engine.steps(cid)
+        want = oracles.class_steps(members)
+        assert [step for _, step, _ in got] == [step for step, _ in want], state.key
+        for (_, step, target), (_, targets) in zip(got, want):
+            assert {engine.class_of(t) for t in targets} == {target}, state.key
+        assert [t.target for t in ts.outgoing(i) if t.step] == [number[engine.key(target)] for _, _, target in got]
+        assert tangible == state.tangible == all(not u.immediate for step, _ in want for u in step)
+        homogeneous = {s for h in members for s in potential_steps(h) if len({u.immediate for u in s}) == 1}
+        assert set(engine._steps(cid)) == homogeneous, state.key
 
 
 class TestDerivationReference:
