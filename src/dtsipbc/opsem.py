@@ -839,16 +839,6 @@ class Members(abc.Sequence):
     def __iter__(self):
         return iter(self._enumerated())
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Members) and other._engine is self._engine:
-            return other._cid == self._cid
-        if isinstance(other, (Members, tuple)):
-            return self._enumerated() == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._enumerated())
-
     def __repr__(self) -> str:
         return "Members(%r)" % (self._enumerated(),)
 
