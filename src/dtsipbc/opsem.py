@@ -205,8 +205,16 @@ def _rewrites(d: DynamicExpr, root_rule) -> List[DynamicExpr]:
 
 @dataclass(frozen=True)
 class State:
+    """One state: a structural-equivalence class of dynamic expressions.
+
+    ``key`` is the least serialization of an operative member, and
+    ``members`` the operative members in serialization order.  A state of
+    ``build_ts`` or ``inaction_closure`` holds a lazy ``Members`` sequence,
+    which compares by identity, so two such states (and two systems) are
+    equal only if they share that sequence."""
+
     key: str
-    members: Tuple[DynamicExpr, ...]
+    members: Sequence[DynamicExpr]
     tangible: bool
 
     @property
@@ -497,10 +505,9 @@ class _Class:
     A final class has ``Under(skel)`` as one more operative member.  ``count``
     is the number of the others, and ``least`` the one among them with the
     least serialization, as (text, member); its text binds at ``level``.
-    ``steps`` is filled on first use.
     """
 
-    __slots__ = ("skel", "initial", "final", "count", "least", "level", "shape", "steps", "under")
+    __slots__ = ("skel", "initial", "final", "count", "least", "level", "shape", "under")
 
     def __init__(self, skel: StaticExpr, initial: bool, final: bool, count: int,
                  least: Optional[Tuple[str, DynamicExpr]], level: int, shape: tuple):
@@ -511,7 +518,6 @@ class _Class:
         self.least = least
         self.level = level
         self.shape = shape
-        self.steps: Optional[Dict[Step, Target]] = None
         self.under: Optional[str] = None  # the text of Under(skel), on first use
 
 
@@ -553,7 +559,7 @@ class Engine:
         self._bar_ids: Dict[DynamicExpr, int] = {}  # Over(e) or Under(e) -> class id
         self._pair_ids: Dict[Tuple[int, int], int] = {}  # component class ids -> class id
         self._port_ids: Dict[Tuple[StaticExpr, int, int], int] = {}  # (skeleton, k, argument class id) -> class id
-        self._step_actions: Dict[Step, FrozenSet[Action]] = {}
+        self._class_steps: Dict[int, Dict[Step, Target]] = {}  # class id -> its steps (``_steps``)
 
     # -- structural equivalence --------------------------------------------
 
@@ -758,10 +764,11 @@ class Engine:
         applied.  Targets are built lazily (``Target``): most steps of a
         component are dropped by a restriction or by priority further up,
         and their targets are never interned."""
+        out = self._class_steps.get(cid)
+        if out is not None:
+            return out
         c = self._classes[cid]
-        if c.steps is not None:
-            return c.steps
-        out: Dict[Step, Target] = {}
+        out = {}
 
         def put(step: Step, target: Target) -> None:
             old = out.setdefault(step, target)
@@ -789,17 +796,10 @@ class Engine:
             step_map = _STEP_MAPS.get(kind)
             for k, arg in ports:
                 derived = [(s, _CONFLICT if t == _CONFLICT else (c.skel, k, t)) for s, t in self._steps(arg).items()]
-                for s, t in step_map(c.skel, derived, self._actions) if step_map else derived:
+                for s, t in step_map(c.skel, derived) if step_map else derived:
                     put(s, t)
-        c.steps = out
+        self._class_steps[cid] = out
         return out
-
-    def _actions(self, step: Step) -> FrozenSet[Action]:
-        """The actions in the multiactions of a step."""
-        actions = self._step_actions.get(step)
-        if actions is None:
-            actions = self._step_actions[step] = frozenset(x for u in step for x in u.part)
-        return actions
 
     def _resolve(self, target: Target) -> int:
         """The class id of a target."""
@@ -814,7 +814,8 @@ class Engine:
 class Members(abc.Sequence):
     """The operative members of one class of an ``Engine``, in serialization
     order.  The first comes from the class tree; the others are enumerated
-    on first use."""
+    on first use.  It compares by identity, as enumerating two classes to
+    compare them would cost what the tree saves."""
 
     __slots__ = ("_engine", "_cid", "_all")
 
@@ -843,36 +844,43 @@ class Members(abc.Sequence):
         return "Members(%r)" % (self._enumerated(),)
 
 
-def _relabeled(node: Rel, derived: List[Tuple[Step, Target]], actions) -> Iterable[Tuple[Step, Target]]:
+def _relabeled(node: Rel, derived: List[Tuple[Step, Target]]) -> Iterable[Tuple[Step, Target]]:
     """The steps with every activity relabeled."""
     return ((apply_relabel(node.func, step), target) for step, target in derived)
 
 
-def _restricted(node: Rst, derived: List[Tuple[Step, Target]], actions) -> Iterable[Tuple[Step, Target]]:
+def _restricted(node: Rst, derived: List[Tuple[Step, Target]]) -> Iterable[Tuple[Step, Target]]:
     """The steps in which no activity holds the action or its conjugate."""
     a = Action(node.action)
-    ah = a.conjugate()
-    return ((step, target) for step, target in derived if not (a in actions(step) or ah in actions(step)))
+    held, conjugate = _holders(derived, a, a.conjugate())
+    return ((step, target) for step, target in derived if step.isdisjoint(held) and step.isdisjoint(conjugate))
 
 
-def _synchronized(node: Syn, derived: List[Tuple[Step, Target]], actions) -> Iterable[Tuple[Step, Target]]:
+def _synchronized(node: Syn, derived: List[Tuple[Step, Target]]) -> Iterable[Tuple[Step, Target]]:
     """Each step's closure under pairwise synchronization on the action."""
     a = Action(node.action)
-    ah = a.conjugate()
+    held, conjugate = _holders(derived, a, a.conjugate())
     for step, target in derived:
-        if a in actions(step) and ah in actions(step):
+        if step.isdisjoint(held) or step.isdisjoint(conjugate):  # nothing to synchronize
+            yield step, target
+        else:
             for merged in _saturate_step(step, a):
                 yield merged, target
-        else:  # nothing to synchronize
-            yield step, target
+
+
+def _holders(derived: List[Tuple[Step, Target]], *actions: Action) -> List[FrozenSet[Activity]]:
+    """Per action, the activities of the derived steps that hold it.  Each
+    activity is looked at once, however many steps it is in; a step is then
+    checked with one set operation."""
+    activities = set().union(*(step for step, _ in derived))
+    return [frozenset(u for u in activities if a in u.part) for a in actions]
 
 
 # How the (step, target) pairs of a node's dynamic argument, each target
 # taken to the node's class around it, become the node's own: relabeling
 # renames the steps, restriction drops some, synchronization closes each
 # under synchronization.  Every other kind keeps them as they are.  A map
-# reads only the other fields of the node (its skeleton, here), and the
-# actions of a step from ``actions``, which the engine keeps per step.
+# reads only the other fields of the node (its skeleton, here).
 _STEP_MAPS = {DRel: _relabeled, DRst: _restricted, DSyn: _synchronized}
 
 
@@ -904,15 +912,20 @@ def _saturate_step(step: Step, a: Action) -> List[Step]:
 
 def inaction_closure(g: DynamicExpr, engine: Optional[Engine] = None) -> State:
     """The structural-equivalence class of ``g`` as a semantic state."""
+    own = engine is None
     engine = engine or Engine()
     cid = engine.class_of(g)
-    return State(engine.key(cid), engine.members(cid), engine.steps(cid)[1])
+    state = State(engine.key(cid), engine.members(cid), engine.steps(cid)[1])
+    if own:
+        engine._class_steps.clear()  # the state keeps the engine; see build_ts
+    return state
 
 
 def build_ts(expr: StaticExpr, max_states: int = 100_000, engine: Optional[Engine] = None) -> TransitionSystem:
     """Breadth-first construction of the transition system of ``~expr``."""
     if not is_regular(expr):
         raise SemanticsError("expression is not regular: %s" % serialize(expr))
+    own = engine is None
     engine = engine or Engine()
 
     index: Dict[int, int] = {}  # class id -> state number
@@ -952,6 +965,10 @@ def build_ts(expr: StaticExpr, max_states: int = 100_000, engine: Optional[Engin
                 raise SemanticsError("subset closure violated in state %d" % (i + 1))
 
     states = [State(engine.key(cid), engine.members(cid), t) for cid, t in zip(classes, tangible)]
+    if own:
+        # the states keep the engine (``State.members`` enumerates from its
+        # classes), but nothing reads the step caches again
+        engine._class_steps.clear()
     # not kept on the system: callers that hold many systems would hold
     # their index arrays too; ``readiness`` compiles them on first use
     flat = [(i, key, step, j) for i, triples in enumerate(step_data) for key, step, j in triples]

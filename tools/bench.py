@@ -1,13 +1,13 @@
 """Run the benchmark and keep its results in a BENCH file.
 
-    python3 tools/bench.py --label NAME --seed N [--seconds S] [--workload W ...]
-                           [--checkout DIR] [--trace 0|1]
+    python3 tools/bench.py --label NAME --seed N [--workload W ...] [--checkout DIR]
 
 Runs ``perfbench/run.py`` of a source checkout (``--checkout``, by default
-this one) once per workload (by default all three) and appends one record
-per workload to ``BENCH_<NAME>.json`` at the root of this repository: the
-seed, the seconds, the trace flag, the checkout's commit and the last JSON
-line that ``run.py`` printed.  Run it again with the same label, for
+this one) once per workload (by default all three), untraced and for the
+benchmark's 30 seconds, and appends one record per workload to
+``BENCH_<NAME>.json`` at the root of this repository: the seed, the
+seconds, the trace flag, the checkout's commit and the last JSON line that
+``run.py`` printed.  Run it again with the same label, for
 example with another seed or alternating with another label, to add more
 runs to the same file.  A run that exits non-zero is recorded with its exit
 code and no result, and makes the script exit 1 after the others.
@@ -23,6 +23,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("stepsem", "netscale", "sweep")
+SECONDS = 30  # BENCHMARK.json's run_seconds
+TRACE = 0
 
 
 def _commit(checkout: Path) -> str:
@@ -30,12 +32,12 @@ def _commit(checkout: Path) -> str:
     return done.stdout.strip() if done.returncode == 0 else "unknown"
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+def _run(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(TRACE)]
     done = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
     lines = done.stdout.strip().splitlines()
-    record = {"workload": workload, "seed": seed, "seconds": seconds, "trace": trace, "exit": done.returncode}
+    record = {"workload": workload, "seed": seed, "seconds": SECONDS, "trace": TRACE, "exit": done.returncode}
     if done.returncode == 0 and lines:
         record["result"] = json.loads(lines[-1])
     return record
@@ -45,10 +47,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="the file written is BENCH_<label>.json")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--workload", action="append", choices=WORKLOADS, help="repeatable; default: all three")
     parser.add_argument("--checkout", type=Path, default=ROOT, help="source checkout to benchmark")
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     if not (checkout / "perfbench" / "run.py").is_file():
@@ -60,7 +60,7 @@ def main(argv=None) -> int:
     commit = _commit(checkout)
     failed = False
     for workload in args.workload or WORKLOADS:
-        record = dict(_run(checkout, workload, args.seed, args.seconds, args.trace), commit=commit)
+        record = dict(_run(checkout, workload, args.seed), commit=commit)
         failed |= record["exit"] != 0
         bench["runs"].append(record)
         target.write_text(json.dumps(bench, indent=1) + "\n")
