@@ -912,13 +912,9 @@ def _saturate_step(step: Step, a: Action) -> List[Step]:
 
 def inaction_closure(g: DynamicExpr, engine: Optional[Engine] = None) -> State:
     """The structural-equivalence class of ``g`` as a semantic state."""
-    own = engine is None
     engine = engine or Engine()
     cid = engine.class_of(g)
-    state = State(engine.key(cid), engine.members(cid), engine.steps(cid)[1])
-    if own:
-        engine._class_steps.clear()  # the state keeps the engine; see build_ts
-    return state
+    return State(engine.key(cid), engine.members(cid), engine.steps(cid)[1])
 
 
 def build_ts(expr: StaticExpr, max_states: int = 100_000, engine: Optional[Engine] = None) -> TransitionSystem:
