@@ -431,6 +431,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         message, code = str(exc), exc.code
     except StateSpaceLimit as exc:
         message, code = str(exc), ANALYSIS_ERROR
+    except RecursionError:  # a size cap, as the state-space limit is
+        message, code = "model nested too deeply (recursion limit %d)" % sys.getrecursionlimit(), ANALYSIS_ERROR
     except SemanticsError as exc:  # a malformed model
         message, code = str(exc), INPUT_ERROR
     except BrokenPipeError:

@@ -44,9 +44,6 @@ class Partition:
     def size(self) -> int:
         return len(self.blocks)
 
-    def block_index(self, state: int) -> int:
-        return self.block_of[state]
-
 
 def pm_a(ts: TransitionSystem, state: int, label: Multiset, targets: Iterable[int]) -> float:
     """Aggregate probability of steps with the given multiaction part landing

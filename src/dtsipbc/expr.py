@@ -157,15 +157,6 @@ class Multiset:
         return "{%s}" % ",".join(parts)
 
 
-# A multiaction is a Multiset of Action values; the empty multiaction is the
-# invisible internal move.
-Multiaction = Multiset
-
-
-def alphabet(part: Multiset) -> frozenset:
-    return frozenset(part.keys())
-
-
 # ---------------------------------------------------------------------------
 # Numberings
 # ---------------------------------------------------------------------------
@@ -266,15 +257,11 @@ class Activity:
 
     def __str__(self) -> str:
         if self.immediate:
-            return "(%s,#%s)" % (self.part, format_value(self.value))
-        return "(%s,%s)" % (self.part, format_value(self.value))
+            return "(%s,#%r)" % (self.part, self.value)
+        return "(%s,%r)" % (self.part, self.value)
 
     def tagged(self) -> str:
         return "%s:%s" % (self, numbering_str(self.num))
-
-
-def format_value(v: float) -> str:
-    return repr(v)
 
 
 def sync_parts(alpha: Multiset, beta: Multiset, a: Action) -> Multiset:

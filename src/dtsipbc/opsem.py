@@ -1,19 +1,19 @@
-"""Step operational semantics: bar rewriting, step derivation, transition systems.
+"""Step operational semantics: structural equivalence, step derivation, transition systems.
 
-States are structural-equivalence classes of barred expressions: the closure
-of a term under the bar-moving rules, which are written once, as one table
-of port groups (``_PORT_GROUPS``), and read forwards and backwards.
-Equivalent expressions denote the same marking of the box, so a class is
-interned as a tree of class ids (``Engine``): the class of a parallel
-composition is the pair of its components' classes, the class of any other
-node is the set of classes of its dynamic argument that the same table
-links, and a barred activity is a leaf.  Steps are derived per class, from
-the steps of the component classes, and lead to class ids.  A state's key
-is the least serialization of its operative members (those no forward rule
-rewrites), composed from the components' least ones; the members
-themselves are enumerated only on demand (``State.members``).
-``Engine.closure`` still enumerates whole classes by rewriting; it is the
-reference the tests check the tree against.
+States are structural-equivalence classes of barred expressions: the terms
+that the bar-moving rules link, which are written once, as one table of
+port groups (``_PORT_GROUPS``).  Equivalent expressions denote the same
+marking of the box, so a class is interned as a tree of class ids
+(``Engine``): the class of a parallel composition is the pair of its
+components' classes, the class of any other node is the set of classes of
+its dynamic argument that the table links, and a barred activity is a leaf.
+No term is rewritten: the tree is the only reading of the table here.
+Steps are derived per class, from the steps of the component classes, and
+lead to class ids.  A state's key is the least serialization of its
+operative members (those no forward rule rewrites), composed from the
+components' least ones; the members themselves are enumerated only on
+demand (``State.members``), and ``Engine.closure`` enumerates every member
+of a class from the tree.
 
 A step is a set of activities executed in one clock tick (stochastic) or
 instantaneously (immediate).  Immediate steps pre-empt stochastic ones, which
@@ -115,7 +115,7 @@ def is_immediate_step(step: Step) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bar rewriting
+# The bar-moving rules
 # ---------------------------------------------------------------------------
 
 
@@ -127,6 +127,8 @@ def is_immediate_step(step: Step) -> bool:
 # two sides of one rule.  Read forward, a rule leaves the side that holds an
 # overbar on the whole node or an underbar on an argument: the bar moves into
 # the node, or on past the argument.  Read backward, it goes the other way.
+# The class tree reads the groups directly and rewrites no term; the
+# rewriting reading is the tests' reference (``tests/oracles.py``).
 ALL = "all"
 _UNARY_GROUPS = (((None, Over), (0, Over)), ((0, Under), (None, Under)))
 _PORT_GROUPS = {
@@ -143,59 +145,6 @@ _PORT_GROUPS = {
     DSyn: _UNARY_GROUPS,
 }
 _GROUP_OF = {kind: {port: group for group in groups for port in group} for kind, groups in _PORT_GROUPS.items()}
-
-
-def _root_rule(forward: bool):
-    """The rewrites of a dynamic expression at its root, by the rules of
-    ``_PORT_GROUPS`` read forward or backward."""
-    moves = {kind: [] for kind in _PORT_GROUPS}  # per kind, (from port, to port) pairs
-    for kind, groups in _PORT_GROUPS.items():
-        for group in groups:
-            for p, q in zip(group, group[1:]):
-                if (q[0] is None) == (q[1] is Over):  # a forward rule leaves q
-                    p, q = q, p
-                moves[kind].append((p, q) if forward else (q, p))
-
-    def rule(d: DynamicExpr) -> List[DynamicExpr]:
-        root_bar = type(d) if isinstance(d, (Over, Under)) else None
-        node = d.expr if root_bar else d
-        kind = _kind(node).counterpart if root_bar else type(d)
-        if kind is None:  # a barred activity
-            return []
-        args = _children(node)
-        out: List[DynamicExpr] = []
-        for (k, bar), (j, end) in moves[kind]:
-            # take the bar off at port (k, bar) ...
-            if k is None and bar is root_bar:
-                bare = args
-            elif k is ALL and all(isinstance(x, bar) for x in args):
-                bare = [x.expr for x in args]
-            elif k not in (None, ALL) and isinstance(args[k], bar):
-                bare = args[:k] + [args[k].expr] + args[k + 1:]
-            else:
-                continue
-            # ... and put it on at port (j, end)
-            if j is None:
-                out.append(end(_rebuild(node, bare, _kind(node).counterpart)))
-            else:
-                out.append(_rebuild(node, [end(x) if j in (i, ALL) else x for i, x in enumerate(bare)], kind))
-        return out
-
-    return rule
-
-
-_forward_root = _root_rule(True)
-_backward_root = _root_rule(False)
-
-
-def _rewrites(d: DynamicExpr, root_rule) -> List[DynamicExpr]:
-    """Apply a root rule at every dynamic position of ``d``."""
-    out = root_rule(d)
-    children = _children(d)
-    for k, child in enumerate(children):
-        if isinstance(child, DynamicExpr):
-            out.extend(_rebuild(d, children[:k] + [g] + children[k + 1:]) for g in _rewrites(child, root_rule))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +232,6 @@ class TransitionSystem:
 
     def exec_steps(self, i: int) -> List[Step]:
         return [t.step for t in self.outgoing(i)]
-
-    def tangible_states(self) -> List[int]:
-        return [i for i, s in enumerate(self.states) if s.tangible]
-
-    def vanishing_states(self) -> List[int]:
-        return [i for i, s in enumerate(self.states) if not s.tangible]
 
     def step_prob(self, step: Step, i: int) -> float:
         """Probability to execute ``step`` in state ``i``."""
@@ -534,9 +477,8 @@ class Engine:
     No class is enumerated to build it: a class keeps its flags, the number
     of its operative members (those no forward rule rewrites) and the least
     serialization among them, composed from its components' least ones.
-    The members themselves are enumerated only on demand (``members``).
-    ``closure`` still enumerates a whole class by rewriting; it is the
-    reference the tests check the tree against.
+    The members themselves are enumerated only on demand: the operative
+    ones by ``members``, and every member by ``closure``.
 
     The steps of a class are the union of its members' derivations, and
     derive from its components' steps: the steps of a parallel class are
@@ -552,9 +494,7 @@ class Engine:
     therefore cannot pre-empt anything.
     """
 
-    def __init__(self, closure_limit: int = 10**6):
-        self.closure_limit = closure_limit
-        self._closures: Dict[DynamicExpr, FrozenSet[DynamicExpr]] = {}
+    def __init__(self):
         self._classes: List[_Class] = []
         self._bar_ids: Dict[DynamicExpr, int] = {}  # Over(e) or Under(e) -> class id
         self._pair_ids: Dict[Tuple[int, int], int] = {}  # component class ids -> class id
@@ -564,24 +504,8 @@ class Engine:
     # -- structural equivalence --------------------------------------------
 
     def closure(self, g: DynamicExpr) -> FrozenSet[DynamicExpr]:
-        """Every member of the class of ``g``, by exhaustive rewriting."""
-        cached = self._closures.get(g)
-        if cached is not None:
-            return cached
-        seen = {g}
-        frontier = [g]
-        while frontier:
-            d = frontier.pop()
-            for nxt in _rewrites(d, _forward_root) + _rewrites(d, _backward_root):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    if len(seen) > self.closure_limit:
-                        raise StateSpaceLimit(self.closure_limit)
-                    frontier.append(nxt)
-        result = frozenset(seen)
-        for member in result:
-            self._closures[member] = result
-        return result
+        """Every member of the class of ``g``, enumerated from the class tree."""
+        return frozenset(self._every(self.class_of(g)))
 
     def class_of(self, g: DynamicExpr) -> int:
         """The id of the class of ``g``."""
@@ -593,8 +517,14 @@ class Engine:
                     cid = self._add(_Class(g.expr, over, not over, int(over), (serialize(g), g) if over else None,
                                            _BAR_LEVEL, (Act,)))
                 else:
-                    # one root rule away from a compound node of the same class
-                    cid = self.class_of((_forward_root if isinstance(g, Over) else _backward_root)(g)[0])
+                    # the same marking as the bar at the other end of its port group
+                    static = _children(g.expr)
+                    group = _GROUP_OF[_kind(g.expr).counterpart][(None, type(g))]
+                    j, end = next(port for port in group if port[0] is not None)
+                    if j is ALL:
+                        cid = self._pair(*(self.class_of(end(x)) for x in static))
+                    else:
+                        cid = self._port(g.expr, j, self.class_of(end(static[j])))
                 self._bar_ids[g] = cid
             return cid
         if isinstance(g, DPar):
@@ -729,6 +659,25 @@ class Engine:
         """Every operative member of the class, enumerated."""
         c = self._classes[cid]
         out = self._proper(cid)
+        if c.final:
+            out.append(Under(c.skel))
+        return out
+
+    def _every(self, cid: int) -> List[DynamicExpr]:
+        """Every member of the class: the members of its shape and the barred
+        skeleton at the ends the class reaches."""
+        c = self._classes[cid]
+        shape = c.shape
+        if shape[0] is Act:
+            out = []
+        elif shape[0] is DPar:
+            out = [DPar(x, y) for x in self._every(shape[1]) for y in self._every(shape[2])]
+        else:
+            kind, ports = shape
+            static, attributes = _children(c.skel), _attributes(c.skel)
+            out = [kind(*static[:k], x, *static[k + 1:], *attributes) for k, a in ports for x in self._every(a)]
+        if c.initial:
+            out.append(Over(c.skel))
         if c.final:
             out.append(Under(c.skel))
         return out

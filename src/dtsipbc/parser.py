@@ -119,9 +119,7 @@ def tokenize(text: str, keep_newlines: bool = False) -> List[Token]:
                 depth += 1
             elif tok in ")]}":
                 depth = max(0, depth - 1)
-            elif tok == "[]":
-                pass
-            tokens.append(Token(kind if kind != "op" else "op", tok, line, col))
+            tokens.append(Token(kind, tok, line, col))
         col += m.end() - pos
         pos = m.end()
     tokens.append(Token("eof", "", line, col))

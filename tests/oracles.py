@@ -6,9 +6,12 @@ Each re-derives the slow, plain way what the program computes fast:
   step semantics computes compositionally;
 * by sets of member terms built from the members of subterm classes, the
   classes that the step semantics interns as a tree of class ids;
-* by one hand-written rule list per node kind, the bar-moving rules that
-  the program reads off one table of port groups, and the step derivation
-  that the program writes as one generic rule and a table of step maps;
+* by rewriting terms, with one hand-written rule list per node kind, the
+  structural-equivalence classes that the program reads off one table of
+  port groups as a class tree; the same table read as rewrite rules is
+  checked against the hand-written ones;
+* by one hand-written rule per node kind, the step derivation that the
+  program writes as one generic rule and a table of step maps;
 * by ``Multiset`` arithmetic on named places, what the net semantics
   computes on index-coded markings;
 * by scalar loops, one matrix and one state at a time, what the solver
@@ -52,6 +55,8 @@ from dtsipbc.expr import (
     Under,
     _attributes,
     _children,
+    _kind,
+    _rebuild,
     sync_activities,
     underlying,
 )
@@ -65,16 +70,14 @@ from dtsipbc.markov import (
 from dtsipbc.netsem import DtsiBox, NetTransition, StructureReport, enabled, fire, marking_key
 from dtsipbc.opsem import (
     _GROUP_OF,
-    Engine,
+    _PORT_GROUPS,
+    ALL,
     SemanticsError,
     State,
     StateSpaceLimit,
     Step,
     Transition,
     TransitionSystem,
-    _backward_root,
-    _forward_root,
-    _rewrites,
     _saturate_step,
     leaf_values_of,
     step_key,
@@ -83,7 +86,7 @@ from dtsipbc.parser import serialize
 
 
 # ---------------------------------------------------------------------------
-# Bar-moving rules, written out per node kind
+# Bar-moving rules, written out per node kind and read off the table
 # ---------------------------------------------------------------------------
 
 
@@ -228,6 +231,45 @@ def rewrites(d: DynamicExpr, root_rule) -> List[DynamicExpr]:
     return out
 
 
+def table_rule(forward: bool):
+    """The rewrites of a dynamic expression at its root, by the rules of
+    ``opsem._PORT_GROUPS`` read forward or backward."""
+    moves = {kind: [] for kind in _PORT_GROUPS}  # per kind, (from port, to port) pairs
+    for kind, groups in _PORT_GROUPS.items():
+        for group in groups:
+            for p, q in zip(group, group[1:]):
+                if (q[0] is None) == (q[1] is Over):  # a forward rule leaves q
+                    p, q = q, p
+                moves[kind].append((p, q) if forward else (q, p))
+
+    def rule(d: DynamicExpr) -> List[DynamicExpr]:
+        root_bar = type(d) if isinstance(d, (Over, Under)) else None
+        node = d.expr if root_bar else d
+        kind = _kind(node).counterpart if root_bar else type(d)
+        if kind is None:  # a barred activity
+            return []
+        args = _children(node)
+        out: List[DynamicExpr] = []
+        for (k, bar), (j, end) in moves[kind]:
+            # take the bar off at port (k, bar) ...
+            if k is None and bar is root_bar:
+                bare = args
+            elif k is ALL and all(isinstance(x, bar) for x in args):
+                bare = [x.expr for x in args]
+            elif k not in (None, ALL) and isinstance(args[k], bar):
+                bare = args[:k] + [args[k].expr] + args[k + 1:]
+            else:
+                continue
+            # ... and put it on at port (j, end)
+            if j is None:
+                out.append(end(_rebuild(node, bare, _kind(node).counterpart)))
+            else:
+                out.append(_rebuild(node, [end(x) if j in (i, ALL) else x for i, x in enumerate(bare)], kind))
+        return out
+
+    return rule
+
+
 def closure(g: DynamicExpr) -> FrozenSet[DynamicExpr]:
     """Every member of the class of ``g``, by exhaustive rewriting with the
     rules above."""
@@ -247,11 +289,11 @@ def closure(g: DynamicExpr) -> FrozenSet[DynamicExpr]:
 # ---------------------------------------------------------------------------
 
 
-def enumerated_class(engine: Engine, g: DynamicExpr) -> Tuple[Tuple[DynamicExpr, ...], bool, bool]:
+def enumerated_class(g: DynamicExpr) -> Tuple[Tuple[DynamicExpr, ...], bool, bool]:
     """Operative members in serialization order and the initial and final
     flags of the class of ``g``, read off the whole enumerated closure."""
-    members = engine.closure(g)
-    ops = tuple(sorted((d for d in members if not _rewrites(d, _forward_root)), key=serialize))
+    members = closure(g)
+    ops = tuple(sorted((d for d in members if not rewrites(d, forward_root)), key=serialize))
     return ops, Over(underlying(g)) in members, Under(underlying(g)) in members
 
 
@@ -289,7 +331,7 @@ class MemberClasses:
                 result = (frozenset((g,)), isinstance(g, Over), isinstance(g, Under))
             else:
                 # one root rule away from a compound node of the same class
-                root_rule = _forward_root if isinstance(g, Over) else _backward_root
+                root_rule = forward_root if isinstance(g, Over) else backward_root
                 result = self.summary(root_rule(g)[0])
         elif isinstance(g, DPar):
             left_ops, left_initial, left_final = self.summary(g.left)

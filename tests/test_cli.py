@@ -255,6 +255,20 @@ class TestExitCodes:
         assert code == 1
         assert err == "error: state-space limit of 3 exceeded\n"
 
+    def test_long_sequence(self, capsys, tmp_path):
+        model = tmp_path / "long.dtsi"
+        model.write_text("root = %s\n" % ";".join(["({a},0.5)"] * 400))
+        code, _, err = run(capsys, "solve", str(model))
+        assert code == 1
+        assert err.startswith("error: model nested too deeply") and err.count("\n") == 1, err
+
+    def test_deep_parentheses(self, capsys, tmp_path):
+        model = tmp_path / "deep.dtsi"
+        model.write_text("root = %s({a},0.5)%s\n" % ("(" * 1200, ")" * 1200))
+        code, _, err = run(capsys, "ts", str(model))
+        assert code == 1
+        assert err.startswith("error: model nested too deeply") and err.count("\n") == 1, err
+
     def test_semantics_error_is_an_input_error(self, capsys, monkeypatch):
         def malformed(expr, **kwargs):
             raise SemanticsError("step from state 1 reaches two distinct classes")
