@@ -8,19 +8,24 @@ terminator's entries into one looping interface.  Transitions are identified
 with enumerated activities, so reachability graphs are directly comparable to
 transition systems of expressions.
 
-Reachability graphs and the safe/clean check explore a box compiled once
-into index-coded form (``_Net``): markings are tuples of token counts per
-place, transitions carry their presets and postsets as (place, count) pairs
-and their activity values, and firing adds and subtracts counts.  Only the
-reachable markings are turned back into ``Multiset`` objects and key
-strings.  ``enabled`` and ``fire`` keep working on ``Multiset`` markings of
-the box itself.
+Each box is compiled once into index-coded form (``_Net``, cached on the
+box).  A marking is one int with a fixed-width field of token counts per
+place and a guard bit above each field, so a preset test is one subtraction
+and a mask, and firing adds one precomputed difference.  The fields are wide
+enough that no count can overflow before the state cap stops the run.  The
+box's net explores the markings reachable from the initial marking once:
+``check_safe_clean`` and ``build_rg`` read the same exploration, in either
+order, and ``build_rg`` releases its per-marking rows once it has read them.
+Only the reachable markings are turned back into ``Multiset`` objects and
+key strings.  ``enabled`` and ``fire`` keep working on ``Multiset`` markings
+of the box itself.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .expr import (
@@ -101,6 +106,12 @@ class DtsiBox:
     def final_marking(self) -> Multiset:
         return self.exits()
 
+    @cached_property
+    def _net(self) -> "_Net":
+        """The box compiled for exploring its markings, with the exploration
+        from its initial marking once that has run."""
+        return _Net(self)
+
 
 # ---------------------------------------------------------------------------
 # Compositional construction
@@ -174,10 +185,18 @@ def _rel_box(n: DtsiBox, func) -> DtsiBox:
     return DtsiBox(n.places, transitions)
 
 
+def _holds(activity: Activity, action: str) -> Tuple[bool, bool]:
+    """Whether the activity's multiaction holds ``action``, and whether it
+    holds its conjugate, read in one pass over the multiaction."""
+    held = [False, False]
+    for x, _ in activity.part.items:
+        if x.name == action:
+            held[x.conjugated] = True
+    return held[0], held[1]
+
+
 def _rst_box(n: DtsiBox, action: str) -> DtsiBox:
-    a, ah = Action(action), Action(action, True)
-    transitions = tuple(t for t in n.transitions if a not in t.activity.part and ah not in t.activity.part)
-    return DtsiBox(n.places, transitions)
+    return DtsiBox(n.places, tuple(t for t in n.transitions if not any(_holds(t.activity, action))))
 
 
 def _syn_box(n: DtsiBox, action: str) -> DtsiBox:
@@ -186,7 +205,7 @@ def _syn_box(n: DtsiBox, action: str) -> DtsiBox:
     Only a transition holding a and one holding a-hat can synchronize, so
     each transition is tested against such partners alone, taken in the
     order they joined the pool."""
-    a, ah = Action(action), Action(action, True)
+    a = Action(action)
     pool: Dict[Activity, NetTransition] = {t.activity: t for t in n.transitions}
     order: List[NetTransition] = []
     content: List[frozenset] = []
@@ -199,11 +218,12 @@ def _syn_box(n: DtsiBox, action: str) -> DtsiBox:
         k = len(order)
         order.append(t)
         content.append(t.activity.content)
-        has_a.append(a in t.activity.part)
-        has_ah.append(ah in t.activity.part)
-        if has_a[k]:
+        held, hat_held = _holds(t.activity, action)
+        has_a.append(held)
+        has_ah.append(hat_held)
+        if held:
             holds_a.append(k)
-        if has_ah[k]:
+        if hat_held:
             holds_ah.append(k)
 
     for t in pool.values():
@@ -285,43 +305,71 @@ def fire(box: DtsiBox, marking: Multiset, group: Iterable[NetTransition]) -> Mul
 def fire_prob(box: DtsiBox, marking: Multiset, group: Iterable[NetTransition]) -> float:
     """Normalized probability that exactly this transition set fires."""
     group = tuple(sorted(group))
-    net = _Net(box, marking)
+    net = _net_for(box, marking)
     m = net.encode(marking)
     ena, tangible = net.enabled(m)
-    groups = net.groups(m, ena, tangible)
-    named = [tuple(net.transitions[k] for k in g) for g in groups]
+    groups = [g for g, _ in net.groups(m, ena, tangible)]
+    named = [tuple(net.transitions[k] for k in g.members) for g in groups]
     if group not in named:
         raise SemanticsError("transition set is not fireable here")
-    total = sum(net.ready(g, ena, tangible) for g in groups)
-    return net.ready(groups[named.index(group)], ena, tangible) / total
+    ready = net.ready(ena, tangible, groups)
+    return ready[named.index(group)] / sum(ready)
 
 
 # ---------------------------------------------------------------------------
 # Index-coded nets
 # ---------------------------------------------------------------------------
 
-Counts = Tuple[int, ...]  # a marking: token count per place index
-Group = Tuple[int, ...]  # transition indices fired together, ascending
+
+class _Group:
+    """Transitions fired together, as ascending indices, with what the
+    firing rule reads of them: their step (activity set), a key that
+    orders steps as ``step_key`` does, their identities (equal transitions
+    share one), and the product and the sum of their values, multiplied and
+    added in index order.  A group is built on first use, as a child of the
+    group without its last transition, and kept until ``build_rg`` releases
+    the exploration that fired it."""
+
+    __slots__ = ("members", "step", "key", "chosen", "prod", "weight", "children")
+
+    def __init__(self, members, step, key, chosen, prod, weight):
+        self.members: Tuple[int, ...] = members
+        self.step: Step = step
+        self.key: Tuple[int, ...] = key
+        self.chosen: frozenset = chosen
+        self.prod: float = prod
+        self.weight: float = weight
+        self.children: Dict[int, "_Group"] = {}
+
+
+Row = Tuple[List[int], bool, List[Tuple[_Group, int]]]  # enabled, tangible, (group, target) arcs
 
 
 class _Net:
     """A box compiled once for exploring its markings.
 
-    Places are numbered in name order and a marking is the tuple of their
-    token counts.  Transitions are numbered in sorted order, which is the
-    order of ``enabled``; presets and postsets become (place, count) pairs,
-    and each activity's value and immediacy are read once.
+    Places are numbered in name order.  A marking is one int holding a field
+    of ``width`` bits per place, place k at bit k * (width + 1), and a zero
+    guard bit above each field; ``guard`` has every guard bit set.  A preset
+    ``pre`` fits marking ``m`` when ``((m | guard) - pre) & guard == guard``
+    (no field borrows from its guard), and firing is ``m - pre + post``.
+    Transitions are numbered in sorted order, which is the order of
+    ``enabled``; each activity's value and immediacy are read once.
+
+    ``explored`` keeps the exploration from the box's initial marking once
+    it has finished: its markings, and its rows until ``build_rg`` takes
+    them.
     """
 
-    def __init__(self, box: DtsiBox, marking: Multiset):
+    def __init__(self, box: DtsiBox, marking: Multiset = Multiset()):
         names = set(marking).union(
             (p.name for p in box.places), *(t.pre for t in box.transitions), *(t.post for t in box.transitions)
         )
         self.names = sorted(names)
-        self._place = {x: k for k, x in enumerate(self.names)}
+        self.place = {x: k for k, x in enumerate(self.names)}
         self.transitions = sorted(box.transitions)
-        self.pre = [self._pairs(t.pre) for t in self.transitions]
-        self.post = [self._pairs(t.post) for t in self.transitions]
+        self.initial = box.initial_marking()
+        self.interfaces = (box.entries(), box.exits())
         self.value = [t.activity.value for t in self.transitions]
         self.immediate = [t.activity.immediate for t in self.transitions]
         # equal transitions share one identity and equal activities one rank,
@@ -330,114 +378,173 @@ class _Net:
         self.same = [first.setdefault(t, k) for k, t in enumerate(self.transitions)]
         rank = {u: r for r, u in enumerate(sorted({t.activity for t in self.transitions}))}
         self._rank = [rank[t.activity] for t in self.transitions]
-        self._steps: Dict[Group, Tuple[Tuple[int, ...], Step]] = {}
+        self.empty = _Group((), frozenset(), (), frozenset(), 1.0, 0)
+        # a step fires each transition at most once, so it adds at most
+        # ``growth`` tokens to a place
+        self.growth = sum(t.post.cardinality for t in self.transitions)
+        self.heaviest = max((n for t in self.transitions for _, n in t.pre.items), default=0)
+        self.width = 0
+        self.explored: Optional[Tuple[List[int], Optional[List[Row]]]] = None
 
-    def _pairs(self, ms: Multiset) -> Tuple[Tuple[int, int], ...]:
-        return tuple((self._place[x], n) for x, n in ms.items)
+    def fit(self, tokens: int) -> None:
+        """Widen the fields, if needed, to hold ``tokens`` tokens and every
+        preset.  The kept exploration was packed narrower and is dropped."""
+        width = max(tokens, self.heaviest, 1).bit_length()
+        if width <= self.width:
+            return
+        self.width = width
+        self.stride = stride = width + 1
+        self.mask = (1 << width) - 1
+        self.guard = sum(1 << (k * stride + width) for k in range(len(self.names)))
+        # every bit of a field but its lowest: a marking is unsafe where it
+        # has one of them set
+        self.high = sum((self.mask ^ 1) << (k * stride) for k in range(len(self.names)))
+        self.pre = [self.encode(t.pre) for t in self.transitions]
+        self.delta = [self.encode(t.post) - pre for t, pre in zip(self.transitions, self.pre)]
+        self.explored = None
 
-    def encode(self, marking: Multiset) -> Counts:
-        counts = [0] * len(self.names)
-        for p, n in self._pairs(marking):
-            counts[p] = n
-        return tuple(counts)
+    def encode(self, marking: Multiset) -> int:
+        return sum(n << (self.place[x] * self.stride) for x, n in marking.items)
 
-    def decode(self, m: Counts) -> Multiset:
-        return Multiset(tuple((x, n) for x, n in zip(self.names, m) if n))
+    def decode(self, m: int) -> Multiset:
+        stride, mask, names = self.stride, self.mask, self.names
+        items = []
+        k = 0  # the place of the lowest field left in m
+        while m:
+            skip = ((m & -m).bit_length() - 1) // stride
+            m >>= skip * stride
+            k += skip
+            items.append((names[k], m & mask))
+            m >>= stride
+            k += 1
+        return Multiset(tuple(items))
 
-    def enabled(self, m: Counts) -> Tuple[List[int], bool]:
+    def covers(self, m: int, sub: int) -> bool:
+        """Whether marking ``m`` holds every token of ``sub``."""
+        guard = self.guard
+        return ((m | guard) - sub) & guard == guard
+
+    def enabled(self, m: int) -> Tuple[List[int], bool]:
         """``enabled`` as indices, and whether the marking is tangible."""
-        ena = [k for k, pre in enumerate(self.pre) if all(m[p] >= n for p, n in pre)]
+        guard = self.guard
+        free = m | guard
+        ena = [k for k, pre in enumerate(self.pre) if (free - pre) & guard == guard]
         if any(self.immediate[k] for k in ena):
             return [k for k in ena if self.immediate[k]], False
         return ena, True
 
-    def groups(self, m: Counts, ena: List[int], tangible: bool) -> List[Group]:
+    def groups(self, m: int, ena: List[int], tangible: bool) -> List[Tuple[_Group, int]]:
         """Every subset of ``ena`` whose joint preset fits ``m``, in
-        depth-first order, then the empty group when ``m`` is tangible."""
-        free = list(m)
-        chosen: List[int] = []
-        out: List[Group] = []
-
-        def extend(start: int) -> None:
+        depth-first order, then the empty group when ``m`` is tangible;
+        each with the change firing it makes to ``m``."""
+        guard, pre, delta = self.guard, self.pre, self.delta
+        out: List[Tuple[_Group, int]] = []
+        # (next position in ena, group, tokens left free, change so far)
+        stack = [(0, self.empty, m | guard, 0)]
+        while stack:
+            start, group, free, change = stack.pop()
             for pos in range(start, len(ena)):
                 k = ena[pos]
-                pre = self.pre[k]
-                if all(free[p] >= n for p, n in pre):
-                    for p, n in pre:
-                        free[p] -= n
-                    chosen.append(k)
-                    out.append(tuple(chosen))
-                    extend(pos + 1)
-                    chosen.pop()
-                    for p, n in pre:
-                        free[p] += n
-
-        extend(0)
+                rest = free - pre[k]
+                if rest & guard == guard:
+                    child = group.children.get(k) or self._child(group, k)
+                    moved = change + delta[k]
+                    out.append((child, moved))
+                    # the groups that extend child come before child's siblings
+                    stack.append((pos + 1, group, free, change))
+                    stack.append((pos + 1, child, rest, moved))
+                    break
         if tangible:
-            out.append(())
+            out.append((self.empty, 0))
         return out
 
-    def fire(self, m: Counts, g: Group) -> Counts:
-        counts = list(m)
-        for k in g:
-            for p, n in self.pre[k]:
-                counts[p] -= n
-            for p, n in self.post[k]:
-                counts[p] += n
-        return tuple(counts)
+    def _child(self, group: _Group, k: int) -> _Group:
+        members = group.members + (k,)
+        child = _Group(
+            members,
+            group.step | {self.transitions[k].activity},
+            tuple(sorted({self._rank[j] for j in members})),
+            group.chosen | {self.same[k]},
+            group.prod * self.value[k],
+            group.weight + self.value[k],
+        )
+        group.children[k] = child
+        return child
 
-    def ready(self, g: Group, ena: List[int], tangible: bool) -> float:
+    def ready(self, ena: List[int], tangible: bool, groups: List[_Group]) -> List[float]:
         """Unnormalized probability (tangible) or weight (vanishing) of
-        firing exactly ``g`` among ``ena``."""
+        firing exactly each of ``groups`` among ``ena``: a probability is
+        the group's product times 1 - value of each other enabled
+        transition, in index order."""
         if not tangible:
-            return sum(self.value[k] for k in g)
-        prob = 1.0
-        for k in g:
-            prob *= self.value[k]
-        chosen = {self.same[k] for k in g}
-        for u in ena:
-            if self.same[u] not in chosen:
-                prob *= 1.0 - self.value[u]
-        return prob
+            return [g.weight for g in groups]
+        others = [(self.same[u], 1.0 - self.value[u]) for u in ena]
+        out = []
+        for g in groups:
+            prob, chosen = g.prod, g.chosen
+            for u, rest in others:
+                if u not in chosen:
+                    prob *= rest
+            out.append(prob)
+        return out
 
-    def step(self, g: Group) -> Tuple[Tuple[int, ...], Step]:
-        """The step of ``g`` (its activity set), built once per group, and
-        a key that orders steps as ``step_key`` does."""
-        found = self._steps.get(g)
-        if found is None:
-            found = (tuple(sorted({self._rank[k] for k in g})), frozenset(self.transitions[k].activity for k in g))
-            self._steps[g] = found
-        return found
+    def explore(self, start: Multiset, max_states: int) -> Tuple[List[int], List[Row]]:
+        """Reachable markings in breadth-first order, each with its enabled
+        transitions, tangibility and firing groups in step order."""
+        # the marking with index i lies at most i steps from the start, and
+        # a marking with an index of max_states or more stops the run
+        self.fit(max((n for _, n in start.items), default=0) + max_states * self.growth)
+        index: Dict[int, int] = {}
+        markings: List[int] = []
+
+        def intern(m: int) -> int:
+            idx = index.get(m)
+            if idx is None:
+                idx = len(markings)
+                if idx >= max_states:
+                    raise StateSpaceLimit(max_states)
+                index[m] = idx
+                markings.append(m)
+            return idx
+
+        intern(self.encode(start))
+        rows: List[Row] = []
+        while len(rows) < len(markings):
+            m = markings[len(rows)]
+            ena, tangible = self.enabled(m)
+            arcs = self.groups(m, ena, tangible)
+            arcs.sort(key=_step_order)
+            rows.append((ena, tangible, [(g, intern(m + change)) for g, change in arcs]))
+        return markings, rows
+
+    def release(self, markings: List[int]) -> None:
+        """Keep ``markings`` as the exploration, without its rows, and drop
+        the groups built so far; only an exploration reads them."""
+        self.explored = (markings, None)
+        self.empty = _Group((), frozenset(), (), frozenset(), 1.0, 0)
+
+    def reachable(self, max_states: int) -> Tuple[List[int], Optional[List[Row]]]:
+        """The exploration from the initial marking, run once and kept."""
+        if self.explored is None:
+            self.explored = self.explore(self.initial, max_states)
+        markings, rows = self.explored
+        if len(markings) > max_states:
+            raise StateSpaceLimit(max_states)
+        return markings, rows
 
 
-Row = Tuple[List[int], bool, List[Tuple[Group, int]]]  # enabled, tangible, (group, target) arcs
+def _step_order(arc: Tuple[_Group, int]) -> Tuple[int, ...]:
+    return arc[0].key
 
 
-def _explore(net: _Net, start: Counts, max_states: int) -> Tuple[List[Counts], List[Row]]:
-    """Reachable markings in breadth-first order, each with its enabled
-    transitions, tangibility and firing groups in step order."""
-    index: Dict[Counts, int] = {}
-    markings: List[Counts] = []
-
-    def intern(m: Counts) -> int:
-        idx = index.get(m)
-        if idx is None:
-            idx = len(markings)
-            if idx >= max_states:
-                raise StateSpaceLimit(max_states)
-            index[m] = idx
-            markings.append(m)
-        return idx
-
-    intern(start)
-    rows: List[Row] = []
-    while len(rows) < len(markings):
-        m = markings[len(rows)]
-        ena, tangible = net.enabled(m)
-        groups = net.groups(m, ena, tangible)
-        groups.sort(key=lambda g: net.step(g)[0])
-        rows.append((ena, tangible, [(g, intern(net.fire(m, g))) for g in groups]))
-    return markings, rows
+def _net_for(box: DtsiBox, marking: Multiset) -> _Net:
+    """The box's compiled net, fitted to hold ``marking``, or a net of its
+    own when ``marking`` names a place the box lacks."""
+    net = box._net
+    if not all(x in net.place for x in marking):
+        net = _Net(box, marking)
+    net.fit(max((n for _, n in marking.items), default=0))
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +559,22 @@ def marking_key(marking: Multiset) -> str:
 def build_rg(box: DtsiBox, initial: Optional[Multiset] = None, max_states: int = 100_000) -> TransitionSystem:
     """Reachability graph under the step firing rule, shaped like a transition
     system (steps are the activity sets of the fired transitions)."""
-    start = box.initial_marking() if initial is None else initial
-    net = _Net(box, start)
-    counts, rows = _explore(net, net.encode(start), max_states)
+    net = box._net
+    if initial is None or initial == net.initial:
+        counts, rows = net.reachable(max_states)
+        if rows is None:  # an earlier graph took them
+            counts, rows = net.explore(net.initial, max_states)
+        net.release(counts)
+    else:
+        net = _net_for(box, initial)
+        counts, rows = net.explore(initial, max_states)
     markings = [net.decode(m) for m in counts]
     states = [State(marking_key(m), (), tangible) for m, (_, tangible, _) in zip(markings, rows)]
     transitions: List[Transition] = []
     for i, (ena, tangible, arcs) in enumerate(rows):
-        ready = [net.ready(g, ena, tangible) for g, _ in arcs]
+        ready = net.ready(ena, tangible, [g for g, _ in arcs])
         total = sum(ready)
-        for (g, j), r in zip(arcs, ready):
-            transitions.append(Transition(i, net.step(g)[1], r / total, j))
+        transitions += [Transition(i, g.step, r / total, j) for (g, j), r in zip(arcs, ready)]
 
     rg = TransitionSystem(states, transitions, 0, None)
     rg.markings = markings  # type: ignore[attr-defined]
@@ -489,17 +601,16 @@ class StructureReport:
 
 def check_safe_clean(box: DtsiBox, max_states: int = 100_000) -> StructureReport:
     """Verify one-boundedness and entry/exit cleanness over reachable markings."""
-    start = box.initial_marking()
-    net = _Net(box, start)
-    markings, _ = _explore(net, net.encode(start), max_states)
-    interfaces = (net.encode(box.entries()), net.encode(box.exits()))
+    net = box._net
+    markings, _ = net.reachable(max_states)
+    interfaces = [net.encode(interface) for interface in net.interfaces]
     report = StructureReport(True, True, len(markings))
     for m in markings:
-        if any(n > 1 for n in m):
+        if m & net.high:
             report.safe = False
             report.unsafe_witness = marking_key(net.decode(m))
         for interface in interfaces:
-            if m != interface and all(n >= k for n, k in zip(m, interface)):
+            if m != interface and net.covers(m, interface):
                 report.clean = False
                 report.unclean_witness = marking_key(net.decode(m))
     return report

@@ -211,7 +211,7 @@ class TestAgainstReference:
             for g in oracles.firing_groups(box, m):
                 assert fire_prob(box, m, g).hex() == oracles.fire_prob(box, m, g).hex()
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("abstract", [True, False])
     def test_shared_memory_family(self, n, abstract, monkeypatch):
         assert_same_net_semantics(parse_model(shm_text(n, abstract)).instantiate(), monkeypatch)
@@ -254,3 +254,115 @@ class TestAgainstReference:
         for explore in (build_rg, oracles.build_rg, check_safe_clean, oracles.check_safe_clean):
             with pytest.raises(StateSpaceLimit):
                 explore(box, max_states=20)
+
+
+# ---------------------------------------------------------------------------
+# One compiled net per box, one exploration of its packed markings
+# ---------------------------------------------------------------------------
+
+
+def count_explorations(monkeypatch):
+    """The max_states of every exploration the compiled nets run from now on."""
+    calls = []
+    explore = netsem._Net.explore
+
+    def counted(net, start, max_states):
+        calls.append(max_states)
+        return explore(net, start, max_states)
+
+    monkeypatch.setattr(netsem._Net, "explore", counted)
+    return calls
+
+
+def shm3_box():
+    return box_of(parse_model(shm_text(3)).instantiate())
+
+
+def token_box(post_counts):
+    """One stochastic transition from the entry place p to ``post_counts``."""
+    t = NetTransition(Activity.make(Multiset.of(Action("a")), False, 0.5, 1), Multiset.of("p"),
+                      Multiset.from_counts(post_counts))
+    return DtsiBox((Place("p", "e"), Place("q", "x")), (t,))
+
+
+class TestSharedExploration:
+    @pytest.mark.parametrize("rg_first", [False, True], ids=["safe_clean_first", "rg_first"])
+    def test_one_exploration_in_either_order(self, rg_first, monkeypatch):
+        box = shm3_box()
+        calls = count_explorations(monkeypatch)
+        if rg_first:
+            rg = build_rg(box)
+            report = check_safe_clean(box)
+        else:
+            report = check_safe_clean(box)
+            rg = build_rg(box)
+        assert calls == [100_000]
+        assert report == oracles.check_safe_clean(box) and report.marking_count == 21
+        assert_same_rg(rg, oracles.build_rg(box))
+
+    def test_graph_releases_the_rows(self, monkeypatch):
+        box = shm3_box()
+        first = build_rg(box)
+        markings, rows = box._net.explored
+        assert len(markings) == 21 and rows is None
+        calls = count_explorations(monkeypatch)
+        assert check_safe_clean(box).marking_count == 21
+        assert calls == []
+        # the rows are gone, so a second graph explores again
+        assert_same_rg(build_rg(box), first)
+        assert len(calls) == 1
+
+    def test_state_cap_reads_the_kept_exploration(self, monkeypatch):
+        box = shm3_box()
+        check_safe_clean(box)
+        calls = count_explorations(monkeypatch)
+        assert len(build_rg(box, max_states=21).states) == 21
+        for explore in (build_rg, check_safe_clean):
+            with pytest.raises(StateSpaceLimit):
+                explore(box, max_states=20)
+        assert check_safe_clean(box, max_states=21).marking_count == 21
+        assert calls == []
+
+    def test_capped_exploration_keeps_nothing(self):
+        box = shm3_box()
+        for explore in (check_safe_clean, build_rg):
+            with pytest.raises(StateSpaceLimit):
+                explore(box, max_states=20)
+            assert box._net.explored is None
+        assert check_safe_clean(box, max_states=21).marking_count == 21
+
+    def test_separate_net_for_a_foreign_place(self):
+        box = shm3_box()
+        check_safe_clean(box)
+        marking = box.initial_marking() + Multiset.of("elsewhere")
+        assert_same_rg(build_rg(box, initial=marking), oracles.build_rg(box, initial=marking))
+        assert len(box._net.explored[0]) == 21
+
+    @pytest.mark.parametrize("cap", [1, 2, 5, 64, 1000])
+    def test_growing_net_hits_the_cap(self, cap):
+        # every firing puts three more tokens on q, so no field width is
+        # enough for all markings
+        box = token_box({"p": 1, "q": 3})
+        for explore in (build_rg, check_safe_clean, oracles.build_rg):
+            with pytest.raises(StateSpaceLimit):
+                explore(box, max_states=cap)
+        assert box._net.explored is None
+        deep = Multiset.from_counts({"p": 1, "q": 3 * 2 ** 40})
+        with pytest.raises(StateSpaceLimit):
+            build_rg(box, initial=deep, max_states=cap)
+
+    def test_many_tokens_on_a_place(self):
+        # each step takes a token from p and puts three on q: 301 markings,
+        # and q ends with three times the tokens of the start
+        box = token_box({"q": 3})
+        start = Multiset.from_counts({"p": 300})
+        rg = build_rg(box, initial=start)
+        assert len(rg.states) == 301 and rg.markings[-1] == Multiset.from_counts({"q": 900})
+        assert_same_rg(rg, oracles.build_rg(box, initial=start))
+        (t,) = box.transitions
+        report = check_safe_clean(box)
+        # a marking wider than the explored fields widens them
+        wide = Multiset.from_counts({"p": 2 ** 40})
+        assert fire_prob(box, wide, [t]).hex() == oracles.fire_prob(box, wide, [t]).hex()
+        assert check_safe_clean(box) == report == oracles.check_safe_clean(box)
+        assert_same_rg(build_rg(box), oracles.build_rg(box))
