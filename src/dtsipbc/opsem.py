@@ -995,4 +995,9 @@ def ts_isomorphic(a, b, tol: float = 1e-9) -> Optional[Dict[int, int]]:
                     return result
         return None
 
-    return solve([(a.initial, b.initial)], {}, {})
+    try:
+        return solve([(a.initial, b.initial)], {}, {})
+    finally:
+        # solve hands itself to _branch, so it holds a cell that holds it;
+        # emptying the cell frees a and b without the cyclic collector
+        del solve

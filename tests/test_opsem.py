@@ -9,8 +9,10 @@ derivation.
 """
 
 import dataclasses
+import gc
 import itertools
 import math
+import weakref
 
 import pytest
 
@@ -280,6 +282,19 @@ class TestIsomorphism:
         ts = ts_of("ts_example")
         mapping = ts_isomorphic(ts, ts)
         assert mapping == {i: i for i in range(len(ts.states))}
+
+    def test_arguments_freed_without_the_cyclic_collector(self):
+        # a graph kept alive by a reference cycle lingers until the cyclic
+        # collector runs, which allocation-light callers reach seldom
+        ts = ts_of("shared_memory")
+        ref = weakref.ref(ts)
+        gc.disable()
+        try:
+            assert ts_isomorphic(ts, ts) is not None
+            del ts
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_probability_mismatch_detected(self):
         a = build_ts(parse_static("({a},0.5)"))
