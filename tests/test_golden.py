@@ -1,11 +1,12 @@
 """Committed CLI artefacts, compared byte for byte.
 
-``tests/golden/`` holds the ``ts --members`` JSON, the ``ts`` DOT and the
-``rg`` JSON of every bundled model and of the generated shared-memory model
-with three processors, abstract (``shm3a``) and concrete (``shm3c``).  They
-pin the state keys, the class members, the steps and the targets of both
-semantics.  None of them goes through a LAPACK call, so their bits do not
-depend on the BLAS build.
+``tests/golden/`` holds the ``ts --members`` JSON, the ``ts`` DOT, the
+``rg`` JSON and the ``box`` net JSON of every bundled model and of the
+generated shared-memory model with three processors, abstract (``shm3a``)
+and concrete (``shm3c``).  They pin the state keys, the class members, the
+steps and the targets of both semantics, and the places, transitions and
+arcs of the box.  None of them goes through a LAPACK call, so their bits do
+not depend on the BLAS build.
 
 A change that means to move them regenerates them with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why.
@@ -32,6 +33,7 @@ ARTEFACTS = (
     ("ts.json", "ts", ("--members",)),
     ("ts.dot", "ts", ("--format", "dot")),
     ("rg.json", "rg", ()),
+    ("net.json", "box", ()),
 )
 
 
