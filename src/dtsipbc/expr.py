@@ -6,10 +6,11 @@ freely between threads and used as dictionary keys (state keys, step labels).
 The 17 kinds of expression node are described once, in ``_KINDS``: the
 subtree fields in order, the other fields (``activity``, ``func``,
 ``action``) and the static or barred counterpart (``Seq`` and ``DSeq``).
-Tree walks read a node through ``_children`` and ``_rebuild`` and name only
-the kinds they treat specially, so no walk re-lists every kind.  What
-differs per kind is kept in tables keyed by kind: the bar-moving rules and
-the step maps of the derivation (``opsem``), the box operators
+Tree walks are visits of ``fold``, one post-order walk on an explicit
+stack; a visit reads a node through ``_children`` and ``_rebuild`` and
+names only the kinds it treats specially, so no walk re-lists every kind.
+What differs per kind is kept in tables keyed by kind: the bar-moving rules
+and the step maps of the derivation (``opsem``), the box operators
 (``netsem``), and the surface syntax that the printer and template
 instantiation share (``parser``).
 """
@@ -59,6 +60,7 @@ __all__ = [
     "renumber",
     "activities_of",
     "is_dynamic",
+    "fold",
 ]
 
 
@@ -421,28 +423,34 @@ def is_stop(e: StaticExpr) -> bool:
 def is_regular(e: StaticExpr) -> bool:
     """Check the regular grammar: no parallel composition at the top level of
     any iteration body."""
-    children = _static_children(e)
-    if isinstance(e, Ite):
-        return is_regular(e.init) and is_iteration_body(e.body) and is_regular(e.term)
-    return all(is_regular(c) for c in children)
+    return fold(e, _regularity, _static_children)[0]
 
 
 def is_iteration_body(e: StaticExpr) -> bool:
-    children = _static_children(e)
-    if isinstance(e, Par):
-        return False
-    if isinstance(e, Seq):
-        return is_iteration_body(e.left) and is_regular(e.right)
+    return fold(e, _regularity, _static_children)[1]
+
+
+def _regularity(e: StaticExpr, operands: Sequence[Tuple[bool, bool]]) -> Tuple[bool, bool]:
+    """(regular, regular as an iteration body) of ``e``, from those of its subtrees."""
     if isinstance(e, Ite):
-        return is_iteration_body(e.init) and is_iteration_body(e.body) and is_regular(e.term)
-    return all(is_iteration_body(c) for c in children)
+        (init, init_body), (_, body), (term, _) = operands
+        return init and body and term, init_body and body and term
+    regular = all(r for r, _ in operands)
+    if isinstance(e, Seq):
+        return regular, operands[0][1] and operands[1][0]
+    return regular, not isinstance(e, Par) and all(b for _, b in operands)
 
 
 def activities_of(e: StaticExpr) -> Tuple[Activity, ...]:
     """All activity occurrences in source order."""
-    if isinstance(e, Act):
-        return (e.activity,)
-    return sum(map(activities_of, _static_children(e)), ())
+    found: List[Activity] = []
+
+    def visit(node, _):
+        if isinstance(node, Act):
+            found.append(node.activity)
+
+    fold(e, visit, _static_children)
+    return tuple(found)
 
 
 def renumber(e: StaticExpr, start: int = 1) -> StaticExpr:
@@ -455,15 +463,15 @@ def _renumbered(e, start: int, children: Callable):
     the subtrees that ``children`` lists."""
     counter = [start - 1]
 
-    def walk(node):
+    def visit(node, operands):
         if isinstance(node, Act):
             counter[0] += 1
             u = node.activity
             base = u.leaves[0][1] if len(u.leaves) == 1 else u.value
             return Act(Activity(u.part, u.immediate, ((counter[0], base),), counter[0]))
-        return _rebuild(node, [walk(c) for c in children(node)])
+        return _rebuild(node, operands)
 
-    return walk(e)
+    return fold(e, visit, children)
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +546,16 @@ def is_dynamic(x: object) -> bool:
 
 def underlying(g: Union[StaticExpr, DynamicExpr]) -> StaticExpr:
     """Strip every bar, recovering the static skeleton."""
-    if isinstance(g, StaticExpr):
-        return g
-    if isinstance(g, (Over, Under)):
-        return g.expr
-    return _rebuild(g, [underlying(c) for c in _children(g)], _kind(g).counterpart)
+
+    def visit(g, operands):
+        if isinstance(g, StaticExpr):
+            return g
+        if isinstance(g, (Over, Under)):
+            return g.expr
+        return _rebuild(g, operands, _kind(g).counterpart)
+
+    # the walk ends at each bar and each static subtree
+    return fold(g, visit, lambda g: [] if isinstance(g, (StaticExpr, Over, Under)) else _children(g))
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +598,26 @@ def _kind(node: object) -> _Kind:
 def _children(node: Union[StaticExpr, DynamicExpr]) -> List[Union[StaticExpr, DynamicExpr]]:
     """The subtrees of ``node``, in field order."""
     return [getattr(node, name) for name in _kind(node).subtrees]
+
+
+def fold(root, visit: Callable[[Any, Sequence], Any], children: Callable[[Any], Sequence] = _children):
+    """``visit(node, results)`` for every node of the tree under ``root``,
+    bottom-up and left to right, where ``results`` holds the visits of
+    ``children(node)`` in order; returns the visit of ``root``.  The walk
+    keeps an explicit stack, so it takes any depth of nesting."""
+    order = []  # each node and its number of children; reversed, a post-order
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        below = children(node)
+        order.append((node, len(below)))
+        stack.extend(below)
+    results: list = []
+    for node, n in reversed(order):
+        operands = results[len(results) - n:]
+        del results[len(results) - n:]
+        results.append(visit(node, operands))
+    return results[0]
 
 
 def _static_children(e: StaticExpr) -> List[StaticExpr]:

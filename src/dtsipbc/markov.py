@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ class AnalysisError(Exception):
         self.closed_classes = closed_classes or []
 
 
-@dataclass(frozen=True)
-class StepArc:
+class StepArc(NamedTuple):
     label: Multiset  # multiset of multiaction parts
     prob: float
     target: int

@@ -41,8 +41,8 @@ from .expr import (
     Seq,
     StaticExpr,
     Syn,
-    _children,
     _rebuild,
+    fold,
     is_regular,
     sync_activities,
 )
@@ -252,7 +252,7 @@ def box_of(expr: StaticExpr) -> DtsiBox:
     """Compositional net of a regular term, transitions labeled by activities."""
     if not is_regular(expr):
         raise SemanticsError("expression is not regular")
-    return _box_of(expr)
+    return fold(expr, lambda e, boxes: _rebuild(e, boxes, _COMBINATOR[type(e)]))
 
 
 # kind -> the box combinator, applied to the boxes of the subtrees and then
@@ -267,10 +267,6 @@ _COMBINATOR = {
     Syn: _syn_box,
     Ite: _ite_box,
 }
-
-
-def _box_of(e: StaticExpr) -> DtsiBox:
-    return _rebuild(e, [_box_of(c) for c in _children(e)], _COMBINATOR[type(e)])
 
 
 # ---------------------------------------------------------------------------

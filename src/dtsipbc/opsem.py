@@ -35,7 +35,7 @@ import math
 from collections import abc
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,7 +63,9 @@ from .expr import (
     _children,
     _kind,
     _rebuild,
+    activities_of,
     apply_relabel,
+    fold,
     is_regular,
     sync_activities,
 )
@@ -171,8 +173,7 @@ class State:
         return "tangible" if self.tangible else "vanishing"
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     source: int
     step: Step
     prob: float
@@ -291,17 +292,19 @@ class TransitionSystem:
 
 def _remap_leaves(node, leaf_values: Dict[int, float]):
     """Rebuild an expression with new base values at the given leaves."""
-    if isinstance(node, Act):
-        u = node.activity
-        leaves = tuple((i, leaf_values.get(i, v)) for i, v in u.leaves)
-        return Act(Activity(u.part, u.immediate, leaves, u.num))
-    return _rebuild(node, [_remap_leaves(c, leaf_values) for c in _children(node)])
+
+    def visit(node, operands):
+        if isinstance(node, Act):
+            u = node.activity
+            leaves = tuple((i, leaf_values.get(i, v)) for i, v in u.leaves)
+            return Act(Activity(u.part, u.immediate, leaves, u.num))
+        return _rebuild(node, operands)
+
+    return fold(node, visit)
 
 
 def leaf_values_of(expr: StaticExpr) -> Dict[int, float]:
     """Base value carried by every activity leaf of a numbered expression."""
-    from .expr import activities_of
-
     out: Dict[int, float] = {}
     for u in activities_of(expr):
         for i, v in u.leaves:
@@ -937,67 +940,61 @@ def ts_isomorphic(a, b, tol: float = 1e-9) -> Optional[Dict[int, int]]:
     """
     if len(a.states) != len(b.states) or len(a.transitions) != len(b.transitions):
         return None
+    return _solve(a, b, tol, [(a.initial, b.initial)], {}, {})
 
-    def groups(ts, i):
-        # a frozenset keeps its hash, so steps key the groups directly
-        by_label: Dict[Step, List[Tuple[float, int]]] = {}
-        for t in ts.outgoing(i):
-            by_label.setdefault(t.step, []).append((t.prob, t.target))
-        return by_label
 
-    def kind(ts, i) -> bool:
-        return ts.states[i].tangible
+def _groups(ts, i: int) -> Dict[Step, List[Tuple[float, int]]]:
+    # a frozenset keeps its hash, so steps key the groups directly
+    by_label: Dict[Step, List[Tuple[float, int]]] = {}
+    for t in ts.outgoing(i):
+        by_label.setdefault(t.step, []).append((t.prob, t.target))
+    return by_label
 
-    def solve(obligations, mapping, reverse):
-        # extends its arguments in place; _branch hands it copies, so a
-        # failed alternative leaves nothing behind
-        while obligations:
-            i, j = obligations.pop()
-            if i in mapping:
-                if mapping[i] != j:
+
+def _solve(a, b, tol: float, obligations, mapping, reverse):
+    # extends its arguments in place; _branch hands it copies, so a failed
+    # alternative leaves nothing behind
+    while obligations:
+        i, j = obligations.pop()
+        if i in mapping:
+            if mapping[i] != j:
+                return None
+            continue
+        if j in reverse:
+            return None
+        if a.states[i].tangible != b.states[j].tangible:
+            return None
+        ga, gb = _groups(a, i), _groups(b, j)
+        if set(ga) != set(gb):
+            return None
+        mapping[i] = j
+        reverse[j] = i
+        local: List[Tuple[List[Tuple[float, int]], List[Tuple[float, int]]]] = []
+        for label, la in ga.items():
+            lb = gb[label]
+            if len(la) != len(lb):
+                return None
+            if len(la) == 1:
+                if abs(la[0][0] - lb[0][0]) > tol:
                     return None
-                continue
-            if j in reverse:
-                return None
-            if kind(a, i) != kind(b, j):
-                return None
-            ga, gb = groups(a, i), groups(b, j)
-            if set(ga) != set(gb):
-                return None
-            mapping[i] = j
-            reverse[j] = i
-            local: List[Tuple[List[Tuple[float, int]], List[Tuple[float, int]]]] = []
-            for label, la in ga.items():
-                lb = gb[label]
-                if len(la) != len(lb):
-                    return None
-                if len(la) == 1:
-                    if abs(la[0][0] - lb[0][0]) > tol:
-                        return None
-                    obligations.append((la[0][1], lb[0][1]))
-                else:
-                    local.append((la, lb))
-            if local:
-                return _branch(local, obligations, mapping, reverse, solve, tol)
-        return mapping
+                obligations.append((la[0][1], lb[0][1]))
+            else:
+                local.append((la, lb))
+        if local:
+            return _branch(a, b, tol, local, obligations, mapping, reverse)
+    return mapping
 
-    def _branch(local, obligations, mapping, reverse, cont, tol):
-        la, lb = local[0]
-        rest = local[1:]
-        for perm in itertools.permutations(range(len(lb))):
-            if all(abs(la[k][0] - lb[p][0]) <= tol for k, p in enumerate(perm)):
-                new_obl = obligations + [(la[k][1], lb[p][1]) for k, p in enumerate(perm)]
-                if rest:
-                    result = _branch(rest, new_obl, mapping, reverse, cont, tol)
-                else:
-                    result = cont(new_obl, dict(mapping), dict(reverse))
-                if result is not None:
-                    return result
-        return None
 
-    try:
-        return solve([(a.initial, b.initial)], {}, {})
-    finally:
-        # solve hands itself to _branch, so it holds a cell that holds it;
-        # emptying the cell frees a and b without the cyclic collector
-        del solve
+def _branch(a, b, tol: float, local, obligations, mapping, reverse):
+    la, lb = local[0]
+    rest = local[1:]
+    for perm in itertools.permutations(range(len(lb))):
+        if all(abs(la[k][0] - lb[p][0]) <= tol for k, p in enumerate(perm)):
+            new_obl = obligations + [(la[k][1], lb[p][1]) for k, p in enumerate(perm)]
+            if rest:
+                result = _branch(a, b, tol, rest, new_obl, mapping, reverse)
+            else:
+                result = _solve(a, b, tol, new_obl, dict(mapping), dict(reverse))
+            if result is not None:
+                return result
+    return None

@@ -43,9 +43,11 @@ from .expr import (
     Syn,
     Under,
     _KINDS,
+    _attributes,
     _children,
     _renumbered,
     activities_of,
+    fold,
     is_dynamic,
     is_regular,
     is_stop,
@@ -366,14 +368,12 @@ class _Syntax(NamedTuple):
     level: int  # binding level; an operand that needs a higher one is parenthesized
     form: str  # the text, from the operands and then the other fields
     operands: Tuple[Tuple[str, int], ...]  # each subtree field, with the level it needs
-    attributes: Tuple[str, ...]  # the other fields
     bars_error: Optional[str]  # the error when more arguments are barred than the operator takes
 
 
 def _syntax(kind: type, tag: str, level: int, form: str, needs: Tuple[int, ...],
             bars_error: Optional[str] = None) -> _Syntax:
-    fields = _KINDS[kind]
-    return _Syntax(tag, level, form, tuple(zip(fields.subtrees, needs)), fields.attributes, bars_error)
+    return _Syntax(tag, level, form, tuple(zip(_KINDS[kind].subtrees, needs)), bars_error)
 
 
 # each operator, by its static kind
@@ -399,31 +399,39 @@ _SYNTAX.update({_KINDS[kind].counterpart: syntax for kind, syntax in list(_SYNTA
 
 
 def _instantiate(t: Template, bindings: Dict[str, float]) -> Union[StaticExpr, DynamicExpr]:
-    tag = t[0]
-    if tag == "act":
-        actions, immediate, value = t[1], t[2], t[3]
-        part = Multiset.from_iterable(Action(n, c) for n, c in actions)
-        return Act(Activity.make(part, immediate, _bound(value, bindings), 0))
-    if tag == "stop":
-        return stop_expr()
-    kind = _KIND_OF_TAG.get(tag)
-    if kind is None:
-        raise ValueError("bad template node %r" % (tag,))
-    arity = len(_KINDS[kind].subtrees)
-    args = [_instantiate(x, bindings) for x in t[1:1 + arity]]
-    barred = sum(map(is_dynamic, args))
-    # a bar may wrap only a bar-free term, both operands of || carry bars
-    # or neither does, and every other operator takes at most one barred
-    # argument; with any, the node is the barred kind
-    if kind in (Over, Under):
-        allowed = barred == 0
-    elif _KINDS[kind].counterpart is DPar:
-        allowed = barred in (0, arity)
-    else:
-        allowed = barred <= 1
-    if not allowed:
-        raise ValueError(_SYNTAX[kind].bars_error)
-    return (_KINDS[kind].counterpart if barred else kind)(*args, *t[1 + arity:])
+    def visit(t: Template, args: Sequence[Union[StaticExpr, DynamicExpr]]):
+        tag = t[0]
+        if tag == "act":
+            actions, immediate, value = t[1], t[2], t[3]
+            part = Multiset.from_iterable(Action(n, c) for n, c in actions)
+            return Act(Activity.make(part, immediate, _bound(value, bindings), 0))
+        if tag == "stop":
+            return stop_expr()
+        kind = _KIND_OF_TAG.get(tag)
+        if kind is None:
+            raise ValueError("bad template node %r" % (tag,))
+        barred = sum(map(is_dynamic, args))
+        # a bar may wrap only a bar-free term, both operands of || carry bars
+        # or neither does, and every other operator takes at most one barred
+        # argument; with any, the node is the barred kind
+        if kind in (Over, Under):
+            allowed = barred == 0
+        elif _KINDS[kind].counterpart is DPar:
+            allowed = barred in (0, len(args))
+        else:
+            allowed = barred <= 1
+        if not allowed:
+            raise ValueError(_SYNTAX[kind].bars_error)
+        return (_KINDS[kind].counterpart if barred else kind)(*args, *t[1 + len(args):])
+
+    return fold(t, visit, _subtemplates)
+
+
+def _subtemplates(t: Template) -> Sequence[Template]:
+    """The subtemplates of ``t``, in the order in which ``_instantiate``
+    builds them and ``renumber`` numbers their leaves."""
+    kind = _KIND_OF_TAG.get(t[0])
+    return t[1:1 + len(_KINDS[kind].subtrees)] if kind else ()
 
 
 def _bound(value: Union[float, str], bindings: Dict[str, float]) -> float:
@@ -438,15 +446,16 @@ def _bound(value: Union[float, str], bindings: Dict[str, float]) -> float:
 def _leaf_sources(t: Template) -> List[Tuple[bool, Union[float, str]]]:
     """(immediate, parameter name or literal value) of every activity that
     ``_instantiate(t)`` builds, left to right."""
-    tag = t[0]
-    if tag == "act":
-        return [(t[2], t[3])]
-    if tag == "stop":
-        return [(u.immediate, u.value) for u in activities_of(stop_expr())]
-    # the subtemplates, in the order in which _instantiate builds them and
-    # renumber numbers their leaves
-    subtemplates = t[1:1 + len(_KINDS[_KIND_OF_TAG[tag]].subtrees)]
-    return [source for sub in subtemplates for source in _leaf_sources(sub)]
+    sources: List[Tuple[bool, Union[float, str]]] = []
+
+    def visit(t: Template, _):
+        if t[0] == "act":
+            sources.append((t[2], t[3]))
+        elif t[0] == "stop":
+            sources.extend((u.immediate, u.value) for u in activities_of(stop_expr()))
+
+    fold(t, visit, _subtemplates)
+    return sources
 
 
 def parse_static(text: str, bindings: Optional[Dict[str, float]] = None) -> StaticExpr:
@@ -482,26 +491,16 @@ def parse_dynamic(text: str, bindings: Optional[Dict[str, float]] = None) -> Dyn
 
 def serialize(e) -> str:
     """Deterministic text form; ``parse`` of the result rebuilds the same tree."""
-    return _ser(e, _PAR)
+    return fold(e, _printed)[0]
 
 
-def _ser(e, need: int) -> str:
-    if isinstance(e, Act):
-        return str(e.activity)
-    syntax = _SYNTAX.get(type(e))
-    if syntax is None:
-        raise TypeError("cannot serialize %r" % (e,))
-    _, level, form, operands, attributes, _ = syntax
-    if isinstance(e, StaticExpr) and is_stop(e):
-        text = "Stop"
-    else:
-        fields = [_ser(getattr(e, name), at) for name, at in operands] + [getattr(e, name) for name in attributes]
-        text = form % tuple(fields)
-    return _wrapped(text, level, need)
-
-
-def _wrapped(text: str, level: int, need: int) -> str:
-    return "(%s)" % text if level < need else text
+def _printed(e, operands: Sequence[Tuple[str, int]]) -> Tuple[str, int]:
+    """The text of ``e`` and its binding level, from those of its subtrees."""
+    kind = type(e)
+    if kind is Act:
+        return str(e.activity), _ATOM
+    text = "Stop" if kind is Rst and is_stop(e) else compose(kind, operands, _attributes(e))
+    return text, _SYNTAX[kind].level
 
 
 def binding_level(kind: type) -> int:
@@ -515,8 +514,8 @@ def compose(kind: type, operands: Sequence[Tuple[str, int]], attributes: Sequenc
     as the given texts, each with its binding level, and whose other fields
     are ``attributes``."""
     syntax = _SYNTAX[kind]
-    fields = [_wrapped(text, level, at) for (text, level), (_, at) in zip(operands, syntax.operands)]
-    return syntax.form % tuple(fields + list(attributes))
+    fields = ["(%s)" % text if level < at else text for (text, level), (_, at) in zip(operands, syntax.operands)]
+    return syntax.form % (*fields, *attributes)
 
 
 # ---------------------------------------------------------------------------

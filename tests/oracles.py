@@ -12,6 +12,8 @@ Each re-derives the slow, plain way what the program computes fast:
   checked against the hand-written ones;
 * by one hand-written rule per node kind, the step derivation that the
   program writes as one generic rule and a table of step maps;
+* by one recursive call per node, the text that the program prints in one
+  post-order walk through ``parser.compose``;
 * by ``Multiset`` arithmetic on named places, what the net semantics
   computes on index-coded markings;
 * by scalar loops, one matrix and one state at a time, what the solver
@@ -51,12 +53,14 @@ from dtsipbc.expr import (
     Rel,
     Rst,
     Seq,
+    StaticExpr,
     Syn,
     Under,
     _attributes,
     _children,
     _kind,
     _rebuild,
+    is_stop,
     sync_activities,
     underlying,
 )
@@ -82,7 +86,32 @@ from dtsipbc.opsem import (
     leaf_values_of,
     step_key,
 )
-from dtsipbc.parser import serialize
+from dtsipbc.parser import _PAR, _SYNTAX
+
+
+# ---------------------------------------------------------------------------
+# The printer
+# ---------------------------------------------------------------------------
+
+
+def serialize(e) -> str:
+    """The text of ``e``, one recursive call per node."""
+    return _ser(e, _PAR)
+
+
+def _ser(e, need: int) -> str:
+    if isinstance(e, Act):
+        return str(e.activity)
+    syntax = _SYNTAX.get(type(e))
+    if syntax is None:
+        raise TypeError("cannot serialize %r" % (e,))
+    _, level, form, operands, _ = syntax
+    if isinstance(e, StaticExpr) and is_stop(e):
+        text = "Stop"
+    else:
+        fields = [_ser(getattr(e, name), at) for name, at in operands] + _attributes(e)
+        text = form % tuple(fields)
+    return "(%s)" % text if level < need else text
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,22 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: model nested too deeply") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("command, transitions", [("box", 1), ("rg", 3)])
+    def test_deep_chain_on_the_net_side(self, capsys, tmp_path, command, transitions):
+        model = tmp_path / "chain.dtsi"
+        model.write_text("root = ({a},0.5)%s\n" % (" rs b" * 5000))
+        code, out, _ = run(capsys, command, str(model))
+        assert code == 0
+        assert len(json.loads(out)["transitions"]) == transitions
+
+    def test_deep_chain_in_the_step_semantics(self, capsys, tmp_path):
+        # the class tree of the step semantics still recurses once per level
+        model = tmp_path / "chain.dtsi"
+        model.write_text("root = ({a},0.5)%s\n" % (" rs b" * 5000))
+        code, _, err = run(capsys, "ts", str(model))
+        assert code == 1
+        assert err.startswith("error: model nested too deeply") and err.count("\n") == 1, err
+
     def test_semantics_error_is_an_input_error(self, capsys, monkeypatch):
         def malformed(expr, **kwargs):
             raise SemanticsError("step from state 1 reaches two distinct classes")

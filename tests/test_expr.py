@@ -2,20 +2,28 @@
 
 import dataclasses
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dtsipbc.expr import (
     _KINDS,
+    Act,
     Action,
     Activity,
+    DRst,
+    DSeq,
     DynamicExpr,
     Multiset,
+    Over,
     Relabeling,
+    Rst,
+    Seq,
     StaticExpr,
     activities_of,
     apply_relabel,
+    fold,
     is_iteration_body,
     is_regular,
     numbering_content,
@@ -25,7 +33,8 @@ from dtsipbc.expr import (
     sync_parts,
     underlying,
 )
-from dtsipbc.parser import parse_dynamic, parse_static
+from dtsipbc.netsem import box_of
+from dtsipbc.parser import parse_dynamic, parse_static, serialize
 
 
 def A(name, conj=False):
@@ -238,3 +247,59 @@ class TestNodeKinds:
             with pytest.raises(TypeError):
                 underlying(value)
 
+
+
+class TestFold:
+    def test_post_order_left_to_right(self):
+        e = parse_static("[({a},0.5) * (({b},0.5);({c},0.5)) * Stop] rs d")
+        seen = []
+        fold(e, lambda node, operands: seen.append((type(node).__name__, len(operands))))
+        assert seen == [("Act", 0), ("Act", 0), ("Act", 0), ("Seq", 2), ("Act", 0), ("Rst", 1),
+                        ("Ite", 3), ("Rst", 1)]
+
+    def test_results_of_the_children_in_order(self):
+        e = parse_static("(({a},0.5);({b},0.5))[]({c},0.5)")
+        names = fold(e, lambda node, operands: str(node.activity.part) if isinstance(node, Act) else list(operands))
+        assert names == [["{a}", "{b}"], "{c}"]
+
+
+DEPTH = 5000
+
+
+def deep_terms(depth: int):
+    """A sequence of ``depth`` activities, and an activity under ``depth``
+    restrictions, each also with a bar on its first activity."""
+    u = Activity.make(Multiset.of(Action("a")), False, 0.5, 0)
+    sequence, barred_sequence = Act(u), Over(Act(u))
+    chain, barred_chain = Act(u), Over(Act(u))
+    for _ in range(depth - 1):
+        sequence, barred_sequence = Seq(sequence, Act(u)), DSeq(barred_sequence, Act(u))
+    for _ in range(depth):
+        chain, barred_chain = Rst(chain, "b"), DRst(barred_chain, "b")
+    return {"sequence": (sequence, barred_sequence, ";".join(["({a},0.5)"] * depth)),
+            "chain": (chain, barred_chain, "({a},0.5)" + " rs b" * depth)}
+
+
+class TestDepth:
+    """Every tree walk outside the step semantics takes terms nested far
+    deeper than Python's recursion limit."""
+
+    @pytest.mark.parametrize("shape", ["sequence", "chain"])
+    def test_walks(self, shape):
+        assert sys.getrecursionlimit() < DEPTH
+        term, barred, text = deep_terms(DEPTH)[shape]
+        numbered = renumber(term)
+        leaves = [u.num for u in activities_of(numbered)]
+        assert leaves == list(range(1, len(leaves) + 1))
+        assert is_regular(numbered) and is_iteration_body(numbered)
+        # ``==`` on nodes recurses, so the trees are compared by their texts
+        assert serialize(numbered) == serialize(underlying(barred)) == text
+
+    # each operator of a sequence copies the transitions of its operands, so
+    # the box of a sequence takes time quadratic in its length: 5,000
+    # activities take minutes, and 1,100 pass the recursion limit
+    @pytest.mark.parametrize("shape, depth", [("sequence", 1100), ("chain", DEPTH)])
+    def test_box_of(self, shape, depth):
+        assert sys.getrecursionlimit() < depth
+        term, _, _ = deep_terms(depth)[shape]
+        assert len(box_of(renumber(term)).transitions) == (depth if shape == "sequence" else 1)

@@ -2,10 +2,13 @@
 
 import pytest
 
+import oracles
 from dtsipbc.expr import Act, Cho, DCho, DPar, Ite, Over, Par, Rst, Seq, Under, activities_of
+from dtsipbc.models import bundled_model_names, load_model
+from dtsipbc.opsem import Engine, build_ts
 from dtsipbc.parser import ModelFile, ParseError, parse_dynamic, parse_model, parse_static, serialize
 
-from conftest import RELABELING_TERMS, make_rng, random_regular_text
+from conftest import RELABELING_TERMS, make_rng, random_regular_text, shm_text
 
 
 class TestParseStatic:
@@ -115,6 +118,33 @@ class TestRoundTrip:
         assert a == b
 
 
+class TestPrinter:
+    """``serialize`` against the recursive printer of ``oracles``."""
+
+    @staticmethod
+    def assert_printed_alike(expr):
+        assert serialize(expr) == oracles.serialize(expr)
+        engine = Engine()
+        for state in build_ts(expr, engine=engine).states:
+            for member in state.members:
+                assert serialize(member) == oracles.serialize(member)
+
+    @pytest.mark.parametrize("name", bundled_model_names() + ["shm3a", "shm3c"])
+    def test_every_member_of_every_state(self, name):
+        if name.startswith("shm3"):
+            model = parse_model(shm_text(3, abstract=name == "shm3a"))
+        else:
+            model = load_model(name)
+        self.assert_printed_alike(model.instantiate())
+        if model.peer is not None:
+            self.assert_printed_alike(model.instantiate_peer())
+
+    def test_random_terms(self):
+        rng = make_rng(12)
+        for _ in range(200):
+            self.assert_printed_alike(parse_static(random_regular_text(rng)))
+
+
 class TestModelFiles:
     def test_shared_memory_round_trip(self):
         from dtsipbc.models import model_text
@@ -169,6 +199,18 @@ class TestModelFiles:
     def test_missing_root_rejected(self):
         with pytest.raises(ParseError):
             parse_model("A = ({a},0.5)")
+
+    def test_errors_in_post_order(self):
+        # a subtree's error comes before its parent's, and a left operand's
+        # before the right one's
+        with pytest.raises(ValueError, match="unbound parameter 'x'"):
+            parse_model("root = ({a},x);({b},1.5)").instantiate()
+        with pytest.raises(ValueError, match="probability must lie"):
+            parse_model("root = ({a},0.5);({b},1.5)[]({c},y)").instantiate()
+        with pytest.raises(ValueError, match="unbound parameter 'y'"):
+            parse_dynamic("(~({a},0.5))||({b},y)")
+        with pytest.raises(ValueError, match="both operands of"):
+            parse_dynamic("(~({a},0.5))||({b},0.5)")
 
     def test_irregular_root_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
-"""Run the benchmark and keep its results in a BENCH file.
+"""Run the benchmark and keep its results in a BENCH file, or compare two.
 
     python3 tools/bench.py --label NAME --seed N [--workload W ...] [--checkout DIR]
+    python3 tools/bench.py --compare A.json B.json
 
 Runs ``perfbench/run.py`` of a source checkout (``--checkout``, by default
 this one) once per workload (by default all three), untraced and for the
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -43,13 +45,47 @@ def _run(checkout: Path, workload: str, seed: int) -> dict:
     return record
 
 
+def _metrics(path: Path) -> dict:
+    """(workload, seed) -> the metrics of each run with a result, in file
+    order."""
+    out: dict = {}
+    for record in json.loads(path.read_text())["runs"]:
+        if "result" in record:
+            metrics = {name: m["value"] for name, m in record["result"]["metrics"].items()}
+            out.setdefault((record["workload"], record["seed"]), []).append(metrics)
+    return out
+
+
+def compare(a_path: Path, b_path: Path) -> None:
+    a, b = _metrics(a_path), _metrics(b_path)
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    print("%-9s %-12s %10s %10s %21s %8s" % ("workload", "metric", "A median", "B median", "A quartiles", "B lower"))
+    for workload in WORKLOADS:
+        pairs = [(x, y) for key in sorted(set(a) & set(b)) if key[0] == workload for x, y in zip(a[key], b[key])]
+        if not pairs:
+            continue
+        for name in names:
+            xs, ys = [x[name] for x, _ in pairs], [y[name] for _, y in pairs]
+            low, _, high = statistics.quantiles(xs, n=4)
+            print("%-9s %-12s %10.4f %10.4f %10.4f %10.4f %4d/%-3d"
+                  % (workload, name, statistics.median(xs), statistics.median(ys), low, high,
+                     sum(y < x for x, y in zip(xs, ys)), len(pairs)))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, help="the file written is BENCH_<label>.json")
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                        help="compare two BENCH files instead of running")
+    parser.add_argument("--label", help="the file written is BENCH_<label>.json")
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--workload", action="append", choices=WORKLOADS, help="repeatable; default: all three")
     parser.add_argument("--checkout", type=Path, default=ROOT, help="source checkout to benchmark")
     args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return 0
+    if args.label is None or args.seed is None:
+        parser.error("--label and --seed are required to run the benchmark")
     checkout = args.checkout.resolve()
     if not (checkout / "perfbench" / "run.py").is_file():
         print("error: %s holds no perfbench/run.py" % checkout, file=sys.stderr)
