@@ -271,19 +271,22 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: model nested too deeply") and err.count("\n") == 1, err
 
-    @pytest.mark.parametrize("command, transitions", [("box", 1), ("rg", 3)])
-    def test_deep_chain_on_the_net_side(self, capsys, tmp_path, command, transitions):
+    @pytest.fixture
+    def deep_chain(self, tmp_path):
+        """A model whose root is an activity under 5,000 restrictions."""
         model = tmp_path / "chain.dtsi"
         model.write_text("root = ({a},0.5)%s\n" % (" rs b" * 5000))
-        code, out, _ = run(capsys, command, str(model))
+        return str(model)
+
+    @pytest.mark.parametrize("command, transitions", [("box", 1), ("rg", 3)])
+    def test_deep_chain_on_the_net_side(self, capsys, deep_chain, command, transitions):
+        code, out, _ = run(capsys, command, deep_chain)
         assert code == 0
         assert len(json.loads(out)["transitions"]) == transitions
 
-    def test_deep_chain_in_the_step_semantics(self, capsys, tmp_path):
+    def test_deep_chain_in_the_step_semantics(self, capsys, deep_chain):
         # the class tree of the step semantics still recurses once per level
-        model = tmp_path / "chain.dtsi"
-        model.write_text("root = ({a},0.5)%s\n" % (" rs b" * 5000))
-        code, _, err = run(capsys, "ts", str(model))
+        code, _, err = run(capsys, "ts", deep_chain)
         assert code == 1
         assert err.startswith("error: model nested too deeply") and err.count("\n") == 1, err
 

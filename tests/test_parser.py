@@ -5,7 +5,7 @@ import pytest
 import oracles
 from dtsipbc.expr import Act, Cho, DCho, DPar, Ite, Over, Par, Rst, Seq, Under, activities_of
 from dtsipbc.models import bundled_model_names, load_model
-from dtsipbc.opsem import Engine, build_ts
+from dtsipbc.opsem import build_ts
 from dtsipbc.parser import ModelFile, ParseError, parse_dynamic, parse_model, parse_static, serialize
 
 from conftest import RELABELING_TERMS, make_rng, random_regular_text, shm_text
@@ -124,8 +124,7 @@ class TestPrinter:
     @staticmethod
     def assert_printed_alike(expr):
         assert serialize(expr) == oracles.serialize(expr)
-        engine = Engine()
-        for state in build_ts(expr, engine=engine).states:
+        for state in build_ts(expr).states:
             for member in state.members:
                 assert serialize(member) == oracles.serialize(member)
 

@@ -66,7 +66,7 @@ def compare(a_path: Path, b_path: Path) -> None:
             continue
         for name in names:
             xs, ys = [x[name] for x, _ in pairs], [y[name] for _, y in pairs]
-            low, _, high = statistics.quantiles(xs, n=4)
+            low, _, high = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
             print("%-9s %-12s %10.4f %10.4f %10.4f %10.4f %4d/%-3d"
                   % (workload, name, statistics.median(xs), statistics.median(ys), low, high,
                      sum(y < x for x, y in zip(xs, ys)), len(pairs)))
