@@ -216,7 +216,7 @@ def cmd_solve(args) -> int:
     model, overrides = _load(args)
     indices = _selected_indices(model, args.index)
     ts = build_ts(_instantiate(model, overrides), max_states=args.max_states)
-    chain = quotient(ts).chain() if args.quotient else Chain.from_ts(ts)
+    chain = quotient(ts, quantum=args.tol).chain() if args.quotient else Chain.from_ts(ts)
     chains = ChainStack.of(chain)
     solved = solve_stack(chains)
     values = _index_rows(indices, chains, solved)[0]
@@ -233,7 +233,7 @@ def cmd_solve(args) -> int:
 def cmd_quotient(args) -> int:
     model, overrides = _load(args)
     ts = build_ts(_instantiate(model, overrides), max_states=args.max_states)
-    q = quotient(ts)
+    q = quotient(ts, quantum=args.tol)
     payload = export.quotient_json(q)
     try:
         result = solve_chain(q.chain())
@@ -276,7 +276,7 @@ def _sweep_quotient(args, base_ts, model: ModelFile, indices, points):
     solutions when ``--per-point`` writes them."""
     values, results = [], []
     for point in points:
-        chain = quotient(base_ts.reweight(_leaf_values(model, point))).chain()
+        chain = quotient(base_ts.reweight(_leaf_values(model, point)), quantum=args.tol).chain()
         chains = ChainStack.of(chain)
         solved = solve_stack(chains)
         values += _index_rows(indices, chains, solved, [point])

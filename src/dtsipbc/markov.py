@@ -31,7 +31,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .expr import Multiset
+from .expr import Multiset, fold
 from .opsem import TransitionSystem
 
 __all__ = [
@@ -716,7 +716,7 @@ def _evaluate_stack(expr, chains: ChainStack, vectors: Dict[str, np.ndarray],
                     errors: List[Exception]) -> Tuple[np.ndarray, np.ndarray]:
     """Values and failure codes (0: defined, k: ``errors[k - 1]``); a point
     keeps the first failure in the order Python evaluates the expression,
-    left operand before right."""
+    left operand before right, which is the order of ``fold``."""
     points = chains.pm.shape[0]
     defined = np.zeros(points, dtype=np.intp)
 
@@ -724,43 +724,50 @@ def _evaluate_stack(expr, chains: ChainStack, vectors: Dict[str, np.ndarray],
         errors.append(error)
         return len(errors)
 
-    tag = expr[0]
-    if tag == "num":
-        return np.full(points, float(expr[1])), defined
-    if tag == "neg":
-        values, failure = _evaluate_stack(expr[1], chains, vectors, errors)
-        return -values, failure
-    if tag == "bin":
-        op = expr[1]
-        lhs, lhs_failure = _evaluate_stack(expr[2], chains, vectors, errors)
-        rhs, rhs_failure = _evaluate_stack(expr[3], chains, vectors, errors)
-        failure = np.where(lhs_failure != 0, lhs_failure, rhs_failure)
-        if op == "+":
-            return lhs + rhs, failure
-        if op == "-":
-            return lhs - rhs, failure
-        if op == "*":
-            return lhs * rhs, failure
-        if op == "/":
-            by_zero = (rhs == 0.0) & (failure == 0)
-            if by_zero.any():
-                failure = np.where(by_zero, failing(ZeroDivisionError(_zero_division_message())), failure)
-            return lhs / rhs, failure
-        raise ValueError("bad operator %r" % op)
-    if tag == "vec":
-        which, i = expr[1], expr[2] - 1
-        if not 0 <= i < chains.size:
-            return np.zeros(points), np.full(points, failing(ValueError("state index %d out of range" % (i + 1))))
-        return vectors[which][:, i], defined
-    if tag == "steprob":
-        parts = Multiset.from_iterable(expr[1])
-        total = np.zeros(points)
-        for i, arcs in enumerate(chains.arcs):
-            here = np.zeros(points)
-            for label, k, _ in arcs:
-                if parts.issubset(label):
-                    here = here + chains.arc_probs[:, k]
-            phi = vectors["phi"][:, i]
-            total = total + np.where(phi == 0.0, 0.0, phi * here)
-        return total, defined
-    raise ValueError("bad index expression %r" % (tag,))
+    def visit(expr, operands):
+        tag = expr[0]
+        if tag == "num":
+            return np.full(points, float(expr[1])), defined
+        if tag == "neg":
+            (values, failure), = operands
+            return -values, failure
+        if tag == "bin":
+            op = expr[1]
+            (lhs, lhs_failure), (rhs, rhs_failure) = operands
+            failure = np.where(lhs_failure != 0, lhs_failure, rhs_failure)
+            if op == "+":
+                return lhs + rhs, failure
+            if op == "-":
+                return lhs - rhs, failure
+            if op == "*":
+                return lhs * rhs, failure
+            if op == "/":
+                by_zero = (rhs == 0.0) & (failure == 0)
+                if by_zero.any():
+                    failure = np.where(by_zero, failing(ZeroDivisionError(_zero_division_message())), failure)
+                return lhs / rhs, failure
+            raise ValueError("bad operator %r" % op)
+        if tag == "vec":
+            which, i = expr[1], expr[2] - 1
+            if not 0 <= i < chains.size:
+                return np.zeros(points), np.full(points, failing(ValueError("state index %d out of range" % (i + 1))))
+            return vectors[which][:, i], defined
+        if tag == "steprob":
+            parts = Multiset.from_iterable(expr[1])
+            total = np.zeros(points)
+            for i, arcs in enumerate(chains.arcs):
+                here = np.zeros(points)
+                for label, k, _ in arcs:
+                    if parts.issubset(label):
+                        here = here + chains.arc_probs[:, k]
+                phi = vectors["phi"][:, i]
+                total = total + np.where(phi == 0.0, 0.0, phi * here)
+            return total, defined
+        raise ValueError("bad index expression %r" % (tag,))
+
+    return fold(expr, visit, _index_operands)
+
+
+def _index_operands(expr) -> tuple:
+    """The operands of an index node, left to right."""
+    return expr[1:] if expr[0] == "neg" else expr[2:] if expr[0] == "bin" else ()

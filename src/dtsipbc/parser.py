@@ -22,7 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .expr import (
     Act,
@@ -208,26 +209,32 @@ def _parse_number(tokens: TokenStream) -> float:
         den = tokens.peek()
         if den.kind != "number":
             raise tokens.error("expected a denominator")
+        if not (tok.text.isdigit() and den.text.isdigit()):
+            raise tokens.error("a fraction takes whole numbers")
+        if not int(den.text):
+            raise tokens.error("zero denominator")
         tokens.next()
         return float(Fraction(int(tok.text), int(den.text)))
     return float(tok.text)
 
 
-def _parse_action(tokens: TokenStream) -> Tuple[str, bool]:
-    name = tokens.expect_name().text
-    conj = tokens.accept("^") is not None
-    return name, conj
+def _parse_actions(tokens: TokenStream) -> Tuple[Tuple[str, bool], ...]:
+    """A multiaction ``{a, b^, ...}``: each action's name and whether it is
+    conjugated."""
+    tokens.expect("{")
+    actions: List[Tuple[str, bool]] = []
+    if not tokens.accept("}"):
+        while True:
+            actions.append((tokens.expect_name().text, tokens.accept("^") is not None))
+            if not tokens.accept(","):
+                break
+        tokens.expect("}")
+    return tuple(actions)
 
 
 def _parse_activity(tokens: TokenStream) -> Template:
     # '(' '{' actions '}' ',' value ')' with '(' already consumed
-    tokens.expect("{")
-    actions: List[Tuple[str, bool]] = []
-    if not tokens.accept("}"):
-        actions.append(_parse_action(tokens))
-        while tokens.accept(","):
-            actions.append(_parse_action(tokens))
-        tokens.expect("}")
+    actions = _parse_actions(tokens)
     tokens.expect(",")
     immediate = tokens.accept("#") is not None
     tok = tokens.peek()
@@ -237,123 +244,129 @@ def _parse_activity(tokens: TokenStream) -> Template:
     else:
         value = _parse_number(tokens)
     tokens.expect(")")
-    return ("act", tuple(actions), immediate, value)
+    return ("act", actions, immediate, value)
 
 
-class _ExprParser:
-    def __init__(self, tokens: TokenStream, constants: Dict[str, Template]):
-        self.tokens = tokens
-        self.constants = constants
+class _Grammar(NamedTuple):
+    """What the operator-precedence loop reads for one language."""
 
-    def parse(self) -> Template:
-        return self._parallel()
+    infix: Dict[str, Tuple[int, tuple]]  # token: binding level (higher binds tighter), node head
+    prefix: Dict[str, tuple]  # token: node head; a prefix binds tighter than any other operator
+    brackets: Dict[str, Tuple[Tuple[str, ...], Optional[tuple]]]  # opener: the token that ends each part, node head
+    atom: Callable[[TokenStream], Optional[tuple]]  # reads an atom; None at an opening bracket
+    postfix: Callable[[TokenStream, tuple], tuple]  # the node under the postfix forms that follow it
 
-    def _parallel(self) -> Template:
-        node = self._choice()
-        while self.tokens.accept("||"):
-            node = ("par", node, self._choice())
-        return node
 
-    def _choice(self) -> Template:
-        node = self._sequence()
-        while self.tokens.accept("[]"):
-            node = ("cho", node, self._sequence())
-        return node
+class _Frame(NamedTuple):
+    """An open bracket; the whole text is the frame at the bottom."""
 
-    def _sequence(self) -> Template:
-        node = self._unary()
-        while self.tokens.accept(";"):
-            node = ("seq", node, self._unary())
-        return node
+    closers: Tuple[str, ...]
+    head: Optional[tuple]  # the node is head + parts; None: the one part itself
+    prefixes: List[tuple]  # the heads of the prefixes before the bracket
+    parts: List[tuple]  # the parts read so far
+    pending: List[Tuple[int, tuple, tuple]]  # level, head and left operand of each infix still open
 
-    def _unary(self) -> Template:
-        node = self._prefixed()
-        while True:
-            tok = self.tokens.peek()
-            if tok.kind == "name" and tok.text == "rs":
-                self.tokens.next()
-                node = ("rst", node, self.tokens.expect_name().text)
-            elif tok.kind == "name" and tok.text == "sy":
-                self.tokens.next()
-                node = ("syn", node, self.tokens.expect_name().text)
-            elif tok.kind == "name" and tok.text == "sr":
-                self.tokens.next()
-                self.tokens.expect("(")
-                names = [self.tokens.expect_name().text]
-                while self.tokens.accept(","):
-                    names.append(self.tokens.expect_name().text)
-                self.tokens.expect(")")
-                for a in names:
-                    node = ("syn", node, a)
-                for a in names:
-                    node = ("rst", node, a)
-            elif tok.text == "[" and self._relabel_ahead():
-                node = ("rel", node, self._parse_relabel())
-            else:
-                return node
 
-    def _relabel_ahead(self) -> bool:
-        nxt = self.tokens.tokens[self.tokens.pos + 1 : self.tokens.pos + 3]
-        return len(nxt) == 2 and nxt[0].text == "f" and nxt[1].text == ":"
-
-    def _parse_relabel(self) -> Relabeling:
-        self.tokens.expect("[")
-        self.tokens.expect("f")
-        self.tokens.expect(":")
-        pairs: List[Tuple[str, str]] = []
-        while True:
-            x = self.tokens.expect_name().text
-            if self.tokens.accept("<->"):
-                y = self.tokens.expect_name().text
-                pairs.append((x, y))
-                if x != y:
-                    pairs.append((y, x))
-            else:
-                self.tokens.expect("->")
-                y = self.tokens.expect_name().text
-                pairs.append((x, y))
-            if not self.tokens.accept(","):
+def _parse(tokens: TokenStream, grammar: _Grammar) -> tuple:
+    """One expression of ``grammar``, up to the first token that cannot
+    continue it: Dijkstra's operator-precedence method.  Nodes are ``head +
+    operands``; infix operators are left-associative.  Each open bracket is
+    a frame on an explicit stack, so the loop takes any depth of nesting."""
+    frames = [_Frame((), None, [], [], [])]
+    while True:
+        prefixes = []
+        while tokens.peek().text in grammar.prefix:
+            prefixes.append(grammar.prefix[tokens.next().text])
+        node = grammar.atom(tokens)
+        if node is None:
+            frames.append(_Frame(*grammar.brackets[tokens.next().text], prefixes, [], []))
+            continue
+        while True:  # node is a whole operand of the top frame
+            for head in reversed(prefixes):
+                node = head + (node,)
+            node = grammar.postfix(tokens, node)
+            frame = frames[-1]
+            infix = grammar.infix.get(tokens.peek().text)
+            while frame.pending and (infix is None or frame.pending[-1][0] >= infix[0]):
+                _, head, left = frame.pending.pop()
+                node = head + (left, node)
+            if infix is not None:
+                tokens.next()
+                frame.pending.append((*infix, node))
                 break
-        self.tokens.expect("]")
-        try:
-            return Relabeling(tuple(sorted(set(pairs))))
-        except ValueError as exc:
-            raise self.tokens.error(str(exc))
+            if len(frames) == 1:
+                return node
+            tokens.expect(frame.closers[len(frame.parts)])
+            frame.parts.append(node)
+            if len(frame.parts) < len(frame.closers):
+                break
+            frames.pop()
+            node = frame.head + tuple(frame.parts) if frame.head else frame.parts[0]
+            prefixes = frame.prefixes
 
-    def _prefixed(self) -> Template:
-        if self.tokens.accept("~"):
-            return ("over", self._prefixed())
-        if self.tokens.accept("_"):
-            return ("under", self._prefixed())
-        return self._primary()
 
-    def _primary(self) -> Template:
-        tok = self.tokens.peek()
-        if tok.text == "(":
-            self.tokens.next()
-            if self.tokens.peek().text == "{":
-                return _parse_activity(self.tokens)
-            node = self._parallel()
-            self.tokens.expect(")")
+def _term_atom(constants: Dict[str, Template], tokens: TokenStream) -> Optional[Template]:
+    tok = tokens.peek()
+    if tok.text == "(" and tokens.tokens[tokens.pos + 1].text == "{":
+        tokens.next()
+        return _parse_activity(tokens)
+    if tok.text in _TERMS.brackets:
+        return None
+    if tok.kind == "name":
+        if tok.text == "Stop":
+            tokens.next()
+            return ("stop",)
+        if tok.text in constants:
+            tokens.next()
+            return constants[tok.text]
+        raise tokens.error("unknown name %r" % tok.text)
+    raise tokens.error("expected an expression, found %r" % (tok.text or "end of input"))
+
+
+def _term_postfix(tokens: TokenStream, node: Template) -> Template:
+    """``node`` under the restrictions ``rs a``, synchronizations ``sy a``,
+    scopings ``sr(a, ...)`` and relabelings ``[f: ...]`` that follow it."""
+    while True:
+        tok = tokens.peek()
+        if tok.kind == "name" and tok.text in ("rs", "sy"):
+            tokens.next()
+            node = ("rst" if tok.text == "rs" else "syn", node, tokens.expect_name().text)
+        elif tok.kind == "name" and tok.text == "sr":
+            tokens.next()
+            tokens.expect("(")
+            names = [tokens.expect_name().text]
+            while tokens.accept(","):
+                names.append(tokens.expect_name().text)
+            tokens.expect(")")
+            for a in names:
+                node = ("syn", node, a)
+            for a in names:
+                node = ("rst", node, a)
+        elif tok.text == "[" and [t.text for t in tokens.tokens[tokens.pos + 1:tokens.pos + 3]] == ["f", ":"]:
+            node = ("rel", node, _parse_relabel(tokens))
+        else:
             return node
-        if tok.text == "[":
-            self.tokens.next()
-            init = self._parallel()
-            self.tokens.expect("*")
-            body = self._parallel()
-            self.tokens.expect("*")
-            term = self._parallel()
-            self.tokens.expect("]")
-            return ("ite", init, body, term)
-        if tok.kind == "name":
-            if tok.text == "Stop":
-                self.tokens.next()
-                return ("stop",)
-            if tok.text in self.constants:
-                self.tokens.next()
-                return self.constants[tok.text]
-            raise self.tokens.error("unknown name %r" % tok.text)
-        raise self.tokens.error("expected an expression, found %r" % (tok.text or "end of input"))
+
+
+def _parse_relabel(tokens: TokenStream) -> Relabeling:
+    tokens.expect("[")
+    tokens.expect("f")
+    tokens.expect(":")
+    pairs: List[Tuple[str, str]] = []
+    while True:
+        x = tokens.expect_name().text
+        swap = tokens.accept("<->") is not None
+        if not swap:
+            tokens.expect("->")
+        y = tokens.expect_name().text
+        pairs += [(x, y), (y, x)] if swap else [(x, y)]
+        if not tokens.accept(","):
+            break
+    tokens.expect("]")
+    try:
+        return Relabeling(tuple(sorted(set(pairs))))
+    except ValueError as exc:
+        raise tokens.error(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +404,23 @@ _SYNTAX = {row[0]: _syntax(*row) for row in (
 _KIND_OF_TAG = {syntax.tag: kind for kind, syntax in _SYNTAX.items()}
 # the barred kind of an operator shares its row
 _SYNTAX.update({_KINDS[kind].counterpart: syntax for kind, syntax in list(_SYNTAX.items()) if _KINDS[kind].counterpart})
+
+
+def _form_tokens(kind: type) -> List[str]:
+    """The tokens of the form of ``kind`` around its slots."""
+    return [part.strip() for part in _SYNTAX[kind].form.split("%s")]
+
+
+# process terms: the infix operators, the bars and the iteration bracket
+# take their tokens, tags and levels from the syntax table, so the parser
+# reads what the printer writes; atoms and postfix forms are hand-written
+_TERMS = _Grammar(
+    infix={_form_tokens(kind)[1]: (_SYNTAX[kind].level, (_SYNTAX[kind].tag,)) for kind in (Par, Cho, Seq)},
+    prefix={_form_tokens(kind)[0]: (_SYNTAX[kind].tag,) for kind in (Over, Under)},
+    brackets={"(": ((")",), None), _form_tokens(Ite)[0]: (tuple(_form_tokens(Ite)[1:]), (_SYNTAX[Ite].tag,))},
+    atom=partial(_term_atom, {}),  # no constants; a model file's parse names its own
+    postfix=_term_postfix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -460,27 +490,22 @@ def _leaf_sources(t: Template) -> List[Tuple[bool, Union[float, str]]]:
 
 def parse_static(text: str, bindings: Optional[Dict[str, float]] = None) -> StaticExpr:
     """Parse one static expression; leaves are numbered 1..n in source order."""
-    tokens = TokenStream(tokenize(text))
-    template = _ExprParser(tokens, {}).parse()
-    tok = tokens.peek()
-    if tok.kind != "eof":
-        raise ParseError("trailing input %r" % tok.text, tok.line, tok.col)
-    expr = _instantiate(template, bindings or {})
-    if is_dynamic(expr):
-        raise ParseError("expected a static expression, found bars", 1, 1)
-    return renumber(expr)
+    return _parse_text(text, bindings, dynamic=False)
 
 
 def parse_dynamic(text: str, bindings: Optional[Dict[str, float]] = None) -> DynamicExpr:
     """Parse a barred expression, numbering the underlying static leaves."""
+    return _parse_text(text, bindings, dynamic=True)
+
+
+def _parse_text(text: str, bindings: Optional[Dict[str, float]], dynamic: bool):
     tokens = TokenStream(tokenize(text))
-    template = _ExprParser(tokens, {}).parse()
-    tok = tokens.peek()
-    if tok.kind != "eof":
-        raise ParseError("trailing input %r" % tok.text, tok.line, tok.col)
+    template = _parse(tokens, _TERMS)
+    _expect_done(tokens)
     expr = _instantiate(template, bindings or {})
-    if not is_dynamic(expr):
-        raise ParseError("expected bars on a dynamic expression", 1, 1)
+    if is_dynamic(expr) != dynamic:
+        raise ParseError("expected bars on a dynamic expression" if dynamic
+                         else "expected a static expression, found bars", 1, 1)
     return _renumbered(expr, 1, _children)
 
 
@@ -530,72 +555,44 @@ IndexExpr = tuple
 _VECTOR_NAMES = ("phi", "psi", "psistar", "sj", "var")
 
 
-def _parse_index_expr(tokens: TokenStream) -> IndexExpr:
-    def parse_sum():
-        node = parse_term()
+def _index_atom(tokens: TokenStream) -> Optional[IndexExpr]:
+    tok = tokens.peek()
+    if tok.text == "(":
+        return None
+    if tok.kind == "number":
+        # plain literal; "1/3" is ordinary division at this level
+        tokens.next()
+        return ("num", float(tok.text))
+    if tok.kind == "name" and tok.text in _VECTOR_NAMES:
+        tokens.next()
+        tokens.expect("[")
+        idx = tokens.peek()
+        if not idx.text.isdigit():
+            raise tokens.error("expected a state number")
+        tokens.next()
+        tokens.expect("]")
+        return ("vec", tok.text, int(idx.text))
+    if tok.kind == "name" and tok.text == "steprob":
+        tokens.next()
+        tokens.expect("[")
+        parts = []
         while True:
-            if tokens.accept("+"):
-                node = ("bin", "+", node, parse_term())
-            elif tokens.accept("-"):
-                node = ("bin", "-", node, parse_term())
-            else:
-                return node
-
-    def parse_term():
-        node = parse_factor()
-        while True:
-            if tokens.accept("*"):
-                node = ("bin", "*", node, parse_factor())
-            elif tokens.accept("/"):
-                node = ("bin", "/", node, parse_factor())
-            else:
-                return node
-
-    def parse_factor():
-        tok = tokens.peek()
-        if tokens.accept("-"):
-            return ("neg", parse_factor())
-        if tokens.accept("("):
-            node = parse_sum()
-            tokens.expect(")")
-            return node
-        if tok.kind == "number":
-            # plain literal; "1/3" is ordinary division at this level
-            tokens.next()
-            return ("num", float(tok.text))
-        if tok.kind == "name" and tok.text in _VECTOR_NAMES:
-            tokens.next()
-            tokens.expect("[")
-            idx = tokens.peek()
-            if idx.kind != "number":
-                raise tokens.error("expected a state number")
-            tokens.next()
-            tokens.expect("]")
-            return ("vec", tok.text, int(idx.text))
-        if tok.kind == "name" and tok.text == "steprob":
-            tokens.next()
-            tokens.expect("[")
-            parts = [_parse_index_multiaction(tokens)]
-            while tokens.accept(","):
-                parts.append(_parse_index_multiaction(tokens))
-            tokens.expect("]")
-            return ("steprob", tuple(parts))
-        raise tokens.error("expected a number, phi[i], sj[i] or steprob[...]")
-
-    return parse_sum()
+            parts.append(Multiset.from_iterable(Action(n, c) for n, c in _parse_actions(tokens)))
+            if not tokens.accept(","):
+                break
+        tokens.expect("]")
+        return ("steprob", tuple(parts))
+    raise tokens.error("expected a number, phi[i], sj[i] or steprob[...]")
 
 
-def _parse_index_multiaction(tokens: TokenStream) -> Multiset:
-    tokens.expect("{")
-    actions: List[Action] = []
-    if not tokens.accept("}"):
-        name, conj = _parse_action(tokens)
-        actions.append(Action(name, conj))
-        while tokens.accept(","):
-            name, conj = _parse_action(tokens)
-            actions.append(Action(name, conj))
-        tokens.expect("}")
-    return Multiset.from_iterable(actions)
+# index expressions: + - * / with the usual precedences, and a prefix -
+_INDEX = _Grammar(
+    infix={"+": (0, ("bin", "+")), "-": (0, ("bin", "-")), "*": (1, ("bin", "*")), "/": (1, ("bin", "/"))},
+    prefix={"-": ("neg",)},
+    brackets={"(": ((")",), None)},
+    atom=_index_atom,
+    postfix=lambda tokens, node: node,
+)
 
 
 @dataclass
@@ -622,13 +619,7 @@ class ModelFile:
         return out
 
     def instantiate(self, overrides: Optional[Dict[str, float]] = None) -> StaticExpr:
-        if self.root is None:
-            raise ValueError("model has no root expression")
-        expr = _instantiate(self.root, self.bindings(overrides))
-        expr = renumber(expr)
-        if not is_regular(expr):
-            raise ValueError("root expression is not regular")
-        return expr
+        return self._instantiated("root", overrides)
 
     def leaf_sources(self) -> List[Tuple[bool, Union[float, str]]]:
         """What each numbered leaf of ``instantiate()`` reads, in leaf order:
@@ -659,11 +650,19 @@ class ModelFile:
         return set(self.params) | {source for _, source in read if isinstance(source, str)}
 
     def instantiate_peer(self, overrides: Optional[Dict[str, float]] = None) -> StaticExpr:
-        if self.peer is None:
-            raise ValueError("model has no peer expression")
-        expr = renumber(_instantiate(self.peer, self.bindings(overrides)))
+        return self._instantiated("peer", overrides)
+
+    def _instantiated(self, which: str, overrides: Optional[Dict[str, float]]) -> StaticExpr:
+        """The numbered static term of the ``root`` or the ``peer`` template."""
+        template = getattr(self, which)
+        if template is None:
+            raise ValueError("model has no %s expression" % which)
+        expr = _instantiate(template, self.bindings(overrides))
+        if is_dynamic(expr):
+            raise ValueError("%s expression carries bars" % which)
+        expr = renumber(expr)
         if not is_regular(expr):
-            raise ValueError("peer expression is not regular")
+            raise ValueError("%s expression is not regular" % which)
         return expr
 
     def sweep_axes(self, overrides: Optional[Dict[str, Union[float, Tuple[float, float, float]]]] = None
@@ -726,12 +725,11 @@ def parse_model(text: str) -> ModelFile:
         elif head.text == "index":
             name = sub.expect_name().text
             sub.expect("=")
-            model.indices[name] = _parse_index_expr(sub)
+            model.indices[name] = _parse(sub, _INDEX)
             _expect_done(sub)
         else:
             sub.expect("=")
-            known = dict(model.constants)
-            template = _ExprParser(sub, known).parse()
+            template = _parse(sub, _TERMS._replace(atom=partial(_term_atom, model.constants)))
             _expect_done(sub)
             if head.text == "root":
                 model.root = template

@@ -14,6 +14,8 @@ Each re-derives the slow, plain way what the program computes fast:
   program writes as one generic rule and a table of step maps;
 * by one recursive call per node, the text that the program prints in one
   post-order walk through ``parser.compose``;
+* by recursive descent, one method per precedence level, the templates and
+  index trees that the program reads with one operator-precedence loop;
 * by ``Multiset`` arithmetic on named places, what the net semantics
   computes on index-coded markings;
 * by scalar loops, one matrix and one state at a time, what the solver
@@ -51,6 +53,7 @@ from dtsipbc.expr import (
     Over,
     Par,
     Rel,
+    Relabeling,
     Rst,
     Seq,
     StaticExpr,
@@ -60,7 +63,10 @@ from dtsipbc.expr import (
     _children,
     _kind,
     _rebuild,
+    _renumbered,
+    is_dynamic,
     is_stop,
+    renumber,
     sync_activities,
     underlying,
 )
@@ -86,7 +92,20 @@ from dtsipbc.opsem import (
     leaf_values_of,
     step_key,
 )
-from dtsipbc.parser import _PAR, _SYNTAX
+from dtsipbc.parser import (
+    _PAR,
+    _SYNTAX,
+    _VECTOR_NAMES,
+    ModelFile,
+    ParamSpec,
+    ParseError,
+    Token,
+    TokenStream,
+    _expect_done,
+    _instantiate,
+    _parse_number,
+    tokenize,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +131,290 @@ def _ser(e, need: int) -> str:
         fields = [_ser(getattr(e, name), at) for name, at in operands] + _attributes(e)
         text = form % tuple(fields)
     return "(%s)" % text if level < need else text
+
+
+# ---------------------------------------------------------------------------
+# The parser, one method per precedence level
+# ---------------------------------------------------------------------------
+
+
+def parse_static(text: str, bindings: Optional[Dict[str, float]] = None) -> StaticExpr:
+    tokens = TokenStream(tokenize(text))
+    template = ExprParser(tokens, {}).parse()
+    _expect_done(tokens)
+    expr = _instantiate(template, bindings or {})
+    if is_dynamic(expr):
+        raise ParseError("expected a static expression, found bars", 1, 1)
+    return renumber(expr)
+
+
+def parse_dynamic(text: str, bindings: Optional[Dict[str, float]] = None) -> DynamicExpr:
+    tokens = TokenStream(tokenize(text))
+    template = ExprParser(tokens, {}).parse()
+    _expect_done(tokens)
+    expr = _instantiate(template, bindings or {})
+    if not is_dynamic(expr):
+        raise ParseError("expected bars on a dynamic expression", 1, 1)
+    return _renumbered(expr, 1, _children)
+
+
+def parse_model(text: str) -> ModelFile:
+    """The model file of ``text``, each term and index read by recursive
+    descent."""
+    stream = TokenStream(tokenize(text, keep_newlines=True))
+    model = ModelFile()
+    while stream.peek().kind != "eof":
+        if stream.peek().kind == "newline":
+            stream.next()
+            continue
+        stmt: List[Token] = []
+        while stream.peek().kind not in ("newline", "eof"):
+            stmt.append(stream.next())
+        head = stmt[0]
+        sub = TokenStream(stmt[1:] + [Token("eof", "", head.line, 0)])
+        if head.kind != "name":
+            raise ParseError("expected a definition", head.line, head.col)
+        if head.text == "param":
+            name = sub.expect_name().text
+            sub.expect("=")
+            start = _parse_number(sub)
+            if sub.accept(":"):
+                stop = _parse_number(sub)
+                sub.expect(":")
+                step = _parse_number(sub)
+                model.params[name] = ParamSpec(sweep=(start, stop, step))
+            else:
+                model.params[name] = ParamSpec(value=start)
+        elif head.text == "index":
+            name = sub.expect_name().text
+            sub.expect("=")
+            model.indices[name] = parse_index_expr(sub)
+            _expect_done(sub)
+        else:
+            sub.expect("=")
+            template = ExprParser(sub, dict(model.constants)).parse()
+            _expect_done(sub)
+            if head.text == "root":
+                model.root = template
+            elif head.text == "peer":
+                model.peer = template
+            else:
+                if head.text in model.constants or head.text in ("Stop",):
+                    raise ParseError("name %r is already defined" % head.text, head.line, head.col)
+                model.constants[head.text] = template
+    if model.root is None:
+        raise ParseError("model defines no root expression", 1, 1)
+    return model
+
+
+def _parse_action(tokens: TokenStream) -> Tuple[str, bool]:
+    name = tokens.expect_name().text
+    conj = tokens.accept("^") is not None
+    return name, conj
+
+
+def _parse_activity(tokens: TokenStream) -> tuple:
+    # '(' '{' actions '}' ',' value ')' with '(' already consumed
+    tokens.expect("{")
+    actions: List[Tuple[str, bool]] = []
+    if not tokens.accept("}"):
+        actions.append(_parse_action(tokens))
+        while tokens.accept(","):
+            actions.append(_parse_action(tokens))
+        tokens.expect("}")
+    tokens.expect(",")
+    immediate = tokens.accept("#") is not None
+    tok = tokens.peek()
+    if tok.kind == "name":
+        tokens.next()
+        value = tok.text
+    else:
+        value = _parse_number(tokens)
+    tokens.expect(")")
+    return ("act", tuple(actions), immediate, value)
+
+
+class ExprParser:
+    def __init__(self, tokens: TokenStream, constants: Dict[str, tuple]):
+        self.tokens = tokens
+        self.constants = constants
+
+    def parse(self) -> tuple:
+        return self._parallel()
+
+    def _parallel(self) -> tuple:
+        node = self._choice()
+        while self.tokens.accept("||"):
+            node = ("par", node, self._choice())
+        return node
+
+    def _choice(self) -> tuple:
+        node = self._sequence()
+        while self.tokens.accept("[]"):
+            node = ("cho", node, self._sequence())
+        return node
+
+    def _sequence(self) -> tuple:
+        node = self._unary()
+        while self.tokens.accept(";"):
+            node = ("seq", node, self._unary())
+        return node
+
+    def _unary(self) -> tuple:
+        node = self._prefixed()
+        while True:
+            tok = self.tokens.peek()
+            if tok.kind == "name" and tok.text == "rs":
+                self.tokens.next()
+                node = ("rst", node, self.tokens.expect_name().text)
+            elif tok.kind == "name" and tok.text == "sy":
+                self.tokens.next()
+                node = ("syn", node, self.tokens.expect_name().text)
+            elif tok.kind == "name" and tok.text == "sr":
+                self.tokens.next()
+                self.tokens.expect("(")
+                names = [self.tokens.expect_name().text]
+                while self.tokens.accept(","):
+                    names.append(self.tokens.expect_name().text)
+                self.tokens.expect(")")
+                for a in names:
+                    node = ("syn", node, a)
+                for a in names:
+                    node = ("rst", node, a)
+            elif tok.text == "[" and self._relabel_ahead():
+                node = ("rel", node, self._parse_relabel())
+            else:
+                return node
+
+    def _relabel_ahead(self) -> bool:
+        nxt = self.tokens.tokens[self.tokens.pos + 1 : self.tokens.pos + 3]
+        return len(nxt) == 2 and nxt[0].text == "f" and nxt[1].text == ":"
+
+    def _parse_relabel(self) -> Relabeling:
+        self.tokens.expect("[")
+        self.tokens.expect("f")
+        self.tokens.expect(":")
+        pairs: List[Tuple[str, str]] = []
+        while True:
+            x = self.tokens.expect_name().text
+            if self.tokens.accept("<->"):
+                y = self.tokens.expect_name().text
+                pairs.append((x, y))
+                if x != y:
+                    pairs.append((y, x))
+            else:
+                self.tokens.expect("->")
+                y = self.tokens.expect_name().text
+                pairs.append((x, y))
+            if not self.tokens.accept(","):
+                break
+        self.tokens.expect("]")
+        try:
+            return Relabeling(tuple(sorted(set(pairs))))
+        except ValueError as exc:
+            raise self.tokens.error(str(exc))
+
+    def _prefixed(self) -> tuple:
+        if self.tokens.accept("~"):
+            return ("over", self._prefixed())
+        if self.tokens.accept("_"):
+            return ("under", self._prefixed())
+        return self._primary()
+
+    def _primary(self) -> tuple:
+        tok = self.tokens.peek()
+        if tok.text == "(":
+            self.tokens.next()
+            if self.tokens.peek().text == "{":
+                return _parse_activity(self.tokens)
+            node = self._parallel()
+            self.tokens.expect(")")
+            return node
+        if tok.text == "[":
+            self.tokens.next()
+            init = self._parallel()
+            self.tokens.expect("*")
+            body = self._parallel()
+            self.tokens.expect("*")
+            term = self._parallel()
+            self.tokens.expect("]")
+            return ("ite", init, body, term)
+        if tok.kind == "name":
+            if tok.text == "Stop":
+                self.tokens.next()
+                return ("stop",)
+            if tok.text in self.constants:
+                self.tokens.next()
+                return self.constants[tok.text]
+            raise self.tokens.error("unknown name %r" % tok.text)
+        raise self.tokens.error("expected an expression, found %r" % (tok.text or "end of input"))
+
+
+def parse_index_expr(tokens: TokenStream) -> tuple:
+    def parse_sum():
+        node = parse_term()
+        while True:
+            if tokens.accept("+"):
+                node = ("bin", "+", node, parse_term())
+            elif tokens.accept("-"):
+                node = ("bin", "-", node, parse_term())
+            else:
+                return node
+
+    def parse_term():
+        node = parse_factor()
+        while True:
+            if tokens.accept("*"):
+                node = ("bin", "*", node, parse_factor())
+            elif tokens.accept("/"):
+                node = ("bin", "/", node, parse_factor())
+            else:
+                return node
+
+    def parse_factor():
+        tok = tokens.peek()
+        if tokens.accept("-"):
+            return ("neg", parse_factor())
+        if tokens.accept("("):
+            node = parse_sum()
+            tokens.expect(")")
+            return node
+        if tok.kind == "number":
+            tokens.next()
+            return ("num", float(tok.text))
+        if tok.kind == "name" and tok.text in _VECTOR_NAMES:
+            tokens.next()
+            tokens.expect("[")
+            idx = tokens.peek()
+            if not idx.text.isdigit():  # as the program reads it: int() takes no decimals
+                raise tokens.error("expected a state number")
+            tokens.next()
+            tokens.expect("]")
+            return ("vec", tok.text, int(idx.text))
+        if tok.kind == "name" and tok.text == "steprob":
+            tokens.next()
+            tokens.expect("[")
+            parts = [_parse_index_multiaction(tokens)]
+            while tokens.accept(","):
+                parts.append(_parse_index_multiaction(tokens))
+            tokens.expect("]")
+            return ("steprob", tuple(parts))
+        raise tokens.error("expected a number, phi[i], sj[i] or steprob[...]")
+
+    return parse_sum()
+
+
+def _parse_index_multiaction(tokens: TokenStream) -> Multiset:
+    tokens.expect("{")
+    actions: List[Action] = []
+    if not tokens.accept("}"):
+        name, conj = _parse_action(tokens)
+        actions.append(Action(name, conj))
+        while tokens.accept(","):
+            name, conj = _parse_action(tokens)
+            actions.append(Action(name, conj))
+        tokens.expect("}")
+    return Multiset.from_iterable(actions)
 
 
 # ---------------------------------------------------------------------------

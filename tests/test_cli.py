@@ -265,11 +265,32 @@ class TestExitCodes:
         assert err.startswith("error: model nested too deeply") and err.count("\n") == 1, err
 
     def test_deep_parentheses(self, capsys, tmp_path):
+        # the parser keeps one frame per open bracket on an explicit stack
         model = tmp_path / "deep.dtsi"
-        model.write_text("root = %s({a},0.5)%s\n" % ("(" * 1200, ")" * 1200))
-        code, _, err = run(capsys, "ts", str(model))
-        assert code == 1
-        assert err.startswith("error: model nested too deeply") and err.count("\n") == 1, err
+        model.write_text("root = %s({a},0.5)%s\n" % ("(" * 5000, ")" * 5000))
+        for command in ("ts", "checkiso", "solve"):
+            code, _, err = run(capsys, command, str(model))
+            assert code == 0, (command, err)
+
+    def test_deep_indices(self, capsys, tmp_path):
+        # phi[2] is 1: the final state of a single activity absorbs
+        model = tmp_path / "indices.dtsi"
+        model.write_text("root = ({a},0.5)\nindex nested = %sphi[2]%s\nindex negated = %sphi[2]\nindex summed = %s\n"
+                         % ("(" * 5000, ")" * 5000, "-" * 5000, " + ".join(["phi[2]"] * 5000)))
+        code, _, err = run(capsys, "solve", str(model))
+        assert code == 0
+        assert err == "index negated = 1\nindex nested = 1\nindex summed = 5000\n"
+
+    @pytest.mark.parametrize("command, text, which", [
+        ("ts", "root = ~({a},0.5)\n", "root"),
+        ("checkeq", "root = ({a},0.5)\npeer = _({a},0.5)\n", "peer"),
+    ])
+    def test_barred_root_or_peer(self, capsys, tmp_path, command, text, which):
+        model = tmp_path / "barred.dtsi"
+        model.write_text(text)
+        code, _, err = run(capsys, command, str(model))
+        assert code == 2
+        assert err == "error: %s expression carries bars\n" % which
 
     @pytest.fixture
     def deep_chain(self, tmp_path):
@@ -469,6 +490,13 @@ class TestRoundingBoundary:
         assert code == 0 and out.startswith("equivalent")
         one = parse_model("root = (({d},0.5);(%s)) [] (({d},0.5);(%s))\n" % (ROUNDING_ROOT, ROUNDING_PEER))
         assert quotient(build_ts(one.instantiate()), quantum=1e-8).size == 4
+
+    def test_coarser_quantum_in_quotient(self, capsys, tmp_path):
+        model = tmp_path / "one.dtsi"
+        model.write_text("root = (({d},0.5);(%s)) [] (({d},0.5);(%s))\n" % (ROUNDING_ROOT, ROUNDING_PEER))
+        code, _, err = run(capsys, "quotient", str(model), "--out", str(tmp_path), "--tol", "1e-8")
+        assert code == 0
+        assert "blocks: 4 (from 9 states)" in err
 
     @pytest.mark.xfail(strict=True, reason=ROUNDING_BUG)
     def test_checkeq(self, capsys, tmp_path):

@@ -1,14 +1,15 @@
 """Surface syntax, numbering, model files, and the parse/serialize round trip."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from dtsipbc.expr import Act, Cho, DCho, DPar, Ite, Over, Par, Rst, Seq, Under, activities_of
-from dtsipbc.models import bundled_model_names, load_model
+from dtsipbc.models import bundled_model_names, load_model, model_text
 from dtsipbc.opsem import build_ts
-from dtsipbc.parser import ModelFile, ParseError, parse_dynamic, parse_model, parse_static, serialize
+from dtsipbc.parser import ModelFile, ParseError, parse_dynamic, parse_model, parse_static, serialize, tokenize
 
-from conftest import RELABELING_TERMS, make_rng, random_regular_text, shm_text
+from conftest import INDEX_FORMS, RELABELING_TERMS, make_rng, random_regular_text, shm_text
 
 
 class TestParseStatic:
@@ -82,6 +83,20 @@ class TestParseStatic:
     def test_non_bijective_relabel_rejected(self):
         with pytest.raises(ParseError):
             parse_static("({a},0.5)[f: a->b]")
+
+    @pytest.mark.parametrize("text, message", [
+        ("({a},1/0)", "line 1, col 8: zero denominator"),
+        ("({a},1.5/2)", "line 1, col 10: a fraction takes whole numbers"),
+    ])
+    def test_fraction_of_whole_numbers(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_static(text)
+
+    def test_nested_iterations(self):
+        text = "({a},0.5)"
+        for _ in range(5000):
+            text = "[%s * ({b},0.5) * Stop]" % text
+        assert serialize(parse_static(text)) == text
 
 
 class TestDynamic:
@@ -229,3 +244,109 @@ class TestModelFiles:
         assert model.indices["combo"][0] == "bin"
         assert model.indices["named"][0] == "bin"
         assert model.indices["stepq"][0] == "steprob"
+
+    def test_state_number_is_whole(self):
+        with pytest.raises(ParseError, match="line 2, col 15: expected a state number"):
+            parse_model("root = ({a},0.5)\nindex i = phi[1.5]\n")
+
+
+# every token of both grammars, and the statement separator
+SPLICE_TOKENS = ["(", ")", "[", "]", "{", "}", ",", ";", "*", "#", "^", "~", "_", "||", "[]", "rs", "sy", "sr",
+                 "f", ":", "<->", "->", "a", "b", "Stop", "A", "0.5", "1/3", "-", "+", "/", "=", "phi",
+                 "steprob", "2", "\n"]
+
+
+def spliced(rng, text, count=4):
+    """``text``, ``count`` of its truncations at token boundaries, and
+    ``count`` copies with one token inserted, deleted or replaced."""
+    toks = [t.text for t in tokenize(text)[:-1]]
+    out = [text]
+    for _ in range(count):
+        out.append(" ".join(toks[:rng.randrange(len(toks) + 1)]))
+        copy, at = list(toks), rng.randrange(len(toks))
+        edit = rng.randrange(3)
+        if edit == 0:
+            copy.insert(at, rng.choice(SPLICE_TOKENS))
+        elif edit == 1:
+            del copy[at]
+        else:
+            copy[at] = rng.choice(SPLICE_TOKENS)
+        out.append(" ".join(copy))
+    return out
+
+
+def random_index_text(rng, depth=5) -> str:
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(["phi[2]", "sj[1]", "2", "0.5", "steprob[{a},{b^}]", "var[3]"])
+    form = rng.choice(["-%s", "--%s", "(%s)", "((%s))", "%s + %s", "%s - %s", "%s * %s", "%s / %s", "-(%s - -%s)"])
+    return form % tuple(random_index_text(rng, depth - 1) for _ in range(form.count("%s")))
+
+
+class TestAgainstRecursiveDescent:
+    """The operator-precedence loop against the recursive-descent parsers of
+    ``oracles``: the same template, or the same error."""
+
+    @staticmethod
+    def assert_parsed_alike(parse, reference, text):
+        def outcome(parse):
+            try:
+                return parse(text)
+            except ValueError as exc:  # a ParseError, or an error of instantiation
+                return type(exc), str(exc)
+
+        assert outcome(parse) == outcome(reference), text
+
+    def test_random_terms(self):
+        rng = make_rng(13)
+        texts = [rng.choice(["", "", "~", "_"]) + random_regular_text(rng) for _ in range(250)]
+        for text in texts + RELABELING_TERMS * 10:
+            for variant in spliced(rng, text):
+                self.assert_parsed_alike(parse_static, oracles.parse_static, variant)
+                self.assert_parsed_alike(parse_dynamic, oracles.parse_dynamic, variant)
+
+    @pytest.mark.parametrize("name", bundled_model_names() + ["shm%d%s" % (n, v) for n in range(2, 6) for v in "ac"])
+    def test_model_files(self, name):
+        text = shm_text(int(name[3]), abstract=name[4] == "a") if name.startswith("shm") else model_text(name)
+        self.assert_parsed_alike(parse_model, oracles.parse_model, text)
+
+    def test_index_lines(self):
+        rng = make_rng(14)
+        lines = [form.partition(" = ")[2] for form in INDEX_FORMS] + [random_index_text(rng) for _ in range(250)]
+        for line in lines:
+            for variant in spliced(rng, line):
+                text = "root = ({a},0.5)\nindex i = %s\n" % variant
+                self.assert_parsed_alike(parse_model, oracles.parse_model, text)
+
+
+_ATOMS = ["({a},0.5)", "({b^,c},1/3)", "({},#2)", "({a},rho)", "({a},1/0)", "({a},1.5/2)", "Stop", "A"]
+_terms = st.recursive(st.sampled_from(_ATOMS), lambda term: st.one_of(
+    st.tuples(term, st.sampled_from([";", "[]", "||"]), term).map(" ".join),
+    st.tuples(st.sampled_from(["~", "_"]), term).map("".join),
+    term.map("(%s)".__mod__),
+    st.tuples(term, term, term).map("[%s * %s * %s]".__mod__),
+    st.tuples(term, st.sampled_from([" rs a", " sy b", " sr(a,b)", "[f: a<->b]"])).map("".join),
+), max_leaves=6)
+_soup = st.lists(st.sampled_from(_ATOMS + SPLICE_TOKENS[:-1] + ["phi[2]", "steprob[{a}]", "rs a", "sr(a,b)"]),
+                 max_size=10).map(" ".join)
+_model_texts = st.lists(
+    st.tuples(st.sampled_from(["root =", "peer =", "A =", "index i =", "param rho =", ""]), st.one_of(_terms, _soup))
+    .map(" ".join),
+    min_size=1, max_size=5,
+).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_model_texts)
+def test_only_input_errors_escape(text):
+    """Generated model texts, with unbalanced brackets, bars and blank
+    lines: parsing and instantiation fail with a ``ValueError`` or not at
+    all."""
+    try:
+        model = parse_model(text)
+    except ValueError:
+        return
+    for instantiate in (model.instantiate, model.instantiate_peer):
+        try:
+            instantiate()
+        except ValueError:
+            pass
