@@ -5,12 +5,12 @@ Surface syntax (ASCII):
     ({a,b^},0.3)      stochastic multiaction, probability in (0;1), "1/3" allowed
     ({a},#2)          immediate multiaction with weight 2
     E;F  E[]F  E||F   sequence, choice, parallel (loosest first: ||, [], ;)
-    E rs a, E sy a    restriction / synchronization (postfix, bind tightest)
+    E rs a, E sy a    restriction / synchronization (postfix, bind tighter)
     E sr(a,b)         sugar for E sy a sy b rs a rs b
     E[f: a<->b]       relabeling by a conjugate-preserving bijection
     [E * F * K]       iteration: init, body, termination
     Stop              the non-terminating idle process
-    ~E  _E            overbar / underbar prefixes on dynamic terms
+    ~E  _E            overbar / underbar prefixes on dynamic terms (tightest)
 
 Model files hold ``param``, ``index``, constant and ``root``/``peer``
 definitions, one per line ("//" comments); parameters substitute into
