@@ -18,7 +18,7 @@ import numpy as np
 
 from . import export
 from .equiv import bisim_equivalent_ts, quotient
-from .markov import AnalysisError, Chain, ChainStack, StackResult, evaluate_index_stack, solve_chain, solve_stack
+from .markov import AnalysisError, Chain, StackResult, evaluate_index_stack, solve_chain, solve_stack
 from .models import bundled_model_names, load_model
 from .netsem import box_of, build_rg, check_safe_clean
 from .opsem import SemanticsError, StateSpaceLimit, build_ts, ts_isomorphic
@@ -87,14 +87,14 @@ def _instantiate(model: ModelFile, overrides: Dict[str, float]):
         raise CliError(str(exc), INPUT_ERROR)
 
 
-def _index_rows(indices: Dict[str, tuple], chains: ChainStack, solved: StackResult,
+def _index_rows(indices: Dict[str, tuple], chain: Chain, solved: StackResult,
                 points: Optional[List[Dict[str, float]]] = None) -> List[Dict[str, float]]:
-    """The named index values at every point of a solved stack.  The first
+    """The named index values at every point of a solved chain.  The first
     point where the solver or an index fails is an analysis failure, with
     the solver's error there, or else that of the first index undefined
     there (a division by zero, a state the chain does not have); the message
     names the point when ``points`` are given."""
-    evaluated = {name: evaluate_index_stack(expr, chains, solved) for name, expr in indices.items()}
+    evaluated = {name: evaluate_index_stack(expr, chain, solved) for name, expr in indices.items()}
     failed = np.array([e is not None for e in solved.errors])
     for _, errors in evaluated.values():
         failed |= np.array([e is not None for e in errors])
@@ -217,9 +217,8 @@ def cmd_solve(args) -> int:
     indices = _selected_indices(model, args.index)
     ts = build_ts(_instantiate(model, overrides), max_states=args.max_states)
     chain = quotient(ts, quantum=args.tol).chain() if args.quotient else Chain.from_ts(ts)
-    chains = ChainStack.of(chain)
-    solved = solve_stack(chains)
-    values = _index_rows(indices, chains, solved)[0]
+    solved = solve_stack(chain)
+    values = _index_rows(indices, chain, solved)[0]
     result = solved.result(0, chain)
     if args.format == "csv":
         _emit(args, "states.csv", export.states_csv(result))
@@ -277,16 +276,15 @@ def _sweep_quotient(args, base_ts, model: ModelFile, indices, points):
     values, results = [], []
     for point in points:
         chain = quotient(base_ts.reweight(_leaf_values(model, point)), quantum=args.tol).chain()
-        chains = ChainStack.of(chain)
-        solved = solve_stack(chains)
-        values += _index_rows(indices, chains, solved, [point])
+        solved = solve_stack(chain)
+        values += _index_rows(indices, chain, solved, [point])
         if args.per_point:
             results.append(solved.result(0, chain))
     return values, results
 
 
 def _sweep_batch(args, base_ts, model: ModelFile, indices, points):
-    """Index values at every point, from one stack of chains solved at once,
+    """Index values at every point, from one chain of the whole grid solved at once,
     and the solutions when ``--per-point`` writes them.  It fails at the
     first point, and with the error, where a point-by-point run would."""
     leaf_rows, input_error = [], None
@@ -296,15 +294,15 @@ def _sweep_batch(args, base_ts, model: ModelFile, indices, points):
         except CliError as exc:
             input_error = exc  # raised after any analysis error at an earlier point
             break
-    chains = ChainStack.from_ts(base_ts, np.array(leaf_rows))
-    solved = solve_stack(chains)
-    values = _index_rows(indices, chains, solved, points)
+    chain = Chain.from_ts(base_ts, np.array(leaf_rows))
+    solved = solve_stack(chain)
+    values = _index_rows(indices, chain, solved, points)
     if input_error is not None:
         raise input_error
     results = []
     if args.per_point:
         # state keys serialize the values, so each point has its own
-        results = [solved.result(k, chains.chain(k, base_ts.keys_at(dict(enumerate(row, 1)))))
+        results = [solved.result(k, chain.point(k, base_ts.keys_at(dict(enumerate(row, 1)))))
                    for k, row in enumerate(leaf_rows)]
     return values, results
 

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .expr import Multiset, StaticExpr
-from .markov import Chain, StepArc
+from .markov import Chain
 from .opsem import State, Transition, TransitionSystem, build_ts
 
 __all__ = [
@@ -153,23 +153,17 @@ class Quotient:
     """Transition system over bisimulation blocks, with its chain view."""
 
     partition: Partition
-    keys: List[str]
-    tangible: List[bool]
-    arcs: List[List[StepArc]]  # label = multiaction multiset, target = block
-    initial: int
     source: TransitionSystem
+    _chain: Chain
 
     @property
     def size(self) -> int:
-        return len(self.keys)
+        return self.partition.size
 
     def chain(self) -> Chain:
-        n = self.size
-        pm = np.zeros((n, n))
-        for i, row in enumerate(self.arcs):
-            for arc in row:
-                pm[i, arc.target] += arc.prob
-        return Chain(list(self.keys), list(self.tangible), pm, [list(r) for r in self.arcs], self.initial)
+        """The chain over the blocks: block ``k`` has the key listing its
+        members, and its arcs are sorted by label, then target block."""
+        return self._chain
 
 
 def quotient(
@@ -187,9 +181,10 @@ def quotient(
     if part is None:
         part = largest_autobisim(ts, quantum)
     labels = ts.labels()
-    keys = []
-    tangible = []
-    arcs: List[List[StepArc]] = []
+    keys: List[str] = []
+    tangible: List[bool] = []
+    indptr = [0]
+    arcs: List[Tuple[Tuple[int, int], float]] = []  # ((label id, target block), probability)
     for k, block in enumerate(part.blocks):
         keys.append("{%s}" % ",".join("s%d" % (i + 1) for i in block))
         kinds = {ts.states[i].tangible for i in block}
@@ -202,15 +197,11 @@ def quotient(
         for other in per_member[1:]:
             if set(other) != set(rep) or any(abs(other[k2] - rep[k2]) > check_tol for k2 in rep):
                 raise AssertionError("partition is not an autobisimulation (block %d)" % (k + 1))
-        row = [StepArc(labels[lbl], p, blk) for (lbl, blk), p in rep.items()]
-        row.sort(key=lambda arc: (arc.label, arc.target))
-        arcs.append(row)
+        arcs += sorted(rep.items(), key=lambda arc: (labels[arc[0][0]], arc[0][1]))
+        indptr.append(len(arcs))
 
-    return Quotient(
-        partition=part,
-        keys=keys,
-        tangible=tangible,
-        arcs=arcs,
-        initial=part.block_of[ts.initial],
-        source=ts,
-    )
+    chain = Chain(keys, tangible, labels, np.array(indptr, dtype=np.intp),
+                  np.array([lbl for (lbl, _), _ in arcs], dtype=np.intp),
+                  np.array([blk for (_, blk), _ in arcs], dtype=np.intp),
+                  np.array([[p for _, p in arcs]]), part.block_of[ts.initial])
+    return Quotient(part, ts, chain)

@@ -86,16 +86,19 @@ def box_json(box: DtsiBox) -> Dict[str, object]:
 
 
 def quotient_json(q: Quotient) -> Dict[str, object]:
+    chain = q.chain()
     blocks = [
-        {"id": k + 1, "key": q.keys[k], "kind": "tangible" if q.tangible[k] else "vanishing",
+        {"id": k + 1, "key": chain.keys[k], "kind": "tangible" if chain.tangible[k] else "vanishing",
          "members": [i + 1 for i in block]}
         for k, block in enumerate(q.partition.blocks)
     ]
-    arcs = []
-    for i, row in enumerate(q.arcs):
-        for arc in row:
-            arcs.append({"source": i + 1, "label": str(arc.label), "prob": arc.prob, "target": arc.target + 1})
-    return {"initial": q.initial + 1, "blocks": blocks, "transitions": arcs}
+    labels = [str(label) for label in chain.labels]
+    arcs = [
+        {"source": i + 1, "label": labels[k], "prob": p, "target": j + 1}
+        for i, k, p, j in zip(chain.sources.tolist(), chain.label_ids.tolist(), chain.probs[0].tolist(),
+                              chain.targets.tolist())
+    ]
+    return {"initial": chain.initial + 1, "blocks": blocks, "transitions": arcs}
 
 
 def solve_json(result: SolveResult, indices: Optional[Dict[str, float]] = None) -> Dict[str, object]:

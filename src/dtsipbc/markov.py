@@ -9,11 +9,12 @@ compensated residuals (Stewart, *Introduction to the Numerical Solution of
 Markov Chains*, 1994), with power iteration retained as an independent
 oracle.
 
-The solver works on a stack of chains over the same states: one matrix per
-point of a parameter grid (``ChainStack``, ``solve_stack``).  The
-communication classes, the closed class and the period are computed once per
-support, the linear algebra for all points at once, and every check still
-runs at every point.  ``solve_chain`` is the one-point case, and gives the
+A chain holds its arcs once, as row-ordered arrays, with probabilities at
+one or many points of a parameter grid, and one matrix per point.  The
+solver works on all points at once (``solve_stack``): the communication
+classes, the closed class and the period are computed once per support,
+the linear algebra for all points at once, and every check still runs at
+every point.  ``solve_chain`` is the one-point case, and gives the
 bits that a per-matrix computation gives: each row is reduced, and each
 system solved, exactly as it would be on its own.
 
@@ -26,8 +27,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,8 +38,6 @@ from .opsem import TransitionSystem
 __all__ = [
     "AnalysisError",
     "Chain",
-    "ChainStack",
-    "StepArc",
     "SojournStats",
     "StationaryResult",
     "SolveResult",
@@ -68,90 +67,63 @@ class AnalysisError(Exception):
         self.closed_classes = closed_classes or []
 
 
-class StepArc(NamedTuple):
-    label: Multiset  # multiset of multiaction parts
-    prob: float
-    target: int
-
-
 @dataclass
 class Chain:
-    """State-labeled chain with step arcs; the common input of every solver."""
+    """State-labeled chain with step arcs, at one or many points of a
+    parameter grid: the common input of every solver.
+
+    The arcs are stored once, in row order: those of state ``i`` are
+    ``indptr[i]:indptr[i + 1]``, arc ``k`` has the label
+    ``labels[label_ids[k]]`` and the target ``targets[k]``, and
+    ``probs[p, k]`` is its probability at point ``p``.  ``pm`` holds the
+    ``(points, n, n)`` one-step matrices summed from them."""
 
     keys: List[str]
     tangible: List[bool]
-    pm: np.ndarray
-    arcs: List[List[StepArc]]
+    labels: List[Multiset]  # multisets of multiaction parts
+    indptr: np.ndarray
+    label_ids: np.ndarray
+    targets: np.ndarray
+    probs: np.ndarray
     initial: int = 0
+    pm: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # parallel arcs are added in arc order
+        self.pm = np.zeros((self.probs.shape[0], self.size, self.size))
+        np.add.at(self.pm, (slice(None), self.sources, self.targets), self.probs)
 
     @staticmethod
-    def from_ts(ts: TransitionSystem) -> "Chain":
+    def from_ts(ts: TransitionSystem, leaf_values: Optional[np.ndarray] = None) -> "Chain":
+        """The chain of ``ts`` at its own probabilities, or reweighted to
+        each row of ``leaf_values`` (column ``c`` holds leaf ``c + 1``), as
+        ``Chain.from_ts(ts.reweight(...))`` would build them one at a time.
+        Transitions are taken by source, each source's in system order."""
         n = len(ts.states)
-        pm = np.zeros((n, n))
-        arcs: List[List[StepArc]] = [[] for _ in range(n)]
-        labels = ts.labels()
-        for i in range(n):
-            for t, k in zip(ts.outgoing(i), ts.label_ids(i)):
-                pm[i, t.target] += t.prob
-                arcs[i].append(StepArc(labels[k], t.prob, t.target))
-        return Chain([s.key for s in ts.states], [s.tangible for s in ts.states], pm, arcs, ts.initial)
+        if leaf_values is None:
+            probs = np.array([[t.prob for t in ts.transitions]])
+        else:
+            probs = ts.readiness().probabilities(leaf_values)
+        source = np.array([t.source for t in ts.transitions], dtype=np.intp)
+        order = np.argsort(source, kind="stable")
+        return Chain([s.key for s in ts.states], [s.tangible for s in ts.states], ts.labels(),
+                     np.searchsorted(source[order], np.arange(n + 1)),
+                     np.array([k for i in range(n) for k in ts.label_ids(i)], dtype=np.intp),
+                     np.array([t.target for t in ts.transitions], dtype=np.intp)[order], probs[:, order],
+                     ts.initial)
 
     @property
     def size(self) -> int:
         return len(self.keys)
 
-
-@dataclass
-class ChainStack:
-    """Chains of one transition system at many parameter points.
-
-    They share states and step arcs and differ in probabilities: ``pm`` is
-    ``(points, n, n)``, and ``arc_probs[:, k]`` is the probability of
-    transition ``k`` of the system at every point.  ``arcs[i]`` lists the
-    (label, transition, target) triples of state ``i`` in ``Chain.arcs``
-    order.
-    """
-
-    keys: List[str]
-    tangible: List[bool]
-    pm: np.ndarray
-    arcs: List[List[Tuple[Multiset, int, int]]]
-    arc_probs: np.ndarray
-
-    @staticmethod
-    def from_ts(ts: TransitionSystem, leaf_values: np.ndarray) -> "ChainStack":
-        """The chains of ``ts`` reweighted to each row of ``leaf_values``
-        (column ``c`` holds leaf ``c + 1``), as ``Chain.from_ts(ts.reweight(...))``
-        would build them one at a time."""
-        readiness = ts.readiness()
-        probs = readiness.probabilities(leaf_values)
-        labels = ts.labels()
-        columns: List[List[int]] = [[] for _ in ts.states]
-        for k, t in enumerate(ts.transitions):
-            columns[t.source].append(k)
-        arcs = [[(labels[j], k, ts.transitions[k].target) for j, k in zip(ts.label_ids(i), columns[i])]
-                for i in range(len(ts.states))]
-        return ChainStack([s.key for s in ts.states], [s.tangible for s in ts.states],
-                          readiness.matrices(probs), arcs, probs)
-
     @property
-    def size(self) -> int:
-        return len(self.keys)
+    def sources(self) -> np.ndarray:
+        """The source state of every arc."""
+        return np.repeat(np.arange(self.size), np.diff(self.indptr))
 
-    @staticmethod
-    def of(chain: Chain) -> "ChainStack":
-        """``chain`` as a stack of one point."""
-        arcs, probs = [], []
-        for row in chain.arcs:
-            arcs.append([(arc.label, len(probs) + k, arc.target) for k, arc in enumerate(row)])
-            probs += [arc.prob for arc in row]
-        return ChainStack(chain.keys, chain.tangible, chain.pm[None], arcs, np.array([probs], dtype=float))
-
-    def chain(self, p: int, keys: List[str]) -> Chain:
+    def point(self, p: int, keys: List[str]) -> "Chain":
         """The chain at point ``p``, with the state keys given."""
-        probs = self.arc_probs[p].tolist()
-        arcs = [[StepArc(label, probs[k], target) for label, k, target in row] for row in self.arcs]
-        return Chain(keys, self.tangible, self.pm[p], arcs)
+        return replace(self, keys=keys, probs=self.probs[p:p + 1])
 
 
 @dataclass
@@ -209,17 +181,17 @@ def _embedded(pm: np.ndarray, leave: np.ndarray) -> np.ndarray:
 
 
 def sojourn_stats(chain: Chain) -> SojournStats:
-    stats, _ = _sojourn(chain.pm[None], chain.tangible)
+    stats, _ = _sojourn(chain.pm[:1], chain.tangible)
     return SojournStats(stats.average[0], stats.variance[0], stats.loop_factor[0])
 
 
 def dtmc_tpm(chain: Chain) -> np.ndarray:
-    return chain.pm.copy()
+    return chain.pm[0].copy()
 
 
 def edtmc_tpm(chain: Chain) -> np.ndarray:
     """Self-loop abstracted one-step matrix: zero diagonal, absorbing rows zero."""
-    pm = chain.pm[None]
+    pm = chain.pm[:1]
     return _embedded(pm, _off_diagonal_sums(pm))[0]
 
 
@@ -557,13 +529,13 @@ def solve_chain(chain: Chain, cross_check_tol: float = _CROSS_CHECK_TOL) -> Solv
     Their disagreement beyond ``cross_check_tol`` means a solver bug, so it
     raises instead of returning silently wrong numbers.
     """
-    return _solve_stack(chain.pm.copy()[None], chain.tangible, cross_check_tol).result(0, chain)
+    return _solve_stack(chain.pm[:1].copy(), chain.tangible, cross_check_tol).result(0, chain)
 
 
-def solve_stack(chains: ChainStack) -> StackResult:
-    """``solve_chain`` at every point of a stack, without raising: a point
+def solve_stack(chain: Chain) -> StackResult:
+    """``solve_chain`` at every point of a chain, without raising: a point
     fails, with the same error, exactly where ``solve_chain`` would."""
-    return _solve_stack(chains.pm, chains.tangible, _CROSS_CHECK_TOL)
+    return _solve_stack(chain.pm, chain.tangible, _CROSS_CHECK_TOL)
 
 
 def _support_groups(*stacks: np.ndarray) -> List[np.ndarray]:
@@ -654,10 +626,12 @@ def trace_prob(chain: Chain, start: int, labels: Sequence[Multiset]) -> float:
     if not labels:
         return 1.0
     head, rest = labels[0], labels[1:]
+    arcs = slice(chain.indptr[start], chain.indptr[start + 1])
     total = 0.0
-    for arc in chain.arcs[start]:
-        if arc.label == head:
-            total += arc.prob * trace_prob(chain, arc.target, rest)
+    for k, prob, target in zip(chain.label_ids[arcs].tolist(), chain.probs[0, arcs].tolist(),
+                                chain.targets[arcs].tolist()):
+        if chain.labels[k] == head:
+            total += prob * trace_prob(chain, target, rest)
     return total
 
 
@@ -672,17 +646,17 @@ def evaluate_index(expr, result: SolveResult) -> float:
     of ``evaluate_index_stack`` on a one-point view of ``result``.  An index
     undefined on the solution raises ``ZeroDivisionError`` (a division by
     zero) or ``ValueError`` (a state the chain does not have)."""
-    chains = ChainStack.of(result.chain)
-    values, errors = _evaluate_index(expr, chains, {name: v[None] for name, v in _index_vectors(result).items()})
+    vectors = {name: v[None] for name, v in _index_vectors(result).items()}
+    values, errors = _evaluate_index(expr, result.chain, vectors)
     if errors[0] is not None:
         raise errors[0]
     return float(values[0])
 
 
-def evaluate_index_stack(expr, chains: ChainStack, solved: StackResult) -> Tuple[np.ndarray, List[Optional[Exception]]]:
-    """``evaluate_index`` at every point of a stack: the values, and at each
+def evaluate_index_stack(expr, chain: Chain, solved: StackResult) -> Tuple[np.ndarray, List[Optional[Exception]]]:
+    """``evaluate_index`` at every point of a chain: the values, and at each
     point the error ``evaluate_index`` raises there, or None."""
-    return _evaluate_index(expr, chains, _index_vectors(solved))
+    return _evaluate_index(expr, chain, _index_vectors(solved))
 
 
 def _index_vectors(solved) -> Dict[str, np.ndarray]:
@@ -692,14 +666,14 @@ def _index_vectors(solved) -> Dict[str, np.ndarray]:
             "sj": solved.sojourn.average, "var": solved.sojourn.variance}
 
 
-def _evaluate_index(expr, chains: ChainStack, vectors: Dict[str, np.ndarray]):
+def _evaluate_index(expr, chain: Chain, vectors: Dict[str, np.ndarray]):
     """Values and errors at every point, from ``(points, n)`` state vectors
-    and the step arcs of ``chains``."""
+    and the step arcs of ``chain``."""
     errors: List[Exception] = []
     # inf * 0, inf - inf and x / 0 give nan or inf, as Python floats do,
     # without a numpy warning (points past a failure are evaluated too)
     with np.errstate(all="ignore"):
-        values, failure = _evaluate_stack(expr, chains, vectors, errors)
+        values, failure = _evaluate_stack(expr, chain, vectors, errors)
     return values, [errors[c - 1] if c else None for c in failure.tolist()]
 
 
@@ -712,12 +686,12 @@ def _zero_division_message() -> str:
         return str(exc)
 
 
-def _evaluate_stack(expr, chains: ChainStack, vectors: Dict[str, np.ndarray],
+def _evaluate_stack(expr, chain: Chain, vectors: Dict[str, np.ndarray],
                     errors: List[Exception]) -> Tuple[np.ndarray, np.ndarray]:
     """Values and failure codes (0: defined, k: ``errors[k - 1]``); a point
     keeps the first failure in the order Python evaluates the expression,
     left operand before right, which is the order of ``fold``."""
-    points = chains.pm.shape[0]
+    points = chain.probs.shape[0]
     defined = np.zeros(points, dtype=np.intp)
 
     def failing(error: Exception) -> int:
@@ -749,19 +723,20 @@ def _evaluate_stack(expr, chains: ChainStack, vectors: Dict[str, np.ndarray],
             raise ValueError("bad operator %r" % op)
         if tag == "vec":
             which, i = expr[1], expr[2] - 1
-            if not 0 <= i < chains.size:
+            if not 0 <= i < chain.size:
                 return np.zeros(points), np.full(points, failing(ValueError("state index %d out of range" % (i + 1))))
             return vectors[which][:, i], defined
         if tag == "steprob":
             parts = Multiset.from_iterable(expr[1])
+            taken = np.array([parts.issubset(label) for label in chain.labels], dtype=bool)[chain.label_ids]
+            # each state's matching arcs, added in arc order
+            here = np.zeros((points, chain.size))
+            np.add.at(here, (slice(None), chain.sources[taken]), chain.probs[:, taken])
+            phi = vectors["phi"]
+            terms = np.where(phi == 0.0, 0.0, phi * here)
             total = np.zeros(points)
-            for i, arcs in enumerate(chains.arcs):
-                here = np.zeros(points)
-                for label, k, _ in arcs:
-                    if parts.issubset(label):
-                        here = here + chains.arc_probs[:, k]
-                phi = vectors["phi"][:, i]
-                total = total + np.where(phi == 0.0, 0.0, phi * here)
+            for i in range(chain.size):
+                total = total + terms[:, i]
             return total, defined
         raise ValueError("bad index expression %r" % (tag,))
 

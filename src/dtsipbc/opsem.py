@@ -244,13 +244,6 @@ class TransitionSystem:
     def move_prob(self, i: int, j: int) -> float:
         return sum(t.prob for t in self.outgoing(i) if t.target == j)
 
-    def pm_matrix(self):
-        n = len(self.states)
-        pm = np.zeros((n, n))
-        for t in self.transitions:
-            pm[t.source, t.target] += t.prob
-        return pm
-
     # -- parameter sweeps ---------------------------------------------------
 
     def readiness(self) -> "Readiness":
@@ -336,7 +329,6 @@ class Readiness:
         step key, target) triple per transition, in the system's order."""
         self.size = len(tangible)
         self.source = np.array([i for i, _, _ in transitions], dtype=np.intp)
-        self.target = np.array([j for _, _, j in transitions], dtype=np.intp)
         column: Dict[Activity, int] = {}
         # each transition's step as activity columns, in step-key order
         self.columns: List[List[int]] = [[column.setdefault(u, len(column)) for u in key] for _, key, _ in transitions]
@@ -395,13 +387,6 @@ class Readiness:
         total = np.zeros((points, self.size))
         np.add.at(total, (slice(None), self.source), ready)
         return ready / total[:, self.source]
-
-    def matrices(self, probs: np.ndarray) -> np.ndarray:
-        """One-step probability matrices, ``(points, states, states)``, with
-        parallel transitions added in order, as ``pm_matrix`` does."""
-        pm = np.zeros((probs.shape[0], self.size, self.size))
-        np.add.at(pm, (slice(None), self.source, self.target), probs)
-        return pm
 
 
 def _padded(rows: List[List[int]], fill: int) -> np.ndarray:

@@ -18,6 +18,8 @@ Each re-derives the slow, plain way what the program computes fast:
   index trees that the program reads with one operator-precedence loop;
 * by ``Multiset`` arithmetic on named places, what the net semantics
   computes on index-coded markings;
+* by one arc at a time, row by row, the chains that the program stores
+  as row-ordered arrays and sums into matrices in one place;
 * by scalar loops, one matrix and one state at a time, what the solver
   computes on stacks of matrices;
 * by one product per step in set order, the step probabilities that the
@@ -91,6 +93,7 @@ from dtsipbc.opsem import (
     _saturate_step,
     leaf_values_of,
     step_key,
+    step_label,
 )
 from dtsipbc.parser import (
     _PAR,
@@ -1072,6 +1075,61 @@ def check_safe_clean(box: DtsiBox, max_states: int = 100_000) -> StructureReport
 
 
 # ---------------------------------------------------------------------------
+# Chains, row by row
+# ---------------------------------------------------------------------------
+
+
+def pm_matrix(ts: TransitionSystem) -> np.ndarray:
+    """The one-step matrix of ``ts``, parallel transitions added in order."""
+    n = len(ts.states)
+    pm = np.zeros((n, n))
+    for t in ts.transitions:
+        pm[t.source, t.target] += t.prob
+    return pm
+
+
+def chain_arcs(ts: TransitionSystem) -> Tuple[List[Tuple[int, Multiset, float, int]], np.ndarray]:
+    """The (source, label, probability, target) arcs of the chain of ``ts``,
+    state by state, each state's in system order, and the one-step matrix
+    summed along them."""
+    n = len(ts.states)
+    pm = np.zeros((n, n))
+    rows = []
+    for i in range(n):
+        for t in ts.outgoing(i):
+            pm[i, t.target] += t.prob
+            rows.append((i, step_label(t.step), t.prob, t.target))
+    return rows, pm
+
+
+def quotient_arcs(ts: TransitionSystem, blocks: List[List[int]]
+                  ) -> Tuple[List[Tuple[int, Multiset, float, int]], np.ndarray]:
+    """The arcs of the quotient chain of ``ts`` by ``blocks`` (sorted by
+    least member): each block steps as its least member does, summed per
+    label and target block, its arcs sorted by label and then block; and the
+    one-step matrix summed along them."""
+    block_of = {i: k for k, block in enumerate(blocks) for i in block}
+    rows = []
+    for k, block in enumerate(blocks):
+        aggregate: Dict[Tuple[Multiset, int], float] = {}
+        for t in ts.outgoing(block[0]):
+            key = (step_label(t.step), block_of[t.target])
+            aggregate[key] = aggregate.get(key, 0.0) + t.prob
+        rows += [(k, label, prob, target) for (label, target), prob in sorted(aggregate.items())]
+    pm = np.zeros((len(blocks), len(blocks)))
+    for k, _, prob, target in rows:
+        pm[k, target] += prob
+    return rows, pm
+
+
+def arcs(chain: Chain, point: int = 0) -> List[Tuple[int, Multiset, float, int]]:
+    """The (source, label, probability, target) arcs of a chain at one
+    point, read off its arrays in order."""
+    return [(i, chain.labels[k], prob, j) for i, k, prob, j in zip(
+        chain.sources.tolist(), chain.label_ids.tolist(), chain.probs[point].tolist(), chain.targets.tolist())]
+
+
+# ---------------------------------------------------------------------------
 # Solver loops
 # ---------------------------------------------------------------------------
 
@@ -1096,8 +1154,8 @@ def sojourn_stats(chain: Chain) -> SojournStats:
     var = np.zeros(n)
     sl = np.ones(n)
     for i in range(n):
-        p = chain.pm[i, i]
-        leave = exit_mass(chain.pm, i)
+        p = chain.pm[0, i, i]
+        leave = exit_mass(chain.pm[0], i)
         if p > 0:
             sl[i] = math.inf if leave == 0.0 else 1.0 / leave
         if chain.tangible[i]:
@@ -1115,10 +1173,10 @@ def edtmc_tpm(chain: Chain) -> np.ndarray:
     n = chain.size
     out = np.zeros((n, n))
     for i in range(n):
-        leave = exit_mass(chain.pm, i)
+        leave = exit_mass(chain.pm[0], i)
         if leave == 0.0:
             continue
-        out[i] = chain.pm[i] / leave
+        out[i] = chain.pm[0, i] / leave
         out[i, i] = 0.0
         out[i] /= out[i].sum()
     return out
@@ -1212,7 +1270,7 @@ def steady_state(tpm, residual_tol: float = 1e-10) -> StationaryResult:
 def solve_chain(chain: Chain, cross_check_tol: float = 1e-10) -> SolveResult:
     """The solver one matrix and one state at a time."""
     stats = sojourn_stats(chain)
-    p_full = chain.pm.copy()
+    p_full = chain.pm[0].copy()
     p_emb = edtmc_tpm(chain)
     emb = steady_state(p_emb)
     full = steady_state(p_full)
@@ -1248,11 +1306,14 @@ def solve_chain(chain: Chain, cross_check_tol: float = 1e-10) -> SolveResult:
 def step_probability(chain: Chain, phi: np.ndarray, parts: Multiset) -> float:
     """Steady-state probability of performing a step containing the given
     multiset of multiactions."""
+    rows: List[List[Tuple[Multiset, float]]] = [[] for _ in range(chain.size)]
+    for i, label, prob, _ in arcs(chain):
+        rows[i].append((label, prob))
     total = 0.0
     for i in range(chain.size):
         if phi[i] == 0.0:
             continue
-        here = sum(arc.prob for arc in chain.arcs[i] if parts.issubset(arc.label))
+        here = sum(prob for label, prob in rows[i] if parts.issubset(label))
         total += float(phi[i]) * here
     return float(total)
 

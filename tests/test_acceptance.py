@@ -257,7 +257,7 @@ def test_criterion_6_equivalence_suite():
         chain, qchain = Chain.from_ts(ts), q.chain()
         for k, block in enumerate(q.partition.blocks):
             assert abs(red.phi[k] - sum(full.phi[i] for i in block)) <= TOL
-        labels = sorted({arc.label for row in qchain.arcs for arc in row})
+        labels = sorted({qchain.labels[k] for k in qchain.label_ids.tolist()})
         traces = [(lbl,) for lbl in labels]
         traces += list(itertools.product(labels[:3], repeat=2))
         traces += list(itertools.product(labels[:2], repeat=3))

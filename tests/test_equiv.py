@@ -281,7 +281,7 @@ class TestPreservation:
         reduced = solve_chain(q.chain())
         chain = Chain.from_ts(ts)
         qchain = q.chain()
-        labels = sorted({arc.label for row in qchain.arcs for arc in row})
+        labels = sorted({qchain.labels[k] for k in qchain.label_ids.tolist()})
         sequences = [(lbl,) for lbl in labels]
         sequences += list(itertools.product(labels[:4], repeat=2))
         sequences += list(itertools.product(labels[:3], repeat=3))

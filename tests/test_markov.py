@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from dtsipbc.equiv import quotient
 from dtsipbc.expr import Action, Multiset
 from dtsipbc.markov import (
     AnalysisError,
@@ -25,10 +26,19 @@ from dtsipbc.markov import (
 )
 from dtsipbc.models import bundled_model_names, load_model, model_text
 from dtsipbc.netsem import box_of, build_rg
-from dtsipbc.opsem import build_ts, step_label
+from dtsipbc.opsem import TransitionSystem, build_ts, step_label
 from dtsipbc.parser import parse_model, parse_static
 
-from conftest import INDEX_FORMS, bundled_roots, fast_ts, make_rng, shared_memory_order, shm_text, ts_of
+from conftest import (
+    INDEX_FORMS,
+    bundled_roots,
+    fast_ts,
+    make_rng,
+    random_regular_text,
+    shared_memory_order,
+    shm_text,
+    ts_of,
+)
 
 ERGODIC_MODELS = ("ts_example", "qts_f", "shared_memory", "shared_memory_abstract")
 ABSORBING_MODELS = ("choice_stoch", "choice_imm", "sync_pair")
@@ -230,10 +240,55 @@ class TestChainExtraction:
         else:
             ts = build_ts(dict(bundled_roots())[label])
         chain = Chain.from_ts(ts)
-        assert [(i, arc.label, arc.prob, arc.target) for i, row in enumerate(chain.arcs) for arc in row] == [
+        assert oracles.arcs(chain) == [
             (t.source, step_label(t.step), t.prob, t.target) for i in range(len(ts.states)) for t in ts.outgoing(i)
         ]
-        assert chain.pm.tobytes() == ts.pm_matrix().tobytes()
+        assert chain.pm[0].tobytes() == oracles.pm_matrix(ts).tobytes()
+
+    @staticmethod
+    def assert_reference(chain, arcs, pm):
+        assert oracles.arcs(chain) == arcs
+        assert chain.pm.shape == (1,) + pm.shape and chain.pm[0].tobytes() == pm.tobytes()
+
+    def test_chain_is_the_row_by_row_reference(self):
+        # the arcs and matrix of every chain, from a system and from its
+        # quotient, against the reference loops: the bundled roots and peers
+        # and shm-3 in both variants, each as a TS and an RG; random terms;
+        # and a system whose transitions are not grouped by source; and a
+        # sweep's chain of five points
+        systems = []
+        terms = [term for _, term in bundled_roots()]
+        terms += [parse_model(shm_text(3, abstract)).instantiate() for abstract in (True, False)]
+        for term in terms:
+            systems += [build_ts(term), build_rg(box_of(term))]
+        rng = make_rng(1515)
+        systems += [build_ts(parse_static(random_regular_text(rng)), max_states=20_000) for _ in range(50)]
+        ts = build_ts(load_model("shared_memory").instantiate())
+        shuffled = TransitionSystem(list(ts.states), ts.transitions[1::2] + ts.transitions[::2], ts.initial, ts.expr)
+        assert [t.source for t in shuffled.transitions] != sorted(t.source for t in shuffled.transitions)
+        systems.append(shuffled)
+        for ts in systems:
+            chain = Chain.from_ts(ts)
+            self.assert_reference(chain, *oracles.chain_arcs(ts))
+            assert (chain.keys, chain.tangible, chain.initial) == (
+                [s.key for s in ts.states], [s.tangible for s in ts.states], ts.initial)
+            q = quotient(ts)
+            qchain = q.chain()
+            self.assert_reference(qchain, *oracles.quotient_arcs(ts, q.partition.blocks))
+            assert qchain.initial == q.partition.block_of[ts.initial]
+        model = load_model("shared_memory_abstract")
+        base = build_ts(model.instantiate())
+        points = [model.leaf_values({"rho": rho}) for rho in (0.001, 0.25, 0.5, 0.75, 0.999)]
+        chain = Chain.from_ts(base, np.array([list(values.values()) for values in points]))
+        assert chain.pm.shape[0] == chain.probs.shape[0] == 5
+        for k, values in enumerate(points):
+            ts = base.reweight(values)
+            want = Chain.from_ts(ts)
+            got = chain.point(k, want.keys)
+            assert oracles.arcs(got) == oracles.arcs(want)
+            assert got.pm.tobytes() == want.pm.tobytes() == chain.pm[k:k + 1].tobytes()
+            assert (got.keys, got.tangible, got.initial) == (want.keys, want.tangible, want.initial)
+            self.assert_reference(got, *oracles.chain_arcs(ts))
 
 
 class TestStationarySolver:
@@ -319,7 +374,7 @@ class TestTracesAndIndices:
             i
             for i in range(chain.size)
             if chain.tangible[i]
-            and any(arc.label == c_label for arc in chain.arcs[i])
+            and any(label == c_label for source, label, _, _ in oracles.arcs(chain) if source == i)
         )
         assert trace_prob(chain, s3, [c_label]) == pytest.approx(0.5, abs=1e-12)
 
