@@ -241,10 +241,10 @@ class Activity:
 
     @staticmethod
     def check_value(immediate: bool, value: float) -> None:
-        """Weights are positive, probabilities lie strictly in (0;1)."""
+        """Weights are positive and finite, probabilities lie strictly in (0;1)."""
         if immediate:
-            if not value > 0:
-                raise ValueError("immediate weight must be positive, got %r" % value)
+            if not 0 < value < math.inf:
+                raise ValueError("immediate weight must be positive and finite, got %r" % value)
         elif not 0 < value < 1:
             raise ValueError("probability must lie strictly in (0;1), got %r" % value)
 

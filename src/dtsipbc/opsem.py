@@ -365,9 +365,13 @@ class Readiness:
                 row[leaf - 1] = leaf_values.get(leaf, value)
         return row
 
+    # immediate weights may sum past the float range, quietly: the state's
+    # probabilities are then nan
+    @np.errstate(over="ignore")
     def probabilities(self, leaf_values: np.ndarray) -> np.ndarray:
         """Transition probabilities, one row per point, one column per
-        transition of the system, in its order."""
+        transition of the system, in its order: nan at a state whose
+        readiness total is infinite."""
         points = leaf_values.shape[0]
         values = np.empty((points, len(self.activities)))
         for k, (immediate, leaves) in enumerate(self._value_leaves):
@@ -386,6 +390,7 @@ class Readiness:
         ready[:, ~self._tangible] = _folded(factors, self._sums, np.add)
         total = np.zeros((points, self.size))
         np.add.at(total, (slice(None), self.source), ready)
+        total[np.isinf(total)] = np.nan
         return ready / total[:, self.source]
 
 
@@ -906,8 +911,12 @@ def build_ts(expr: StaticExpr, max_states: int = 100_000, engine: Optional[Engin
     # their index arrays too; ``readiness`` compiles them on first use
     flat = [(i, key, step, j) for i, triples in enumerate(step_data) for key, step, j in triples]
     readiness = Readiness(tangible, [(i, key, j) for i, key, _, j in flat])
-    probs = readiness.probabilities(readiness.leaf_row()[None])[0].tolist()
-    transitions = [Transition(i, step, p, j) for (i, _, step, j), p in zip(flat, probs)]
+    probs = readiness.probabilities(readiness.leaf_row()[None])[0]
+    undefined = np.flatnonzero(~np.isfinite(probs))
+    if undefined.size:
+        raise SemanticsError("the immediate weights of state %d sum past the float range"
+                             % (flat[undefined[0]][0] + 1))
+    transitions = [Transition(i, step, p, j) for (i, _, step, j), p in zip(flat, probs.tolist())]
     return TransitionSystem(states, transitions, 0, expr)
 
 

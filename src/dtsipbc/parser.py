@@ -211,10 +211,17 @@ def _parse_number(tokens: TokenStream) -> float:
             raise tokens.error("expected a denominator")
         if not (tok.text.isdigit() and den.text.isdigit()):
             raise tokens.error("a fraction takes whole numbers")
-        if not int(den.text):
+        try:
+            numerator, denominator = int(tok.text), int(den.text)
+        except ValueError:  # past the digit limit of int()
+            raise ParseError("a fraction's whole numbers have too many digits", tok.line, tok.col) from None
+        if not denominator:
             raise tokens.error("zero denominator")
         tokens.next()
-        return float(Fraction(int(tok.text), int(den.text)))
+        try:
+            return float(Fraction(numerator, denominator))
+        except OverflowError:
+            raise ParseError("fraction too large for a float", tok.line, tok.col) from None
     return float(tok.text)
 
 

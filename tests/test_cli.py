@@ -320,6 +320,23 @@ class TestExitCodes:
         assert code == 2
         assert err == "error: step from state 1 reaches two distinct classes\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", [
+        "root = ({a},1%s/1)\n" % ("0" * 400),
+        "root = ({a},%s/%s)\n" % ("1" + "0" * 5000, "3" + "0" * 5000),
+        "root = ({a},#1e999)[]({b},#1)\n",
+        "param rho = 1%s\nroot = ({a},#rho)[]({b},#1)\n" % ("0" * 5000),
+        "root = ({a},#1e308)[]({b},#1e308)\n",
+    ], ids=["fraction-too-large", "fraction-too-long", "infinite-weight", "infinite-parameter", "total-overflows"])
+    def test_numbers_outside_the_float_range(self, capsys, tmp_path, text):
+        # an infinite weight, or a state whose finite weights sum past the
+        # largest float, has no step probabilities: one line, no numpy warning
+        model = tmp_path / "huge.dtsi"
+        model.write_text(text)
+        code, _, err = run(capsys, "solve", str(model))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
 
 class TestInputValidation:
     """Bad input: a one-line message and exit 2, never a traceback."""

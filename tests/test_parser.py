@@ -318,7 +318,10 @@ class TestAgainstRecursiveDescent:
                 self.assert_parsed_alike(parse_model, oracles.parse_model, text)
 
 
-_ATOMS = ["({a},0.5)", "({b^,c},1/3)", "({},#2)", "({a},rho)", "({a},1/0)", "({a},1.5/2)", "Stop", "A"]
+_ATOMS = ["({a},0.5)", "({b^,c},1/3)", "({},#2)", "({a},rho)", "({a},1/0)", "({a},1.5/2)", "Stop", "A",
+          # numbers outside the float range, and past the digit limit of int()
+          "({a},#1e999)", "({a},1%s/1)" % ("0" * 400), "({a},1/1%s)" % ("0" * 400),
+          "({a},#%s/%s)" % ("7" * 5001, "3" * 5001), "({a},#1%s)" % ("0" * 5000)]
 _terms = st.recursive(st.sampled_from(_ATOMS), lambda term: st.one_of(
     st.tuples(term, st.sampled_from([";", "[]", "||"]), term).map(" ".join),
     st.tuples(st.sampled_from(["~", "_"]), term).map("".join),
