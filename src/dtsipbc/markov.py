@@ -105,12 +105,14 @@ class Chain:
         else:
             probs = ts.readiness().probabilities(leaf_values)
         source = np.array([t.source for t in ts.transitions], dtype=np.intp)
-        order = np.argsort(source, kind="stable")
+        targets = np.array([t.target for t in ts.transitions], dtype=np.intp)
+        if (np.diff(source) < 0).any():
+            order = np.argsort(source, kind="stable")
+            source, targets, probs = source[order], targets[order], probs[:, order]
         return Chain([s.key for s in ts.states], [s.tangible for s in ts.states], ts.labels(),
-                     np.searchsorted(source[order], np.arange(n + 1)),
+                     np.searchsorted(source, np.arange(n + 1)),
                      np.array([k for i in range(n) for k in ts.label_ids(i)], dtype=np.intp),
-                     np.array([t.target for t in ts.transitions], dtype=np.intp)[order], probs[:, order],
-                     ts.initial)
+                     targets, probs, ts.initial)
 
     @property
     def size(self) -> int:
