@@ -1122,11 +1122,11 @@ def quotient_arcs(ts: TransitionSystem, blocks: List[List[int]]
     return rows, pm
 
 
-def arcs(chain: Chain, point: int = 0) -> List[Tuple[int, Multiset, float, int]]:
-    """The (source, label, probability, target) arcs of a chain at one
-    point, read off its arrays in order."""
+def arcs(chain: Chain) -> List[Tuple[int, Multiset, float, int]]:
+    """The (source, label, probability, target) arcs of a chain at its
+    first point, read off its arrays in order."""
     return [(i, chain.labels[k], prob, j) for i, k, prob, j in zip(
-        chain.sources.tolist(), chain.label_ids.tolist(), chain.probs[point].tolist(), chain.targets.tolist())]
+        chain.sources.tolist(), chain.label_ids.tolist(), chain.probs[0].tolist(), chain.targets.tolist())]
 
 
 # ---------------------------------------------------------------------------
