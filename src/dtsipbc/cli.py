@@ -8,9 +8,10 @@ solution), 2 input error.
 from __future__ import annotations
 
 import argparse
-import math
+import functools
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -22,7 +23,7 @@ from .markov import AnalysisError, Chain, StackResult, evaluate_index_stack, sol
 from .models import bundled_model_names, load_model
 from .netsem import box_of, build_rg, check_safe_clean
 from .opsem import SemanticsError, StateSpaceLimit, build_ts, ts_isomorphic
-from .parser import ModelFile, ParseError
+from .parser import ModelFile, ParseError, grid_point, grid_size
 
 ANALYSIS_ERROR, INPUT_ERROR = 1, 2
 
@@ -87,31 +88,31 @@ def _instantiate(model: ModelFile, overrides: Dict[str, float]):
         raise CliError(str(exc), INPUT_ERROR)
 
 
-def _index_rows(indices: Dict[str, tuple], chain: Chain, solved: StackResult,
-                points: Optional[List[Dict[str, float]]] = None) -> List[Dict[str, float]]:
-    """The named index values at every point of a solved chain.  The first
-    point where the solver or an index fails is an analysis failure, with
-    the solver's error there, or else that of the first index undefined
-    there (a division by zero, a state the chain does not have); the message
-    names the point when ``points`` are given."""
+def _index_columns(indices: Dict[str, tuple], chain: Chain, solved: StackResult,
+                   grid: Optional[Dict[str, object]] = None, first: int = 0) -> Dict[str, List[float]]:
+    """The named index values at every point of a solved chain, one list per
+    index.  The first point where the solver or an index fails is an
+    analysis failure, with the solver's error there, or else that of the
+    first index undefined there (a division by zero, a state the chain does
+    not have); when a sweep ``grid`` is given, the message names the point,
+    the chain's point k being the grid's point ``first + k``."""
     evaluated = {name: evaluate_index_stack(expr, chain, solved) for name, expr in indices.items()}
-    failed = np.array([e is not None for e in solved.errors])
+    failed = np.not_equal(np.array(solved.errors, dtype=object), None)
     for _, errors in evaluated.values():
-        failed |= np.array([e is not None for e in errors])
+        failed |= np.not_equal(np.array(errors, dtype=object), None)
     if failed.any():
         k = int(np.argmax(failed))
         error = solved.errors[k] or next(
             AnalysisError("index %s: %s" % (name, errors[k])) for name, (_, errors) in evaluated.items()
             if errors[k] is not None
         )
-        if points is not None:
-            raise CliError("analysis error at %s: %s" % (points[k], error), ANALYSIS_ERROR)
+        if grid is not None:
+            raise CliError("analysis error at %s: %s" % (grid_point(grid, first + k), error), ANALYSIS_ERROR)
         detail = ""
         if error.closed_classes:
             detail = "; closed classes: %s" % [[i + 1 for i in c] for c in error.closed_classes]
         raise CliError("analysis error: %s%s" % (error, detail), ANALYSIS_ERROR)
-    series = {name: values.tolist() for name, (values, _) in evaluated.items()}
-    return [{name: series[name][k] for name in indices} for k in range(len(solved.errors))]
+    return {name: values.tolist() for name, (values, _) in evaluated.items()}
 
 
 def _emit(args, filename: str, text: str) -> None:
@@ -218,7 +219,7 @@ def cmd_solve(args) -> int:
     ts = build_ts(_instantiate(model, overrides), max_states=args.max_states)
     chain = quotient(ts, quantum=args.tol).chain() if args.quotient else Chain.from_ts(ts)
     solved = solve_stack(chain)
-    values = _index_rows(indices, chain, solved)[0]
+    values = {name: column[0] for name, column in _index_columns(indices, chain, solved).items()}
     result = solved.result(0, chain)
     if args.format == "csv":
         _emit(args, "states.csv", export.states_csv(result))
@@ -262,49 +263,95 @@ def cmd_checkeq(args) -> int:
     return ANALYSIS_ERROR
 
 
-def _leaf_values(model: ModelFile, point: Dict[str, float]) -> Dict[int, float]:
-    try:
-        return model.leaf_values(point)
-    except ValueError as exc:
-        raise CliError(str(exc), INPUT_ERROR)
+def _input_error(grid: Dict[str, object], leaves: np.ndarray, error: Optional[ValueError], probs: np.ndarray,
+                 sources: np.ndarray) -> Tuple[int, Optional[CliError]]:
+    """The number of grid points before the first that is an input error,
+    and that error: where a step probability in ``probs`` (one row per
+    point, one column per arc, from the states ``sources``) is not finite,
+    because a state's immediate weights sum past the float range, or else
+    ``error``, the value out of range after the ``leaves`` rows."""
+    undefined = ~np.isfinite(probs)
+    failing = np.flatnonzero(undefined.any(axis=1))
+    if failing.size:
+        k = int(failing[0])
+        state = int(sources[np.argmax(undefined[k])])
+        return k, CliError("at %s: the immediate weights of state %d sum past the float range"
+                           % (grid_point(grid, k), state + 1), INPUT_ERROR)
+    return len(leaves), None if error is None else CliError(str(error), INPUT_ERROR)
 
 
-def _sweep_quotient(args, base_ts, model: ModelFile, indices, points):
-    """Index values on the quotient chain at each point, one reweighted
-    system after another (the partition depends on the values), and the
-    solutions when ``--per-point`` writes them."""
-    values, results = [], []
-    for point in points:
-        chain = quotient(base_ts.reweight(_leaf_values(model, point)), quantum=args.tol).chain()
+def _sweep_quotient(args, base_ts, model: ModelFile, indices, grid):
+    """Index values on the quotient chain at each point, one list per index,
+    one reweighted system after another (the partition depends on the
+    values), and the solutions when ``--per-point`` writes them."""
+    leaves, error = model.leaf_grid(grid)
+    readiness = base_ts.readiness()
+    valid, input_error = _input_error(grid, leaves, error, readiness.probabilities(leaves), readiness.source)
+    values: Dict[str, List[float]] = {name: [] for name in indices}
+    results = []
+    for k, row in enumerate(leaves[:valid].tolist()):
+        chain = quotient(base_ts.reweight(dict(enumerate(row, 1))), quantum=args.tol).chain()
         solved = solve_stack(chain)
-        values += _index_rows(indices, chain, solved, [point])
+        for name, column in _index_columns(indices, chain, solved, grid, k).items():
+            values[name] += column
         if args.per_point:
             results.append(solved.result(0, chain))
+    if input_error is not None:
+        raise input_error
     return values, results
 
 
-def _sweep_batch(args, base_ts, model: ModelFile, indices, points):
-    """Index values at every point, from one chain of the whole grid solved at once,
-    and the solutions when ``--per-point`` writes them.  It fails at the
-    first point, and with the error, where a point-by-point run would."""
-    leaf_rows, input_error = [], None
-    for point in points:
-        try:
-            leaf_rows.append(list(_leaf_values(model, point).values()))
-        except CliError as exc:
-            input_error = exc  # raised after any analysis error at an earlier point
-            break
-    chain = Chain.from_ts(base_ts, np.array(leaf_rows))
+def _sweep_batch(args, base_ts, model: ModelFile, indices, grid):
+    """Index values at every point, one list per index, from one chain of
+    the whole grid solved at once, and the solutions when ``--per-point``
+    writes them.  It fails at the first point, and with the error, where a
+    point-by-point run would: a point's input error comes after any
+    analysis error at an earlier point."""
+    leaves, error = model.leaf_grid(grid)
+    chain = Chain.from_ts(base_ts, leaves)
+    valid, input_error = _input_error(grid, leaves, error, chain.probs, chain.sources)
+    if valid < len(leaves):
+        leaves, chain = leaves[:valid], replace(chain, probs=chain.probs[:valid])
     solved = solve_stack(chain)
-    values = _index_rows(indices, chain, solved, points)
+    values = _index_columns(indices, chain, solved, grid)
     if input_error is not None:
         raise input_error
     results = []
     if args.per_point:
         # state keys serialize the values, so each point has its own
         results = [solved.result(k, chain.point(k, base_ts.keys_at(dict(enumerate(row, 1)))))
-                   for k, row in enumerate(leaf_rows)]
+                   for k, row in enumerate(leaves.tolist())]
     return values, results
+
+
+def _extrema(swept: List[str], names: List[str], columns: Dict[str, List[float]]) -> List[str]:
+    """A line per index with finite values: its least and greatest, and where.
+
+    Each is the pick of ``min`` (or ``max``) over the pairs (value, grid
+    tuple) of the finite values, the grid tuple holding the ``swept``
+    columns: a tie in value goes to the least (greatest) grid tuple, and
+    then to the earliest point."""
+    at = [np.array(columns[p]) for p in swept]
+
+    def pick(values: np.ndarray, finite: np.ndarray, largest: bool) -> int:
+        best = values[finite].max() if largest else values[finite].min()
+        tied = finite[values[finite] == best]
+        sign = -1.0 if largest else 1.0
+        # lexsort is stable and sorts by its last key first
+        return int(tied[np.lexsort([sign * column[tied] for column in reversed(at)])[0]])
+
+    def where(k: int) -> str:
+        return ",".join("%s=%s" % (p, columns[p][k]) for p in swept)
+
+    lines = []
+    for name in names:
+        values = np.array(columns[name])
+        finite = np.flatnonzero(np.isfinite(values))
+        if finite.size:
+            lo, hi = pick(values, finite, False), pick(values, finite, True)
+            lines.append("index %s: min %.6g at %s; max %.6g at %s"
+                         % (name, columns[name][lo], where(lo), columns[name][hi], where(hi)))
+    return lines
 
 
 def cmd_sweep(args) -> int:
@@ -315,42 +362,29 @@ def cmd_sweep(args) -> int:
     if args.per_point and not args.out:
         raise CliError("--per-point writes one file per point and needs --out", INPUT_ERROR)
     try:
-        points = model.sweep_points(overrides)
-    except ValueError as exc:  # a range the model declares with a step <= 0
+        grid = model.sweep_grid(overrides)
+    except ValueError as exc:  # a range with a step <= 0, a bound not finite, too many points
         raise CliError(str(exc), INPUT_ERROR)
-    if len(points) <= 1:
+    if grid_size(grid) <= 1:
         raise CliError("sweep needs at least one ranged parameter (name=start:stop:step)", INPUT_ERROR)
     steps = {name: rng[2] for name, rng in model.sweep_axes(overrides)}
     swept = sorted(steps)
-    base_ts = build_ts(_instantiate(model, points[0]), max_states=args.max_states)
+    base_ts = build_ts(_instantiate(model, grid_point(grid, 0)), max_states=args.max_states)
 
-    if args.quotient:
-        values, results = _sweep_quotient(args, base_ts, model, indices, points)
-    else:
-        values, results = _sweep_batch(args, base_ts, model, indices, points)
-    rows: List[Dict[str, float]] = []
-    for point, at in zip(points, values):
-        row = {name: point[name] for name in swept}
-        row.update(at)
-        rows.append(row)
+    sweep = _sweep_quotient if args.quotient else _sweep_batch
+    values, results = sweep(args, base_ts, model, indices, grid)
+    # an index named as a swept parameter takes its column, as in a row dictionary
+    columns: Dict[str, List[float]] = {name: grid[name].tolist() for name in swept}
+    columns.update(values)
 
     note = "sweep over %s; grid steps %s" % (",".join(swept), ",".join(str(steps[n]) for n in swept))
-    text = export.sweep_csv(swept, sorted(indices), rows, header_note=note)
-    _emit(args, "sweep.csv", text)
+    _emit(args, "sweep.csv", export.sweep_csv(swept, sorted(indices), columns, header_note=note))
 
     for k, result in enumerate(results):
         _write(Path(args.out) / "points" / ("point_%05d.csv" % (k + 1)), export.states_csv(result))
 
-    grid = [tuple(row[p] for p in swept) for row in rows]
-    for name in sorted(indices):
-        finite = [(row[name], at) for row, at in zip(rows, grid) if math.isfinite(row[name])]
-        if not finite:
-            continue
-        lo, lo_at = min(finite)
-        hi, hi_at = max(finite)
-        where = lambda at: ",".join("%s=%s" % (p, v) for p, v in zip(swept, at))
-        print("index %s: min %.6g at %s; max %.6g at %s" % (name, lo, where(lo_at), hi, where(hi_at)),
-              file=sys.stderr)
+    for line in _extrema(swept, sorted(indices), columns):
+        print(line, file=sys.stderr)
     return 0
 
 
@@ -415,9 +449,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser for every call of ``main``: building it takes milliseconds and
+# leaves hundreds of objects in reference cycles for the garbage collector
+_parser = functools.lru_cache(maxsize=None)(build_arg_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if not args.tol > 0:
             raise CliError("--tol must be positive, got %r" % args.tol, INPUT_ERROR)

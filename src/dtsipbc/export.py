@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from .equiv import Quotient
 from .expr import Activity, numbering_str
@@ -135,15 +136,15 @@ def states_csv(result: SolveResult) -> str:
     return buf.getvalue()
 
 
-def sweep_csv(param_names: List[str], index_names: List[str], rows: List[Dict[str, float]], header_note: str = "") -> str:
-    buf = io.StringIO()
-    if header_note:
-        buf.write("# %s\n" % header_note)
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(param_names + index_names)
-    for row in rows:
-        writer.writerow([repr(row[name]) for name in param_names + index_names])
-    return buf.getvalue()
+def sweep_csv(param_names: List[str], index_names: List[str], columns: Dict[str, Sequence[float]],
+              header_note: str = "") -> str:
+    """The sweep table, one row per grid point, from one column of values
+    per parameter and index: each value's ``repr``, comma-separated (a float
+    repr or an identifier never needs the quotes of a CSV field)."""
+    names = param_names + index_names
+    rows = map(",".join, zip(*[map(repr, columns[name]) for name in names]))
+    note = ["# %s" % header_note] if header_note else []
+    return "\n".join(itertools.chain(note, [",".join(names)], rows, [""]))
 
 
 def _dot_escape(text: str) -> str:

@@ -251,7 +251,7 @@ class Activity:
     @property
     def value(self) -> float:
         vals = [v for _, v in self.leaves]
-        return math.fsum(vals) if self.immediate else math.prod(vals)
+        return weight_sum(vals) if self.immediate else math.prod(vals)
 
     @property
     def content(self) -> frozenset:
@@ -264,6 +264,15 @@ class Activity:
 
     def tagged(self) -> str:
         return "%s:%s" % (self, numbering_str(self.num))
+
+
+def weight_sum(weights: Iterable[float]) -> float:
+    """The exact sum of immediate weights (``math.fsum``), or inf where it
+    passes the float range."""
+    try:
+        return math.fsum(weights)
+    except OverflowError:  # fsum raises where a partial sum overflows
+        return math.inf
 
 
 def sync_parts(alpha: Multiset, beta: Multiset, a: Action) -> Multiset:

@@ -24,6 +24,7 @@ of the box itself.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -241,6 +242,9 @@ def _syn_box(n: DtsiBox, action: str) -> DtsiBox:
                 if has_a[x] and has_ah[y]:
                     merged_act = sync_activities(v.activity, w.activity, a)
                     if merged_act not in pool:
+                        if merged_act.immediate and math.isinf(merged_act.value):
+                            raise SemanticsError("the immediate weights synchronized on %s sum past the float range"
+                                                 % action)
                         merged = NetTransition(merged_act, v.pre + w.pre, v.post + w.post)
                         pool[merged_act] = merged
                         frontier.append(len(order))

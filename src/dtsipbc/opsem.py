@@ -31,7 +31,6 @@ are normalized directly.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import abc
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -68,6 +67,7 @@ from .expr import (
     fold,
     is_regular,
     sync_activities,
+    weight_sum,
 )
 from .parser import binding_level, compose, serialize
 
@@ -315,7 +315,7 @@ class Readiness:
     positive weights keep every transition, so only the values change.
 
     An activity's value is the product (stochastic) or the ``fsum``
-    (immediate) of its leaves.  A tangible transition's readiness is the
+    (immediate, inf past the float range) of its leaves.  A tangible transition's readiness is the
     product of its activities' values and of ``1 - value`` for each
     single-activity step of its state that it does not take; a vanishing
     one's is the sum of its activities' weights.  Both follow step-key
@@ -365,8 +365,8 @@ class Readiness:
                 row[leaf - 1] = leaf_values.get(leaf, value)
         return row
 
-    # immediate weights may sum past the float range, quietly: the state's
-    # probabilities are then nan
+    # immediate weights may sum past the float range, quietly: an activity's
+    # weight is then inf, and its state's probabilities nan
     @np.errstate(over="ignore")
     def probabilities(self, leaf_values: np.ndarray) -> np.ndarray:
         """Transition probabilities, one row per point, one column per
@@ -376,7 +376,7 @@ class Readiness:
         values = np.empty((points, len(self.activities)))
         for k, (immediate, leaves) in enumerate(self._value_leaves):
             if immediate and len(leaves) > 2:
-                values[:, k] = [math.fsum(row) for row in leaf_values[:, leaves].tolist()]
+                values[:, k] = [weight_sum(row) for row in leaf_values[:, leaves].tolist()]
                 continue
             value = leaf_values[:, leaves[0]]
             for leaf in leaves[1:]:

@@ -19,11 +19,14 @@ probability and weight positions before any semantics is taken.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 from .expr import (
     Act,
@@ -64,7 +67,11 @@ __all__ = [
     "serialize",
     "ModelFile",
     "ParamSpec",
+    "MAX_GRID_POINTS",
 ]
+
+# the most points a sweep grid may have, on one axis or over all of them
+MAX_GRID_POINTS = 1_000_000
 
 
 class ParseError(ValueError):
@@ -184,17 +191,26 @@ class ParamSpec:
     sweep: Optional[Tuple[float, float, float]] = None
 
     def grid(self) -> List[float]:
+        """The values of the parameter: its one value, or ``start + k * step``
+        for k = 0, 1, ... up to ``stop`` (with a relative slack of 1e-9 of a
+        step), each rounded to 12 decimals.  A range with a step that is not
+        positive, a bound that is not finite or more than
+        ``MAX_GRID_POINTS`` values raises ``ValueError``."""
         if self.sweep is None:
             return [self.value] if self.value is not None else []
         start, stop, step = self.sweep
         if step <= 0:
             raise ValueError("sweep step must be positive")
+        if not all(map(math.isfinite, self.sweep)):
+            raise ValueError("sweep range %s:%s:%s is not finite" % self.sweep)
         out = []
         k = 0
         while True:
             v = start + k * step
             if v > stop + step * 1e-9:
                 break
+            if k == MAX_GRID_POINTS:
+                raise ValueError("sweep range %s:%s:%s has more than %d points" % (*self.sweep, MAX_GRID_POINTS))
             out.append(round(v, 12))
             k += 1
         return out
@@ -638,17 +654,48 @@ class ModelFile:
             self._leaves = _leaf_sources(self.root)
         return self._leaves
 
+    def leaf_grid(self, overrides: Optional[Dict[str, Union[float, np.ndarray]]] = None
+                  ) -> Tuple[np.ndarray, Optional[ValueError]]:
+        """The base value of every leaf of ``instantiate`` at every point of a
+        grid, without building a tree: one row per point, leaf ``c + 1`` in
+        column ``c``.  A parameter in ``overrides`` takes one value or a
+        column of one value per point.
+
+        It gives the rows before the first point where ``instantiate`` would
+        fail, and the ``ValueError`` it would raise there (an unbound
+        parameter or a value out of range, at the first such leaf), or
+        None."""
+        bindings = self.bindings(overrides)
+        sources = self.leaf_sources()
+        grid = np.empty((grid_size(bindings), len(sources)))
+        limit = np.empty(len(sources))
+        for c, (immediate, source) in enumerate(sources):
+            # an unbound parameter's nan fails the range check at every point
+            grid[:, c] = bindings.get(source, math.nan) if isinstance(source, str) else source
+            limit[c] = math.inf if immediate else 1.0
+        bad = ~((grid > 0) & (grid < limit))
+        failing = np.flatnonzero(bad.any(axis=1))
+        if not failing.size:
+            return grid, None
+        k = int(failing[0])
+        c = int(np.argmax(bad[k]))
+        immediate, source = sources[c]
+        if isinstance(source, str) and source not in bindings:
+            return grid[:k], ValueError("unbound parameter %r" % source)
+        try:
+            Activity.check_value(immediate, float(grid[k, c]))
+        except ValueError as exc:
+            return grid[:k], exc
+        raise AssertionError("leaf %d fails the range check but not check_value" % (c + 1))
+
     def leaf_values(self, overrides: Optional[Dict[str, float]] = None) -> Dict[int, float]:
         """The base value of every leaf of ``instantiate(overrides)``, by leaf
-        number, without building the tree.  An unbound parameter or a value
-        out of range raises the ``ValueError`` that ``instantiate`` would."""
-        bindings = self.bindings(overrides)
-        out: Dict[int, float] = {}
-        for leaf, (immediate, source) in enumerate(self.leaf_sources(), 1):
-            value = _bound(source, bindings)
-            Activity.check_value(immediate, value)
-            out[leaf] = value
-        return out
+        number: the one-point case of ``leaf_grid``, which raises its
+        error."""
+        grid, error = self.leaf_grid(overrides)
+        if error is not None:
+            raise error
+        return dict(enumerate(grid[0].tolist(), 1))
 
     def parameter_names(self) -> Set[str]:
         """The parameters the model declares, and those its root or peer
@@ -683,15 +730,32 @@ class ModelFile:
         axes += [(name, value) for name, value in overrides.items() if name not in self.params]
         return [(name, value) for name, value in axes if isinstance(value, tuple)]
 
-    def sweep_points(self, overrides: Optional[Dict[str, Union[float, Tuple[float, float, float]]]] = None
-                     ) -> List[Dict[str, float]]:
-        """Cartesian grid over the ``sweep_axes`` (usually a single one); the
-        single values in ``overrides`` hold at every point."""
+    def sweep_grid(self, overrides: Optional[Dict[str, Union[float, Tuple[float, float, float]]]] = None
+                   ) -> Dict[str, Union[float, np.ndarray]]:
+        """The Cartesian grid over the ``sweep_axes`` (usually a single one),
+        as the bindings at every point: each swept parameter's column of
+        values (the first axis varies slowest), and the one value of every
+        other; the single values in ``overrides`` hold at every point.  A
+        grid of more than ``MAX_GRID_POINTS`` points raises ``ValueError``."""
         scalars = {name: v for name, v in (overrides or {}).items() if not isinstance(v, tuple)}
-        points = [self.bindings(scalars)]
-        for name, rng in self.sweep_axes(overrides):
-            points = [dict(p, **{name: v}) for p in points for v in ParamSpec(sweep=rng).grid()]
-        return points
+        grid: Dict[str, Union[float, np.ndarray]] = self.bindings(scalars)
+        axes = [(name, np.array(ParamSpec(sweep=rng).grid())) for name, rng in self.sweep_axes(overrides)]
+        sizes = [len(values) for _, values in axes]
+        if math.prod(sizes) > MAX_GRID_POINTS:
+            raise ValueError("sweep grid has more than %d points" % MAX_GRID_POINTS)
+        for k, (name, values) in enumerate(axes):
+            grid[name] = np.tile(np.repeat(values, math.prod(sizes[k + 1:])), math.prod(sizes[:k]))
+        return grid
+
+
+def grid_size(grid: Dict[str, Union[float, np.ndarray]]) -> int:
+    """The number of points of a ``sweep_grid``."""
+    return max([len(v) for v in grid.values() if isinstance(v, np.ndarray)], default=1)
+
+
+def grid_point(grid: Dict[str, Union[float, np.ndarray]], k: int) -> Dict[str, float]:
+    """Point ``k`` of a ``sweep_grid``: every parameter's value there."""
+    return {name: float(v[k]) if isinstance(v, np.ndarray) else v for name, v in grid.items()}
 
 
 def parse_model(text: str) -> ModelFile:

@@ -27,11 +27,17 @@ Each re-derives the slow, plain way what the program computes fast:
 * by Python float arithmetic, one index and one solution at a time, the
   index values that the program evaluates over a stack of solutions;
 * by instantiating, reweighting and solving one grid point after another,
-  what the sweep computes for the whole grid at once.
+  what the sweep computes for the whole grid at once; by binding and
+  range-checking one leaf of one point at a time, the leaf values that the
+  program builds as one array, column by column; by one dictionary and one
+  ``csv`` row per point, and ``min``/``max`` over (value, grid tuple)
+  pairs, the table and the extrema that the program writes from columns.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -106,6 +112,7 @@ from dtsipbc.parser import (
     TokenStream,
     _expect_done,
     _instantiate,
+    _bound,
     _parse_number,
     tokenize,
 )
@@ -1381,3 +1388,67 @@ def sweep_rows(model, base_ts: TransitionSystem, indices, points) -> List[Dict[s
             raise AnalysisError("analysis error at %s: %s" % (point, exc)) from None
         rows.append(values)
     return rows
+
+
+def sweep_points(model: ModelFile, overrides=None) -> List[Dict[str, float]]:
+    """The Cartesian grid over the model's sweep axes, one binding
+    dictionary per point, the first axis varying slowest."""
+    scalars = {name: v for name, v in (overrides or {}).items() if not isinstance(v, tuple)}
+    points = [model.bindings(scalars)]
+    for name, rng in model.sweep_axes(overrides):
+        points = [dict(p, **{name: v}) for p in points for v in ParamSpec(sweep=rng).grid()]
+    return points
+
+
+def leaf_values(model: ModelFile, point: Dict[str, float]) -> Dict[int, float]:
+    """The base value of every leaf at one point, one leaf after another:
+    bound, then range-checked; the first bad leaf raises."""
+    bindings = model.bindings(point)
+    out: Dict[int, float] = {}
+    for leaf, (immediate, source) in enumerate(model.leaf_sources(), 1):
+        value = _bound(source, bindings)
+        Activity.check_value(immediate, value)
+        out[leaf] = value
+    return out
+
+
+def leaf_grid(model: ModelFile, points: List[Dict[str, float]]):
+    """``leaf_values`` at one point after another, as rows, up to the first
+    point that raises, and its error (or None)."""
+    rows = []
+    for point in points:
+        try:
+            rows.append(list(leaf_values(model, point).values()))
+        except ValueError as exc:
+            return rows, exc
+    return rows, None
+
+
+def sweep_csv(param_names: List[str], index_names: List[str], rows: List[Dict[str, float]],
+              header_note: str = "") -> str:
+    """The sweep table through ``csv.writer``, from one dictionary per
+    point."""
+    buf = io.StringIO()
+    if header_note:
+        buf.write("# %s\n" % header_note)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(param_names + index_names)
+    for row in rows:
+        writer.writerow([repr(row[name]) for name in param_names + index_names])
+    return buf.getvalue()
+
+
+def sweep_extrema(swept: List[str], names: List[str], rows: List[Dict[str, float]]) -> List[str]:
+    """The extrema line of each index with finite values: ``min`` and
+    ``max`` over its (value, grid tuple) pairs."""
+    grid = [tuple(row[p] for p in swept) for row in rows]
+    lines = []
+    for name in names:
+        finite = [(row[name], at) for row, at in zip(rows, grid) if math.isfinite(row[name])]
+        if not finite:
+            continue
+        lo, lo_at = min(finite)
+        hi, hi_at = max(finite)
+        where = lambda at: ",".join("%s=%s" % (p, v) for p, v in zip(swept, at))
+        lines.append("index %s: min %.6g at %s; max %.6g at %s" % (name, lo, where(lo_at), hi, where(hi_at)))
+    return lines

@@ -19,6 +19,11 @@ from dtsipbc.parser import parse_model
 from conftest import shm_text
 
 
+# three and two immediate weights whose synchronized sum passes the float range
+THREE_WEIGHTS = "root = ((({a,b},#1e308) || ({a^},#1e308) || ({b^},#1e308)) sy a sy b) rs a rs b\n"
+TWO_WEIGHTS = "root = (({a},#1e308) || ({a^},#1e308)) sy a rs a\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -336,6 +341,49 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", str(model))
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, text, message", [
+        ("solve", THREE_WEIGHTS, "the immediate weights of state 1 sum past the float range"),
+        ("box", THREE_WEIGHTS, "the immediate weights synchronized on a sum past the float range"),
+        ("box", TWO_WEIGHTS, "the immediate weights synchronized on a sum past the float range"),
+    ], ids=["three-weights-solve", "three-weights-box", "two-weights-box"])
+    def test_synchronized_weights_overflow(self, capsys, tmp_path, command, text, message):
+        # math.fsum of the synchronized weights overflows: the weight is inf
+        model = tmp_path / "sync.dtsi"
+        model.write_text(text)
+        code, _, err = run(capsys, command, str(model), "--out", str(tmp_path / "out"))
+        assert (code, err) == (2, "error: %s\n" % message)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("route", [(), ("--quotient",)], ids=["batched", "quotient"])
+    def test_sweep_point_whose_weights_overflow(self, capsys, tmp_path, route):
+        # l + m passes the float range from m = 9e307 on, the third point;
+        # build_ts refuses the same numbers at the base point
+        model = tmp_path / "weights.dtsi"
+        model.write_text("param l = 1\nparam m = 1\nroot = ({a},#l)[]({a},#m)\nindex x = phi[1]\n")
+        code, _, err = run(capsys, "sweep", str(model), "--param", "l=1e308", "--param", "m=1e307:1.7e308:4e307",
+                           *route)
+        assert (code, err) == (2, "error: at {'l': 1e+308, 'm': 9e+307}: the immediate weights of state 1 "
+                                  "sum past the float range\n")
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (["--param", "rho=0.1:inf:0.5"], None, "sweep range 0.1:inf:0.5 is not finite"),
+        ([], "param rho = 0:1e999:1\nroot = ({a},rho)\nindex x = phi[1]\n", "sweep range 0.0:inf:1.0 is not finite"),
+        (["--param", "rho=0.1:0.2:1e-8"], None, "sweep range 0.1:0.2:1e-08 has more than 1000000 points"),
+        (["--param", "rho=0.1:0.2:1e-4", "--param", "l=1:2:1e-3"], None, "sweep grid has more than 1000000 points"),
+    ], ids=["infinite-stop", "infinite-stop-in-model", "axis-past-the-cap", "grid-past-the-cap"])
+    def test_sweep_range_ends(self, tmp_path, argv, text, message):
+        # each used to loop for ever, or to build a grid past any memory
+        model = "shared_memory_abstract"
+        if text is not None:
+            model = str(tmp_path / "range.dtsi")
+            Path(model).write_text(text)
+        src = str(Path(dtsipbc.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "dtsipbc.cli", "sweep", model, *argv], capture_output=True,
+                              text=True, timeout=20, env=dict(os.environ, PYTHONPATH=path))
+        assert (done.returncode, done.stderr) == (2, "error: %s\n" % message)
 
 
 class TestInputValidation:

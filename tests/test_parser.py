@@ -1,5 +1,7 @@
 """Surface syntax, numbering, model files, and the parse/serialize round trip."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +9,8 @@ import oracles
 from dtsipbc.expr import Act, Cho, DCho, DPar, Ite, Over, Par, Rst, Seq, Under, activities_of
 from dtsipbc.models import bundled_model_names, load_model, model_text
 from dtsipbc.opsem import build_ts
-from dtsipbc.parser import ModelFile, ParseError, parse_dynamic, parse_model, parse_static, serialize, tokenize
+from dtsipbc.parser import (MAX_GRID_POINTS, ModelFile, ParamSpec, ParseError, parse_dynamic, parse_model, parse_static,
+                            serialize, tokenize)
 
 from conftest import INDEX_FORMS, RELABELING_TERMS, make_rng, random_regular_text, shm_text
 
@@ -201,9 +204,33 @@ class TestModelFiles:
             root = ({a},rho)
             """
         )
-        points = model.sweep_points()
+        points = model.sweep_grid()["rho"].tolist()
         assert len(points) == 9
-        assert [round(p["rho"], 3) for p in points] == [round(0.1 * k, 3) for k in range(1, 10)]
+        assert [round(p, 3) for p in points] == [round(0.1 * k, 3) for k in range(1, 10)]
+
+    @pytest.mark.parametrize("rng", [(0.1, 0.9, 0.1), (0.0005, 0.9995, 0.0005), (-1.0, 1.0, 0.3), (1e-300, 1e-299, 1e-301),
+                                     (5.0, 4.0, 1.0), (1e15, 1e15 + 10, 0.7)])
+    def test_range_values(self, rng):
+        # start + k * step, rounded to 12 decimals, while it does not pass
+        # the stop by more than 1e-9 of a step
+        start, stop, step = rng
+        want, k = [], 0
+        while start + k * step <= stop + step * 1e-9:
+            want.append(round(start + k * step, 12))
+            k += 1
+        got = ParamSpec(sweep=rng).grid()
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("rng", [(0.0, math.inf, 1.0), (-math.inf, 1.0, 0.5), (0.0, 1.0, math.inf),
+                                     (math.nan, 1.0, 0.1), (0.0, math.nan, 0.1), (0.0, 1.0, math.nan)])
+    def test_range_not_finite(self, rng):
+        with pytest.raises(ValueError, match="is not finite$"):
+            ParamSpec(sweep=rng).grid()
+
+    def test_range_past_the_point_cap(self):
+        assert len(ParamSpec(sweep=(1.0, float(MAX_GRID_POINTS), 1.0)).grid()) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="has more than 1000000 points"):
+            ParamSpec(sweep=(1.0, MAX_GRID_POINTS + 1.0, 1.0)).grid()
 
     def test_peer_definition(self):
         model = parse_model("root = ({a},0.5)\npeer = ({a},1/3)[]({a},1/3)")

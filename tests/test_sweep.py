@@ -18,12 +18,12 @@ import pytest
 
 import oracles
 from dtsipbc.cli import main
-from dtsipbc import markov
+from dtsipbc import cli, export, markov
 from dtsipbc.markov import AnalysisError, Chain, solve_chain, solve_stack
 from dtsipbc.models import bundled_model_names, load_model, model_text
 from dtsipbc.netsem import box_of, build_rg
 from dtsipbc.opsem import build_ts, leaf_values_of
-from dtsipbc.parser import parse_model, parse_static
+from dtsipbc.parser import grid_point, grid_size, parse_model, parse_static
 
 from conftest import INDEX_FORMS, make_rng, random_regular_text, shm_text
 
@@ -44,7 +44,7 @@ def cli_sweep(capsys, tmp_path, model, *params):
 
 
 def reference(model, ranges):
-    points = model.sweep_points(ranges)
+    points = oracles.sweep_points(model, ranges)
     base = build_ts(model.instantiate(points[0]))
     return points, oracles.sweep_rows(model, base, dict(model.indices), points)
 
@@ -318,3 +318,145 @@ class TestCompiledModel:
             assert stack.probs[0].tobytes() == np.array([t.prob for t in ts.transitions]).tobytes()
             assert stack.pm[0].tobytes() == oracles.pm_matrix(ts).tobytes()
             assert ts.reweight(leaf_values).transitions == ts.transitions
+
+
+def _ranges(model):
+    """A range per parameter the root reads: probabilities inside (0;1),
+    weights above 0."""
+    immediate = {source: imm for imm, source in model.leaf_sources() if isinstance(source, str)}
+    return {name: (0.5, 4.0, 0.5) if immediate[name] else (0.05, 0.95, 0.1) for name in sorted(immediate)}
+
+
+class TestLeafGrid:
+    """``ModelFile.leaf_grid`` against binding and checking one leaf of one
+    point at a time (``oracles.leaf_grid``): the same bits, and the same
+    failing point and message."""
+
+    def assert_grid(self, model, overrides):
+        points = oracles.sweep_points(model, overrides)
+        grid = model.sweep_grid(overrides)
+        got_points = [grid_point(grid, k) for k in range(grid_size(grid))]
+        assert got_points == points and [list(p) for p in got_points] == [list(p) for p in points]
+        got, error = model.leaf_grid(grid)
+        rows, want = oracles.leaf_grid(model, points)
+        assert got.shape == (len(rows), len(model.leaf_sources()))
+        assert got.tobytes() == np.array(rows, dtype=float).tobytes()
+        assert (type(error), str(error)) == (type(want), str(want))
+        # the one-point case, at the first points and at the failing one
+        for point in points[:2] + points[len(rows):len(rows) + 1]:
+            try:
+                want_values = oracles.leaf_values(model, point)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as raised:
+                    model.leaf_values(point)
+                assert str(raised.value) == str(exc)
+            else:
+                assert model.leaf_values(point) == want_values
+        return len(points), len(rows), want
+
+    @pytest.mark.parametrize("name", bundled_model_names())
+    def test_one_and_two_axes(self, name):
+        model = load_model(name)
+        ranges = _ranges(model)
+        for param, rng in ranges.items():
+            assert self.assert_grid(model, {param: rng})[2] is None
+        if len(ranges) >= 2:
+            first, second = list(ranges)[:2]
+            size, valid, error = self.assert_grid(model, {first: ranges[first], second: ranges[second]})
+            assert error is None and size == valid > 10
+
+    def test_unbound_parameter(self):
+        # l's leaves come after rho's: every point fails, at the first one
+        model = parse_model(model_text("shared_memory_abstract").replace("param l = 1\n", ""))
+        size, valid, error = self.assert_grid(model, {"rho": (0.1, 0.9, 0.2)})
+        assert (size, valid, str(error)) == (5, 0, "unbound parameter 'l'")
+
+    @pytest.mark.parametrize("rng, at", [((1.0, 1.4, 0.2), 0), ((0.2, 1.8, 0.4), 2), ((0.2, 1.0, 0.2), 4)],
+                             ids=["first", "middle", "last"])
+    def test_value_out_of_range(self, rng, at):
+        for name in ("shared_memory_abstract", "shared_memory"):
+            size, valid, error = self.assert_grid(load_model(name), {"rho": rng, "l": (0.5, 1.5, 0.5)})
+            assert valid == 3 * at and size > valid
+            assert str(error) == "probability must lie strictly in (0;1), got 1.0"
+
+    def test_weight_out_of_range(self):
+        # rho, the model's first parameter, varies slowest: l = -0.5 fails
+        # at the first point, and rho = 1.2 after six good ones
+        model = load_model("shared_memory")
+        size, valid, error = self.assert_grid(model, {"l": (-0.5, 1.0, 0.5), "rho": (0.3, 0.6, 0.3)})
+        assert (size, valid, str(error)) == (8, 0, "immediate weight must be positive and finite, got -0.5")
+        size, valid, error = self.assert_grid(model, {"l": (0.5, 1.0, 0.5), "rho": (0.3, 1.2, 0.3)})
+        assert (size, valid, str(error)) == (8, 6, "probability must lie strictly in (0;1), got 1.2")
+
+    @pytest.mark.parametrize("text", [model_text("shared_memory_abstract"), model_text("shared_memory"),
+                                      "param rho = 0.5\nparam l = 1\nroot = ({a},#l);({b},rho)\n"],
+                             ids=["shared_memory_abstract", "shared_memory", "weight_first"])
+    def test_first_bad_leaf_of_a_point(self, text):
+        # rho = 1.0 and l = -1, or l unbound, at the first point: the leaf
+        # that comes first in leaf order names the error
+        model = parse_model(text)
+        kinds = [source for _, source in model.leaf_sources() if source in ("rho", "l")]
+        first = "probability must lie" if kinds[0] == "rho" else "immediate weight must"
+        _, valid, error = self.assert_grid(model, {"rho": (1.0, 1.5, 0.5), "l": -1.0})
+        assert valid == 0 and str(error).startswith(first) and "rho" in kinds and "l" in kinds
+        unbound = parse_model(text.replace("param l = 1\n", ""))
+        _, valid, error = self.assert_grid(unbound, {"rho": (1.0, 1.5, 0.5)})
+        assert valid == 0 and str(error) == ("probability must lie strictly in (0;1), got 1.0" if kinds[0] == "rho"
+                                             else "unbound parameter 'l'")
+
+    def test_infinite_weight(self):
+        model = load_model("shared_memory_abstract")
+        size, valid, error = self.assert_grid(model, {"rho": (0.1, 0.9, 0.2), "l": math.inf})
+        assert (size, valid, str(error)) == (5, 0, "immediate weight must be positive and finite, got inf")
+
+
+# values that print, compare or tie in unusual ways
+_SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-05, 1e16, 0.1, 1 / 3, 12.5, -2.0, 5e-324,
+            1.7976931348623157e308, 123456789.0]
+
+
+class TestColumns:
+    """The columnar ``sweep_csv`` and extrema lines against one ``csv`` row
+    and one dictionary per point, and ``min``/``max`` over tuples."""
+
+    def cases(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(300):
+            points = int(rng.integers(1, 12))
+            swept = ["l", "rho"][:int(rng.integers(1, 3))]
+            # few distinct values, so that values and grid tuples tie often
+            pool = [_SPECIAL[k] for k in rng.choice(len(_SPECIAL), int(rng.integers(1, 5)))]
+            coordinates = [0.0, -0.0, 0.5, 1e-05, 1e16]
+            columns = {p: [coordinates[k] for k in rng.integers(0, len(coordinates), points)] for p in swept}
+            names = ["a", "b", "c"]
+            for name in names:
+                columns[name] = [pool[k] for k in rng.integers(0, len(pool), points)]
+            rows = [{name: columns[name][k] for name in columns} for k in range(points)]
+            yield swept, names, columns, rows
+
+    def test_csv(self):
+        for swept, names, columns, rows in self.cases():
+            for note in ("", "sweep over %s" % ",".join(swept)):
+                assert export.sweep_csv(swept, names, columns, header_note=note) == oracles.sweep_csv(
+                    swept, names, rows, header_note=note)
+
+    def test_extrema(self):
+        lines = 0
+        for swept, names, columns, rows in self.cases():
+            got = cli._extrema(swept, names, columns)
+            assert got == oracles.sweep_extrema(swept, names, rows)
+            lines += len(got)
+        assert lines > 500
+
+    def test_two_axis_sweep(self, capsys, tmp_path):
+        # rho, the model's first parameter, varies slowest; the columns and
+        # the grid tuples go in name order
+        code, err, rows = cli_sweep(capsys, tmp_path, "shared_memory", "rho=0.1:0.9:0.2", "l=1:3:1")
+        assert code == 0
+        model = load_model("shared_memory")
+        points = oracles.sweep_points(model, {"rho": (0.1, 0.9, 0.2), "l": (1.0, 3.0, 1.0)})
+        assert [(row["l"], row["rho"]) for row in rows] == [(p["l"], p["rho"]) for p in points]
+        names = sorted(model.indices)
+        head = (tmp_path / "sweep.csv").read_text().splitlines()[:2]
+        assert head == ["# sweep over l,rho; grid steps 1.0,0.2", ",".join(["l", "rho"] + names)]
+        assert err.splitlines() == oracles.sweep_extrema(["l", "rho"], names, rows)

@@ -13,6 +13,9 @@ same commands on each:
   system with three processors, in both variants;
 * ``sweep`` on both bundled shared-memory models: plain, ``--quotient``,
   ``--per-point`` and ``--per-point --quotient``;
+* ``sweep`` of ``shared_memory_abstract`` on a two-axis grid (``rho`` and
+  the immediate weight ``l``), plain and ``--per-point``, and on a ``rho``
+  range whose middle point, 1.0, is out of range (an input error);
 * ``ts``, ``box``, ``solve`` and ``quotient`` on four models that are input
   errors: an unbound parameter, a probability of 1.5, a barred root and a
   root that is not regular.
@@ -39,6 +42,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = ("0", "12345")
 OUT = "--out"  # in a command, stands for --out and the run's own directory
 SWEEP = "rho=0.05:0.95:0.05"
+SWEEP_2D = ("--param", "rho=0.1:0.9:0.2", "--param", "l=1:3:1")
+SWEEP_MIDDLE_OUT = "rho=0.2:1.8:0.4"  # 0.2, 0.6, 1.0, 1.4, 1.8
 ERROR_MODELS = {
     "unbound.dtsi": "root = ({a},rho)\n",
     "prob15.dtsi": "root = ({a},1.5)\n",
@@ -78,6 +83,9 @@ def commands(a: Path, models: Path) -> List[List[str]]:
     for m in ("shared_memory", "shared_memory_abstract"):
         for flags in ([], ["--quotient"], ["--per-point"], ["--per-point", "--quotient"]):
             out.append(["sweep", m, "--param", SWEEP, *flags, OUT])
+    out += [["sweep", "shared_memory_abstract", *SWEEP_2D, OUT],
+            ["sweep", "shared_memory_abstract", *SWEEP_2D, "--per-point", OUT],
+            ["sweep", "shared_memory_abstract", "--param", SWEEP_MIDDLE_OUT, OUT]]
     for name, text in ERROR_MODELS.items():
         path = models / name
         path.write_text(text)
