@@ -240,13 +240,23 @@ class Activity:
         return Activity(part, immediate, ((leaf, value),), leaf)
 
     @staticmethod
-    def check_value(immediate: bool, value: float) -> None:
-        """Weights are positive and finite, probabilities lie strictly in (0;1)."""
+    def value_bounds(immediate: bool) -> Tuple[float, float]:
+        """The open interval a base value lies in: weights are positive and
+        finite, probabilities lie strictly in (0;1)."""
+        return (0.0, math.inf) if immediate else (0.0, 1.0)
+
+    @staticmethod
+    def range_error(immediate: bool, value: float) -> ValueError:
+        """The error for a base value outside ``value_bounds``."""
         if immediate:
-            if not 0 < value < math.inf:
-                raise ValueError("immediate weight must be positive and finite, got %r" % value)
-        elif not 0 < value < 1:
-            raise ValueError("probability must lie strictly in (0;1), got %r" % value)
+            return ValueError("immediate weight must be positive and finite, got %r" % value)
+        return ValueError("probability must lie strictly in (0;1), got %r" % value)
+
+    @staticmethod
+    def check_value(immediate: bool, value: float) -> None:
+        low, high = Activity.value_bounds(immediate)
+        if not low < value < high:
+            raise Activity.range_error(immediate, value)
 
     @property
     def value(self) -> float:

@@ -25,7 +25,6 @@ over a stack of solutions (``evaluate_index_stack``), of which
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -158,7 +157,7 @@ def _sojourn(pm: np.ndarray, tangible: Sequence[bool]) -> Tuple[SojournStats, np
     tangible = np.asarray(tangible, dtype=bool)
     # Python's float power, as in the scalar formula p / leave**2: it is not
     # always the correctly rounded square that leave * leave would give
-    squares = np.array(list(map(pow, leave.ravel().tolist(), itertools.repeat(2.0)))).reshape(leave.shape)
+    squares = np.array([v**2 for v in leave.ravel().tolist()]).reshape(leave.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         inverse = 1.0 / leave
         # a square that underflows gives an infinite variance, quietly
@@ -337,11 +336,7 @@ def _stationary_stack(
         # absorbing row of an embedded chain
         pmf[:, comp[0]] = 1.0
         return pmf, comp, False, errors
-    # a class of consecutive states (often all but the first few, which are
-    # transient) is a slice: its matrices are a view, not a gather
-    span = slice(comp[0], comp[-1] + 1)
-    consecutive = span.stop - span.start == len(comp)
-    sub = tpm[:, span, span] if consecutive else tpm[np.ix_(np.arange(points), comp, comp)]
+    sub = tpm[np.ix_(np.arange(points), comp, comp)]
     row_sums = sub.sum(axis=-1)
     stochastic = np.isclose(row_sums, 1.0, atol=1e-9).all(axis=-1)
     for p in np.flatnonzero(~stochastic):
@@ -361,7 +356,7 @@ def _stationary_stack(
         for p, r in zip(group, residual.tolist()):
             if r > residual_tol:
                 errors[p] = AnalysisError("stationary solve residual %.2e exceeds %.2e" % (r, residual_tol))
-        pmf[(group, span) if consecutive else np.ix_(group, comp)] = x
+        pmf[np.ix_(group, comp)] = x
     return pmf, comp, _class_period(adjacency, comp) > 1, errors
 
 
@@ -396,7 +391,7 @@ def _stationary_on_class(sub: np.ndarray, residual_tol: float) -> Tuple[np.ndarr
     points, k = sub.shape[:2]
     diag = np.arange(k)
     gen = sub.copy()
-    gen[:, diag, diag] = -_off_diagonal_sums(gen)  # the contiguous copy: no second one
+    gen[:, diag, diag] = -_off_diagonal_sums(sub)
     a = gen.transpose(0, 2, 1).copy()
     a[:, -1, :] = 1.0
     b = np.zeros((points, k))
@@ -546,16 +541,15 @@ def solve_stack(chain: Chain) -> StackResult:
 
 
 def _support_groups(*stacks: np.ndarray) -> List[np.ndarray]:
-    """The points of equal support (positive entries) in every stack, each
-    group in point order, the groups in the order of their first points."""
+    """The points of equal support (positive entries) in every stack."""
     points = stacks[0].shape[0]
+    if points == 1:
+        return [np.zeros(1, dtype=np.intp)]
     support = np.packbits(np.concatenate([m.reshape(points, -1) > 0 for m in stacks], axis=1), axis=1)
-    if points and (support == support[0]).all():
-        return [np.arange(points)]
-    _, first, inverse = np.unique(support, axis=0, return_index=True, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
-    return [members[g] for g in np.argsort(first)]
+    groups: Dict[bytes, List[int]] = {}
+    for p, key in enumerate(support):
+        groups.setdefault(key.tobytes(), []).append(p)
+    return [np.array(group, dtype=np.intp) for group in groups.values()]
 
 
 def _solve_stack(pm: np.ndarray, tangible: Sequence[bool], cross_check_tol: float) -> StackResult:
@@ -682,7 +676,7 @@ def _evaluate_index(expr, chain: Chain, vectors: Dict[str, np.ndarray]):
     # without a numpy warning (points past a failure are evaluated too)
     with np.errstate(all="ignore"):
         values, failure = _evaluate_stack(expr, chain, vectors, errors)
-    return values, np.array([None, *errors], dtype=object)[failure].tolist()
+    return values, [errors[c - 1] if c else None for c in failure.tolist()]
 
 
 def _zero_division_message() -> str:

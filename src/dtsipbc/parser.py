@@ -668,12 +668,12 @@ class ModelFile:
         bindings = self.bindings(overrides)
         sources = self.leaf_sources()
         grid = np.empty((grid_size(bindings), len(sources)))
-        limit = np.empty(len(sources))
+        low, high = np.empty((2, len(sources)))
         for c, (immediate, source) in enumerate(sources):
             # an unbound parameter's nan fails the range check at every point
             grid[:, c] = bindings.get(source, math.nan) if isinstance(source, str) else source
-            limit[c] = math.inf if immediate else 1.0
-        bad = ~((grid > 0) & (grid < limit))
+            low[c], high[c] = Activity.value_bounds(immediate)
+        bad = ~((grid > low) & (grid < high))
         failing = np.flatnonzero(bad.any(axis=1))
         if not failing.size:
             return grid, None
@@ -682,11 +682,7 @@ class ModelFile:
         immediate, source = sources[c]
         if isinstance(source, str) and source not in bindings:
             return grid[:k], ValueError("unbound parameter %r" % source)
-        try:
-            Activity.check_value(immediate, float(grid[k, c]))
-        except ValueError as exc:
-            return grid[:k], exc
-        raise AssertionError("leaf %d fails the range check but not check_value" % (c + 1))
+        return grid[:k], Activity.range_error(immediate, float(grid[k, c]))
 
     def leaf_values(self, overrides: Optional[Dict[str, float]] = None) -> Dict[int, float]:
         """The base value of every leaf of ``instantiate(overrides)``, by leaf
