@@ -336,7 +336,12 @@ def _stationary_stack(
         # absorbing row of an embedded chain
         pmf[:, comp[0]] = 1.0
         return pmf, comp, False, errors
-    sub = tpm[np.ix_(np.arange(points), comp, comp)]
+    # a closed class of consecutive states is a slice: its matrices are a
+    # view, which _stationary_on_class copies once; a gather here would put
+    # a second (points, k, k) copy on a sweep's memory peak
+    span = slice(comp[0], comp[-1] + 1)
+    consecutive = span.stop - span.start == len(comp)
+    sub = tpm[:, span, span] if consecutive else tpm[np.ix_(np.arange(points), comp, comp)]
     row_sums = sub.sum(axis=-1)
     stochastic = np.isclose(row_sums, 1.0, atol=1e-9).all(axis=-1)
     for p in np.flatnonzero(~stochastic):
@@ -356,7 +361,7 @@ def _stationary_stack(
         for p, r in zip(group, residual.tolist()):
             if r > residual_tol:
                 errors[p] = AnalysisError("stationary solve residual %.2e exceeds %.2e" % (r, residual_tol))
-        pmf[np.ix_(group, comp)] = x
+        pmf[(group, span) if consecutive else np.ix_(group, comp)] = x
     return pmf, comp, _class_period(adjacency, comp) > 1, errors
 
 
@@ -391,7 +396,7 @@ def _stationary_on_class(sub: np.ndarray, residual_tol: float) -> Tuple[np.ndarr
     points, k = sub.shape[:2]
     diag = np.arange(k)
     gen = sub.copy()
-    gen[:, diag, diag] = -_off_diagonal_sums(sub)
+    gen[:, diag, diag] = -_off_diagonal_sums(gen)  # contiguous: a view would be copied again
     a = gen.transpose(0, 2, 1).copy()
     a[:, -1, :] = 1.0
     b = np.zeros((points, k))

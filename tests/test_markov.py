@@ -317,6 +317,22 @@ class TestStationarySolver:
         iterated = power_iteration(dtmc_tpm(chain))
         assert np.max(np.abs(direct - iterated)) < 1e-8
 
+    @pytest.mark.parametrize("name", ERGODIC_MODELS)
+    def test_closed_class_around_a_transient_state(self, name):
+        # a transient state numbered inside the closed class: the class is
+        # not consecutive, and its gathered matrix solves to the same bits
+        p = dtmc_tpm(chain_of(name))
+        want = steady_state(p)
+        t = want.closed_class[0] + 1
+        moved = [i + (i >= t) for i in range(p.shape[0])]
+        q = np.zeros((p.shape[0] + 1,) * 2)
+        q[np.ix_(moved, moved)] = p
+        q[t, t - 1] = 1.0
+        got = steady_state(q)
+        assert got.closed_class == [moved[c] for c in want.closed_class]
+        assert got.pmf[moved].tobytes() == want.pmf.tobytes() and got.pmf[t] == 0.0
+        assert got.periodic == want.periodic
+
     def test_power_iteration_on_periodic_embedded_chain(self):
         chain = chain_of("ts_example")
         direct = steady_state(edtmc_tpm(chain)).pmf
