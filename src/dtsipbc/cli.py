@@ -301,26 +301,34 @@ def _sweep_quotient(args, base_ts, model: ModelFile, indices, grid):
     return values, results
 
 
+# the grid points that a sweep solves at once: the solver's memory grows
+# with this, not with the grid
+_SWEEP_BLOCK = 4096
+
+
 def _sweep_batch(args, base_ts, model: ModelFile, indices, grid):
     """Index values at every point, one list per index, from one chain of
-    the whole grid solved at once, and the solutions when ``--per-point``
-    writes them.  It fails at the first point, and with the error, where a
-    point-by-point run would: a point's input error comes after any
-    analysis error at an earlier point."""
+    the whole grid solved a block of points at a time, and the solutions
+    when ``--per-point`` writes them.  It fails at the first point, and
+    with the error, where a point-by-point run would: a point's input error
+    comes after any analysis error at an earlier point."""
     leaves, error = model.leaf_grid(grid)
     chain = Chain.from_ts(base_ts, leaves)
     valid, input_error = _input_error(grid, leaves, error, chain.probs, chain.sources)
-    if valid < len(leaves):
-        leaves, chain = leaves[:valid], replace(chain, probs=chain.probs[:valid])
-    solved = solve_stack(chain)
-    values = _index_columns(indices, chain, solved, grid)
+    values: Dict[str, List[float]] = {name: [] for name in indices}
+    results = []
+    for first in range(0, valid, _SWEEP_BLOCK):
+        stop = min(first + _SWEEP_BLOCK, valid)
+        block = replace(chain, probs=chain.probs[first:stop])
+        solved = solve_stack(block)
+        for name, column in _index_columns(indices, block, solved, grid, first).items():
+            values[name] += column
+        if args.per_point:
+            # state keys serialize the values, so each point has its own
+            results += [solved.result(k, block.point(k, base_ts.keys_at(dict(enumerate(row, 1)))))
+                        for k, row in enumerate(leaves[first:stop].tolist())]
     if input_error is not None:
         raise input_error
-    results = []
-    if args.per_point:
-        # state keys serialize the values, so each point has its own
-        results = [solved.result(k, chain.point(k, base_ts.keys_at(dict(enumerate(row, 1)))))
-                   for k, row in enumerate(leaves.tolist())]
     return values, results
 
 

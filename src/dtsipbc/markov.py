@@ -10,7 +10,8 @@ Markov Chains*, 1994), with power iteration retained as an independent
 oracle.
 
 A chain holds its arcs once, as row-ordered arrays, with probabilities at
-one or many points of a parameter grid, and one matrix per point.  The
+one or many points of a parameter grid; it sums them into one matrix per
+point only when asked, and neither it nor a solution keeps one.  The
 solver works on all points at once (``solve_stack``): the communication
 classes, the closed class and the period are computed once per support,
 the linear algebra for all points at once, and every check still runs at
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,8 +76,8 @@ class Chain:
     The arcs are stored once, in row order: those of state ``i`` are
     ``indptr[i]:indptr[i + 1]``, arc ``k`` has the label
     ``labels[label_ids[k]]`` and the target ``targets[k]``, and
-    ``probs[p, k]`` is its probability at point ``p``.  ``pm`` holds the
-    ``(points, n, n)`` one-step matrices summed from them."""
+    ``probs[p, k]`` is its probability at point ``p``.  No n-by-n matrix is
+    kept: ``matrices`` sums the arcs into a fresh stack when one is needed."""
 
     keys: List[str]
     tangible: List[bool]
@@ -86,12 +87,6 @@ class Chain:
     targets: np.ndarray
     probs: np.ndarray
     initial: int = 0
-    pm: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        # parallel arcs are added in arc order
-        self.pm = np.zeros((self.probs.shape[0], self.size, self.size))
-        np.add.at(self.pm, (slice(None), self.sources, self.targets), self.probs)
 
     @staticmethod
     def from_ts(ts: TransitionSystem, leaf_values: Optional[np.ndarray] = None) -> "Chain":
@@ -127,6 +122,19 @@ class Chain:
         """The chain at point ``p``, with the state keys given."""
         return replace(self, keys=keys, probs=self.probs[p:p + 1])
 
+    def matrices(self, points: slice = slice(None)) -> np.ndarray:
+        """A fresh ``(points, n, n)`` stack of the one-step matrices at
+        ``points``; parallel arcs are added in arc order."""
+        probs = self.probs[points]
+        pm = np.zeros((probs.shape[0], self.size, self.size))
+        np.add.at(pm, (slice(None), self.sources, self.targets), probs)
+        return pm
+
+    @property
+    def pm(self) -> np.ndarray:
+        """The one-step matrices at every point, summed anew at each read."""
+        return self.matrices()
+
 
 @dataclass
 class SojournStats:
@@ -135,18 +143,32 @@ class SojournStats:
     loop_factor: np.ndarray  # self-loop abstraction factor
 
 
+# the entries that _off_diagonal_sums gathers at a time
+_GATHER_BLOCK = 1 << 16
+
+
 def _off_diagonal_sums(m: np.ndarray) -> np.ndarray:
     """Row sums of a ``(points, k, k)`` stack without the diagonal.
 
     Summing only the off-diagonal entries avoids the cancellation of
     ``1 - m[i, i]`` when the self-loop dominates.  Each row's k - 1 entries
-    are gathered into one contiguous row, so numpy sums them exactly as it
-    sums ``np.delete(row, i)``.  In row-major order the diagonal entries are
-    every (k + 1)-th, so the gather is one strided copy.
+    are gathered into one contiguous row, the entries right of the diagonal
+    moved left by one, so numpy sums them exactly as it sums
+    ``np.delete(row, i)``.  Rows are gathered a block at a time, so that no
+    copy of the whole stack is made.
     """
     points, k = m.shape[0], m.shape[-1]
-    flat = np.ascontiguousarray(m).reshape(points, k * k)[:, 1:]
-    return flat.reshape(points, k - 1, k + 1)[:, :, :-1].reshape(points, k, k - 1).sum(axis=-1)
+    rows = max(1, _GATHER_BLOCK // max(1, points * k))
+    out = np.empty((points, k))
+    for lo in range(0, k, rows):
+        hi = min(lo + rows, k)
+        block = m[:, lo:hi]
+        right = np.arange(k - 1) >= np.arange(lo, hi)[:, None]
+        # C order: a row whose entries are not adjacent would be summed in
+        # another order, with other rounding
+        gathered = np.ascontiguousarray(np.where(right, block[:, :, 1:], block[:, :, :-1]))
+        out[:, lo:hi] = gathered.sum(axis=-1)
+    return out
 
 
 def _sojourn(pm: np.ndarray, tangible: Sequence[bool]) -> Tuple[SojournStats, np.ndarray]:
@@ -183,17 +205,18 @@ def _embedded(pm: np.ndarray, leave: np.ndarray) -> np.ndarray:
 
 
 def sojourn_stats(chain: Chain) -> SojournStats:
-    stats, _ = _sojourn(chain.pm[:1], chain.tangible)
+    stats, _ = _sojourn(chain.matrices(slice(0, 1)), chain.tangible)
     return SojournStats(stats.average[0], stats.variance[0], stats.loop_factor[0])
 
 
 def dtmc_tpm(chain: Chain) -> np.ndarray:
-    return chain.pm[0].copy()
+    """One-step matrix of the first point, freshly summed from the arcs."""
+    return chain.matrices(slice(0, 1))[0]
 
 
 def edtmc_tpm(chain: Chain) -> np.ndarray:
     """Self-loop abstracted one-step matrix: zero diagonal, absorbing rows zero."""
-    pm = chain.pm[:1]
+    pm = chain.matrices(slice(0, 1))
     return _embedded(pm, _off_diagonal_sums(pm))[0]
 
 
@@ -308,7 +331,7 @@ def steady_state(tpm: np.ndarray, residual_tol: float = 1e-10) -> StationaryResu
     limiting distribution.  Several closed classes raise, carrying the class
     decomposition.
     """
-    pmf, comp, periodic, errors = _stationary_stack(tpm[None], residual_tol)
+    pmf, comp, periodic, errors = _stationary_stack(np.array(tpm, dtype=float)[None], residual_tol)
     if errors[0] is not None:
         raise errors[0]
     return StationaryResult(pmf[0], comp, periodic)
@@ -319,7 +342,8 @@ def _stationary_stack(
 ) -> Tuple[np.ndarray, List[int], bool, List[Optional[AnalysisError]]]:
     """``steady_state`` of every matrix of a stack that shares one support:
     the stationary vectors, the closed class, whether it is periodic, and
-    the error ``steady_state`` would raise at each point."""
+    the error ``steady_state`` would raise at each point.  The closed
+    class's matrices in ``tpm`` are overwritten with their generators."""
     points, n = tpm.shape[:2]
     pmf = np.zeros((points, n))
     adjacency = _adjacency(tpm[0])
@@ -337,16 +361,21 @@ def _stationary_stack(
         pmf[:, comp[0]] = 1.0
         return pmf, comp, False, errors
     # a closed class of consecutive states is a slice: its matrices are a
-    # view, which _stationary_on_class copies once; a gather here would put
-    # a second (points, k, k) copy on a sweep's memory peak
+    # view, which _stationary_on_class turns into generators in place
     span = slice(comp[0], comp[-1] + 1)
     consecutive = span.stop - span.start == len(comp)
     sub = tpm[:, span, span] if consecutive else tpm[np.ix_(np.arange(points), comp, comp)]
     row_sums = sub.sum(axis=-1)
-    stochastic = np.isclose(row_sums, 1.0, atol=1e-9).all(axis=-1)
+    # np.isclose(row_sums, 1.0, atol=1e-9) spelled out: nan and inf fail
+    stochastic = (abs(row_sums - 1.0) <= 1e-9 + 1e-5).all(axis=-1)
     for p in np.flatnonzero(~stochastic):
         errors[p] = AnalysisError("closed class is not stochastic (row sums %s)" % row_sums[p])
     solved = np.flatnonzero(stochastic)
+    if len(comp) == 1:
+        # one state with its self-loop: the LU solve gives exactly 1.0, with
+        # residual 0 and period 1
+        pmf[solved, comp[0]] = 1.0
+        return pmf, comp, False, errors
     try:
         parts = [(solved, *_stationary_on_class(sub if solved.size == points else sub[solved], residual_tol))]
     except np.linalg.LinAlgError:
@@ -367,9 +396,10 @@ def _stationary_stack(
 
 def _compensated_residual(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """b - a x, each row summed exactly (the products round as scalar ones
-    would, and ``math.fsum`` is exact).  Rows are listed one at a time, so
-    that no k-by-k list of Python floats is ever held."""
-    return np.asarray([bi - math.fsum(row.tolist()) for bi, row in zip(b.tolist(), a * x)])
+    would, and ``math.fsum`` is exact).  Rows are multiplied and listed one
+    at a time, so that neither a k-by-k product nor a k-by-k list of Python
+    floats is ever held."""
+    return np.asarray([bi - math.fsum((row * x).tolist()) for bi, row in zip(b.tolist(), a)])
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -392,11 +422,15 @@ def _stationary_on_class(sub: np.ndarray, residual_tol: float) -> Tuple[np.ndarr
     LU pass loses on stiff chains (parameters close to 0 or 1).  Each point
     keeps its best of up to five rounds and leaves the loop once it
     converges.
+
+    ``sub`` is overwritten with the generators.  Their diagonal depends
+    only on the off-diagonal entries, so solving them again solves the same
+    systems.
     """
     points, k = sub.shape[:2]
     diag = np.arange(k)
-    gen = sub.copy()
-    gen[:, diag, diag] = -_off_diagonal_sums(gen)  # contiguous: a view would be copied again
+    gen = sub
+    gen[:, diag, diag] = -_off_diagonal_sums(gen)
     a = gen.transpose(0, 2, 1).copy()
     a[:, -1, :] = 1.0
     b = np.zeros((points, k))
@@ -417,7 +451,7 @@ def _stationary_on_class(sub: np.ndarray, residual_tol: float) -> Tuple[np.ndarr
         if round_ == 4 or not live.size:
             break
         resid = np.array([_compensated_residual(a[p], b[p], xp) for p, xp in zip(live.tolist(), x)])
-        x = x + _solve(a[live], resid)
+        x = x + _solve(a if live.size == points else a[live], resid)
     x = np.where(np.abs(best) < 1e-300, 0.0, np.clip(best, 0.0, None))
     x = x / x.sum(axis=-1, keepdims=True)
     return x, _max_residual(x, gen)
@@ -471,16 +505,25 @@ _CROSS_CHECK_TOL = 1e-10
 
 @dataclass
 class SolveResult:
+    """The solution of a chain's first point.  ``dtmc`` and ``edtmc`` are
+    summed anew from the chain's arcs at each read."""
+
     chain: Chain
     sojourn: SojournStats
-    dtmc: np.ndarray
-    edtmc: np.ndarray
     psi: np.ndarray  # stationary PMF of the full chain
     psi_star: np.ndarray  # stationary PMF of the embedded chain
     phi: np.ndarray  # semi-Markov steady state (zero at vanishing states)
     closed_class: List[int]
     edtmc_periodic: bool
     dtmc_periodic: bool
+
+    @property
+    def dtmc(self) -> np.ndarray:
+        return dtmc_tpm(self.chain)
+
+    @property
+    def edtmc(self) -> np.ndarray:
+        return edtmc_tpm(self.chain)
 
     def state_rows(self) -> List[Dict[str, object]]:
         rows = []
@@ -508,8 +551,6 @@ class StackResult:
     arrays hold no meaningful values there)."""
 
     sojourn: SojournStats
-    dtmc: np.ndarray
-    edtmc: np.ndarray
     psi: np.ndarray
     psi_star: np.ndarray
     phi: np.ndarray
@@ -524,8 +565,8 @@ class StackResult:
         if self.errors[p] is not None:
             raise self.errors[p]
         sojourn = SojournStats(self.sojourn.average[p], self.sojourn.variance[p], self.sojourn.loop_factor[p])
-        return SolveResult(chain, sojourn, self.dtmc[p], self.edtmc[p], self.psi[p], self.psi_star[p], self.phi[p],
-                           self.closed_class[p], self.edtmc_periodic[p], self.dtmc_periodic[p])
+        return SolveResult(chain, sojourn, self.psi[p], self.psi_star[p], self.phi[p], self.closed_class[p],
+                           self.edtmc_periodic[p], self.dtmc_periodic[p])
 
 
 def solve_chain(chain: Chain, cross_check_tol: float = _CROSS_CHECK_TOL) -> SolveResult:
@@ -536,13 +577,13 @@ def solve_chain(chain: Chain, cross_check_tol: float = _CROSS_CHECK_TOL) -> Solv
     Their disagreement beyond ``cross_check_tol`` means a solver bug, so it
     raises instead of returning silently wrong numbers.
     """
-    return _solve_stack(chain.pm[:1].copy(), chain.tangible, cross_check_tol).result(0, chain)
+    return _solve_stack(chain, slice(0, 1), cross_check_tol).result(0, chain)
 
 
 def solve_stack(chain: Chain) -> StackResult:
     """``solve_chain`` at every point of a chain, without raising: a point
     fails, with the same error, exactly where ``solve_chain`` would."""
-    return _solve_stack(chain.pm, chain.tangible, _CROSS_CHECK_TOL)
+    return _solve_stack(chain, slice(None), _CROSS_CHECK_TOL)
 
 
 def _support_groups(*stacks: np.ndarray) -> List[np.ndarray]:
@@ -557,11 +598,16 @@ def _support_groups(*stacks: np.ndarray) -> List[np.ndarray]:
     return [np.array(group, dtype=np.intp) for group in groups.values()]
 
 
-def _solve_stack(pm: np.ndarray, tangible: Sequence[bool], cross_check_tol: float) -> StackResult:
+def _solve_stack(chain: Chain, at: slice, cross_check_tol: float) -> StackResult:
+    """Both routes at the points ``at`` of ``chain``.  The full and the
+    embedded stacks are built here and overwritten by the solves, and no
+    n-by-n array outlives the call."""
+    pm = chain.matrices(at)
     points, n = pm.shape[:2]
+    tangible = chain.tangible
     stats, leave = _sojourn(pm, tangible)
     emb = _embedded(pm, leave)
-    out = StackResult(stats, pm, emb, np.zeros((points, n)), np.zeros((points, n)), np.zeros((points, n)),
+    out = StackResult(stats, np.zeros((points, n)), np.zeros((points, n)), np.zeros((points, n)),
                       [[]] * points, [False] * points, [False] * points, [None] * points)
     groups = _support_groups(pm, emb)
     for group in groups:

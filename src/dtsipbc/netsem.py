@@ -558,7 +558,9 @@ def marking_key(marking: Multiset) -> str:
 
 def build_rg(box: DtsiBox, initial: Optional[Multiset] = None, max_states: int = 100_000) -> TransitionSystem:
     """Reachability graph under the step firing rule, shaped like a transition
-    system (steps are the activity sets of the fired transitions)."""
+    system (steps are the activity sets of the fired transitions).  A
+    marking whose immediate weights sum past the float range has no step
+    probabilities, and is refused as ``build_ts`` refuses its state."""
     net = box._net
     if initial is None or initial == net.initial:
         counts, rows = net.reachable(max_states)
@@ -574,6 +576,8 @@ def build_rg(box: DtsiBox, initial: Optional[Multiset] = None, max_states: int =
     for i, (ena, tangible, arcs) in enumerate(rows):
         ready = net.ready(ena, tangible, [g for g, _ in arcs])
         total = sum(ready)
+        if not math.isfinite(total):
+            raise SemanticsError("the immediate weights of state %d sum past the float range" % (i + 1))
         transitions += [Transition(i, g.step, r / total, j) for (g, j), r in zip(arcs, ready)]
 
     rg = TransitionSystem(states, transitions, 0, None)

@@ -21,7 +21,9 @@ Each re-derives the slow, plain way what the program computes fast:
 * by one arc at a time, row by row, the chains that the program stores
   as row-ordered arrays and sums into matrices in one place;
 * by scalar loops, one matrix and one state at a time, what the solver
-  computes on stacks of matrices;
+  computes on stacks of matrices; by one strided copy of the whole stack,
+  the off-diagonal row sums that the solver gathers a block of rows at a
+  time;
 * by one product per step in set order, the step probabilities that the
   program compiles into index arrays (``opsem.Readiness``);
 * by Python float arithmetic, one index and one solution at a time, the
@@ -39,6 +41,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -1151,18 +1154,28 @@ def compensated_residual(a, b, vec):
     return np.asarray(rows)
 
 
+def off_diagonal_sums(m):
+    """Row sums of a ``(points, k, k)`` stack without the diagonal, from one
+    copy of the whole stack: in row-major order the diagonal entries are
+    every (k + 1)-th, so the off-diagonal ones are one strided gather."""
+    points, k = m.shape[0], m.shape[-1]
+    flat = np.ascontiguousarray(m).reshape(points, k * k)[:, 1:]
+    return flat.reshape(points, k - 1, k + 1)[:, :, :-1].reshape(points, k, k - 1).sum(axis=-1)
+
+
 def exit_mass(pm, i: int) -> float:
     return float(np.delete(pm[i], i).sum())
 
 
 def sojourn_stats(chain: Chain) -> SojournStats:
     n = chain.size
+    pm = chain.pm[0]
     avg = np.zeros(n)
     var = np.zeros(n)
     sl = np.ones(n)
     for i in range(n):
-        p = chain.pm[0, i, i]
-        leave = exit_mass(chain.pm[0], i)
+        p = pm[i, i]
+        leave = exit_mass(pm, i)
         if p > 0:
             sl[i] = math.inf if leave == 0.0 else 1.0 / leave
         if chain.tangible[i]:
@@ -1178,12 +1191,13 @@ def sojourn_stats(chain: Chain) -> SojournStats:
 
 def edtmc_tpm(chain: Chain) -> np.ndarray:
     n = chain.size
+    pm = chain.pm[0]
     out = np.zeros((n, n))
     for i in range(n):
-        leave = exit_mass(chain.pm[0], i)
+        leave = exit_mass(pm, i)
         if leave == 0.0:
             continue
-        out[i] = chain.pm[0, i] / leave
+        out[i] = pm[i] / leave
         out[i, i] = 0.0
         out[i] /= out[i].sum()
     return out
@@ -1274,6 +1288,15 @@ def steady_state(tpm, residual_tol: float = 1e-10) -> StationaryResult:
     return StationaryResult(pmf, comp, periodic=class_period(tpm, comp) > 1)
 
 
+@dataclass
+class ScalarSolveResult(SolveResult):
+    """A ``SolveResult`` that keeps the matrices the scalar loops built,
+    where the program's sums them anew from the chain's arcs."""
+
+    dtmc: np.ndarray = None
+    edtmc: np.ndarray = None
+
+
 def solve_chain(chain: Chain, cross_check_tol: float = 1e-10) -> SolveResult:
     """The solver one matrix and one state at a time."""
     stats = sojourn_stats(chain)
@@ -1302,7 +1325,7 @@ def solve_chain(chain: Chain, cross_check_tol: float = 1e-10) -> SolveResult:
     phi_b = np.array([full.pmf[i] / tangible_mass if chain.tangible[i] else 0.0 for i in range(n)])
     if np.max(np.abs(phi - phi_b)) > cross_check_tol:
         raise AnalysisError("steady-state routes disagree by %.2e" % float(np.max(np.abs(phi - phi_b))))
-    return SolveResult(chain, stats, p_full, p_emb, full.pmf, emb.pmf, phi, comp, emb.periodic, full.periodic)
+    return ScalarSolveResult(chain, stats, full.pmf, emb.pmf, phi, comp, emb.periodic, full.periodic, p_full, p_emb)
 
 
 # ---------------------------------------------------------------------------

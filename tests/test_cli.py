@@ -211,6 +211,16 @@ class TestExitCodes:
         assert code == 2
         assert err == "error: cannot write %s: Not a directory\n" % (blocker / "x" / "ts.json")
 
+    @pytest.mark.parametrize("command", ["rg", "ts", "solve"])
+    def test_weights_summing_past_the_float_range(self, capsys, tmp_path, command):
+        # the marking, or state, has no step probabilities: rg refuses it as
+        # ts and solve do
+        model = tmp_path / "huge.dtsi"
+        model.write_text("root = ({a},#1e308)[]({b},#1e308)\n")
+        code, _, err = run(capsys, command, str(model), "--out", str(tmp_path / "out"))
+        assert (code, err) == (2, "error: the immediate weights of state 1 sum past the float range\n")
+        assert not (tmp_path / "out").exists()
+
     def test_non_regular_model(self, capsys, tmp_path):
         bad = tmp_path / "irregular.dtsi"
         bad.write_text("root = [({a},0.5) * (({b},0.5)||({c},0.5)) * ({d},0.5)]\n")

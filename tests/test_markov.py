@@ -1,6 +1,7 @@
 """Sojourn vectors, chain extraction, stationary solving, traces, indices."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import oracles
 from dtsipbc.equiv import quotient
 from dtsipbc.expr import Action, Multiset
+from dtsipbc import markov
 from dtsipbc.markov import (
     AnalysisError,
     Chain,
@@ -353,6 +355,63 @@ class TestStationarySolver:
         result = solve_chain(chain_of("shared_memory", rho=0.9999))
         gen = result.dtmc - np.eye(result.chain.size)
         assert np.max(np.abs(result.psi @ gen)) <= 1e-10
+
+
+class TestMatricesOnDemand:
+    """Chains and solutions hold arcs and vectors; their matrices are summed
+    anew from the arcs, with the bits the stored matrices had."""
+
+    @pytest.mark.parametrize("block", [None, 40], ids=["default-blocks", "small-blocks"])
+    def test_off_diagonal_sums_match_one_strided_copy(self, monkeypatch, block):
+        # stacks of 1, 2 and 1,999 points; k = 600 takes six blocks of rows
+        # at one point, and blocks of 40 entries take one row each; a view
+        # of a stack, as the solver passes a closed class's slice, and a
+        # stack in Fortran order, whose gathered rows are not C-ordered
+        if block:
+            monkeypatch.setattr(markov, "_GATHER_BLOCK", block)
+        rng = np.random.default_rng(17)
+        for points in (1, 2, 1999):
+            for k in (1, 2, 9) + ((600,) if points == 1 else ()):
+                m = rng.uniform(0, 1, (points, k, k)) * 10.0 ** rng.integers(-12, 1, (points, k, k))
+                for stack in (m, np.asfortranarray(m), m[:, 1:, 1:]):
+                    if stack.shape[-1]:
+                        want = oracles.off_diagonal_sums(stack)
+                        assert markov._off_diagonal_sums(stack).tobytes() == want.tobytes(), (points, k)
+
+    def test_solution_matrices(self):
+        # the bundled roots and shm-3 in both variants, each as a system and
+        # as its quotient
+        systems = [build_ts(term) for _, term in bundled_roots()]
+        systems += [build_rg(box_of(parse_model(shm_text(3, abstract)).instantiate())) for abstract in (True, False)]
+        solved = 0
+        for ts in systems:
+            q = quotient(ts)
+            for chain, want in ((Chain.from_ts(ts), oracles.pm_matrix(ts)),
+                                (q.chain(), oracles.quotient_arcs(ts, q.partition.blocks)[1])):
+                result = solve_chain(chain)
+                pm = want[None]
+                embedded = markov._embedded(pm, oracles.off_diagonal_sums(pm))[0]
+                assert result.dtmc.tobytes() == want.tobytes()
+                assert result.edtmc.tobytes() == embedded.tobytes() == oracles.edtmc_tpm(chain).tobytes()
+                solved += 1
+        assert solved == 2 * len(systems)
+
+    def test_solve_chain_holds_no_dense_stack(self):
+        # concrete shm-7, 577 states: the solver holds the full stack, the
+        # embedded one and one LU input (LAPACK's own copy is not traced)
+        rg = build_rg(box_of(parse_model(shm_text(7, False)).instantiate()))
+        unit = len(rg.states) ** 2 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            chain = Chain.from_ts(rg)
+            result = solve_chain(chain)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.phi.shape == (577,)
+        assert peak - before <= 3.5 * unit and held - before <= 0.5 * unit, ((peak - before) / unit,
+                                                                            (held - before) / unit)
 
 
 class TestTransient:

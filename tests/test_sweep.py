@@ -12,6 +12,8 @@ point with the same message.
 import csv
 import dataclasses
 import math
+import shutil
+import types
 
 import numpy as np
 import pytest
@@ -253,6 +255,80 @@ class TestStack:
                 assert getattr(got.sojourn, field).tobytes() == getattr(want.sojourn, field).tobytes(), field
             assert (got.closed_class, got.edtmc_periodic, got.dtmc_periodic) == (
                 want.closed_class, want.edtmc_periodic, want.dtmc_periodic)
+
+
+# a vanishing state that loops through {a} with weight l or leaves for
+# good through {c} with weight m; from l = 4.1e283 on, m / (l + m)
+# underflows to zero and the chain has two closed classes
+LOOP_OR_LEAVE = ("param l = 1\nparam m = 1e-40\n"
+                 "root = [({s},0.5) * (({a},#l);({b},0.5)) * (({c},#m);({d},0.5))]\nindex y = phi[1]\n")
+
+
+class TestBlocks:
+    """The batched route solves the grid a block of points at a time.  With
+    blocks of seven points it writes what one block writes, byte for byte,
+    and fails at the same point with the same message."""
+
+    @staticmethod
+    def run_sweep(capsys, out, model, argv):
+        shutil.rmtree(out, ignore_errors=True)
+        code = main(["sweep", str(model), "--out", str(out), *argv])
+        captured = capsys.readouterr()
+        files = {str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+        return code, captured.out, captured.err, files
+
+    @pytest.mark.parametrize("model, argv, code", [
+        ("shared_memory_abstract", ["--param", "rho=0.01:0.99:0.01", "--per-point"], 0),
+        ("shared_memory", ["--param", "rho=0.05:0.95:0.1", "--param", "l=0.25:4:0.25"], 0),
+        (LOOP_OR_LEAVE, ["--param", "l=1e283:1e284:1e282"], 1),
+        ("shared_memory_abstract", ["--param", "rho=0.9:1.05:0.001"], 2),
+        (LOOP_OR_LEAVE, ["--param", "l=1e306:1.7e308:1e306", "--param", "m=1e307"], 2),
+    ], ids=["per-point", "two-axes", "analysis-error", "value-out-of-range", "weights-overflow"])
+    def test_blocks_write_what_one_block_writes(self, capsys, tmp_path, monkeypatch, model, argv, code):
+        if model == LOOP_OR_LEAVE:
+            (tmp_path / "model.dtsi").write_text(model)
+            model = tmp_path / "model.dtsi"
+        out = tmp_path / "out"
+        whole = self.run_sweep(capsys, out, model, argv)
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK", 7)
+        blocks = self.run_sweep(capsys, out, model, argv)
+        assert blocks == whole and whole[0] == code
+        assert whole[2].startswith("error: ") == bool(code)
+
+    def test_failing_points(self, capsys, tmp_path):
+        # the failing points lie past the first blocks: the analysis error
+        # at point 32 of 91, and the input errors at points 101 and 170
+        path = tmp_path / "model.dtsi"
+        path.write_text(LOOP_OR_LEAVE)
+        assert main(["sweep", str(path), "--param", "l=1e283:1e284:1e282"]) == 1
+        assert main(["sweep", "shared_memory_abstract", "--param", "rho=0.9:1.05:0.001"]) == 2
+        assert main(["sweep", str(path), "--param", "l=1e306:1.7e308:1e306", "--param", "m=1e307"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "error: analysis error at {'l': 4.1e+283, 'm': 1e-40}: chain has 2 closed communication classes; "
+            "expected one",
+            "error: probability must lie strictly in (0;1), got 1.0",
+            "error: at {'l': 1.7e+308, 'm': 1e+307}: the immediate weights of state 2 sum past the float range",
+        ]
+
+    def test_per_point_matrices(self, monkeypatch):
+        # each point's solution sums its own matrices from its arcs: the
+        # bits of the whole grid's stack and of the embedded formula on it,
+        # and of the point's reweighted system
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK", 7)
+        model = load_model("shared_memory_abstract")
+        grid = model.sweep_grid({"rho": (0.001, 0.999, 0.033)})
+        base = build_ts(model.instantiate(grid_point(grid, 0)))
+        _, results = cli._sweep_batch(types.SimpleNamespace(per_point=True), base, model, dict(model.indices), grid)
+        leaves, _ = model.leaf_grid(grid)
+        pm = Chain.from_ts(base, leaves).pm
+        embedded = markov._embedded(pm, oracles.off_diagonal_sums(pm))
+        assert len(results) == len(pm) == grid_size(grid) > 7 * 4
+        for k, result in enumerate(results):
+            assert result.dtmc.tobytes() == pm[k].tobytes()
+            assert result.edtmc.tobytes() == embedded[k].tobytes() == oracles.edtmc_tpm(result.chain).tobytes()
+            ts = base.reweight(dict(enumerate(leaves[k].tolist(), 1)))
+            assert result.dtmc.tobytes() == oracles.pm_matrix(ts).tobytes()
 
 
 class TestCompiledModel:
