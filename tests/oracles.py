@@ -1290,8 +1290,8 @@ def steady_state(tpm, residual_tol: float = 1e-10) -> StationaryResult:
 
 @dataclass
 class ScalarSolveResult(SolveResult):
-    """A ``SolveResult`` that keeps the matrices the scalar loops built,
-    where the program's sums them anew from the chain's arcs."""
+    """A ``SolveResult`` that keeps the matrices the scalar loops built
+    (the program's result sums them anew from the chain's arcs)."""
 
     dtmc: np.ndarray = None
     edtmc: np.ndarray = None

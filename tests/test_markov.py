@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import oracles
+from dtsipbc import markov
 from dtsipbc.equiv import quotient
 from dtsipbc.expr import Action, Multiset
-from dtsipbc import markov
 from dtsipbc.markov import (
     AnalysisError,
     Chain,
@@ -383,7 +383,6 @@ class TestMatricesOnDemand:
         # as its quotient
         systems = [build_ts(term) for _, term in bundled_roots()]
         systems += [build_rg(box_of(parse_model(shm_text(3, abstract)).instantiate())) for abstract in (True, False)]
-        solved = 0
         for ts in systems:
             q = quotient(ts)
             for chain, want in ((Chain.from_ts(ts), oracles.pm_matrix(ts)),
@@ -393,8 +392,6 @@ class TestMatricesOnDemand:
                 embedded = markov._embedded(pm, oracles.off_diagonal_sums(pm))[0]
                 assert result.dtmc.tobytes() == want.tobytes()
                 assert result.edtmc.tobytes() == embedded.tobytes() == oracles.edtmc_tpm(chain).tobytes()
-                solved += 1
-        assert solved == 2 * len(systems)
 
     def test_solve_chain_holds_no_dense_stack(self):
         # concrete shm-7, 577 states: the solver holds the full stack, the
