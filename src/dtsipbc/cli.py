@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from dataclasses import replace
@@ -467,6 +468,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if not args.tol > 0:
             raise CliError("--tol must be positive, got %r" % args.tol, INPUT_ERROR)
+        if not sys.float_info.min <= args.tol < math.inf:
+            raise CliError("--tol must be finite and at least %r, got %r" % (sys.float_info.min, args.tol),
+                           INPUT_ERROR)
         if not args.max_states > 0:
             raise CliError("--max-states must be positive, got %d" % args.max_states, INPUT_ERROR)
         return args.func(args)

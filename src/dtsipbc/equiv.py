@@ -11,8 +11,10 @@ integer label ids that the transition system interns once
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,53 +59,87 @@ def pm_a(ts: TransitionSystem, state: int, label: Multiset, targets: Iterable[in
     )
 
 
-def _aggregate(ts: TransitionSystem, state: int, block_of: Sequence[int]) -> Dict[Tuple[int, int], float]:
-    """Probability of each (label id, target block) pair out of a state."""
-    agg: Dict[Tuple[int, int], float] = {}
-    for t, k in zip(ts.outgoing(state), ts.label_ids(state)):
-        key = (k, block_of[t.target])
-        agg[key] = agg.get(key, 0.0) + t.prob
-    return agg
+def _check_quantum(quantum: float) -> None:
+    """A quantum is 0, for exact comparison, or a finite float of the normal
+    range: below it, p / quantum overflows for probabilities near one."""
+    if math.isnan(quantum) or quantum > 0 and not sys.float_info.min <= quantum < math.inf:
+        raise ValueError("quantum must be 0 or a finite float of at least %r, got %r"
+                         % (sys.float_info.min, quantum))
 
 
-def _signature(ts: TransitionSystem, state: int, block_of: Sequence[int], quantum: float):
-    agg = _aggregate(ts, state, block_of)
-    if quantum > 0:
-        items = tuple(sorted((lbl, blk, round(p / quantum)) for (lbl, blk), p in agg.items()))
+# the bound below which _rows sorts on one int64 key
+_KEY_LIMIT = 2**62
+
+
+def _rows(chain: Chain, block_of: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The probability of each (label id, target block) pair out of each
+    state: the source, label id, target block and sum of each pair, sorted
+    by source, label id, then block.  The arcs are sorted stably, so each
+    pair sums its arcs in arc order, as adding them one at a time does."""
+    source = chain.sources
+    targets = block_of[chain.targets]
+    labels, blocks = len(chain.labels), int(targets.max(initial=0)) + 1
+    if chain.size * labels * blocks < _KEY_LIMIT:
+        # the same order from one integer key, several times faster
+        order = np.argsort((source * labels + chain.label_ids) * blocks + targets, kind="stable")
     else:
-        items = tuple(sorted((lbl, blk, p) for (lbl, blk), p in agg.items()))
-    return (ts.states[state].tangible, items)
+        order = np.lexsort((targets, chain.label_ids, source))
+    source, labels, targets = source[order], chain.label_ids[order], targets[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (source[1:] != source[:-1]) | (labels[1:] != labels[:-1]) | (targets[1:] != targets[:-1])
+    sums = np.zeros(int(first.sum()))
+    np.add.at(sums, np.cumsum(first) - 1, chain.probs[0, order])
+    return source[first], labels[first], targets[first], sums
 
 
-def _refine(ts: TransitionSystem, quantum: float) -> Partition:
-    n = len(ts.states)
-    block_of = [0] * n
+# one (label id, target block, probability) entry of a state's signature
+_ENTRY = np.dtype([("label", "<i8"), ("block", "<i8"), ("value", "<f8")])
+
+
+def _refine(chain: Chain, quantum: float) -> Partition:
+    """Whole-signature refinement from the single block: each round keys
+    every state by its block, its kind and the bytes of its (label id,
+    target block, quantized probability) entries, and numbers the new
+    blocks by their least members, until no block splits.  ``np.rint``
+    buckets as ``round`` does below 2**53, and above it both keep the
+    float's own value."""
+    n = chain.size
+    block_of = np.zeros(n, dtype=np.intp)
+    count = min(n, 1)
     while True:
-        groups: Dict[Tuple[int, object], List[int]] = {}
-        for i in range(n):
-            key = (block_of[i], _signature(ts, i, block_of, quantum))
-            groups.setdefault(key, []).append(i)
-        blocks = sorted(groups.values(), key=min)
-        if len(blocks) == len(set(block_of)):
-            final = sorted(([sorted(b) for b in blocks]), key=min)
-            block_of = [0] * n
-            for k, b in enumerate(final):
-                for i in b:
-                    block_of[i] = k
-            return Partition(final, block_of)
-        for k, b in enumerate(blocks):
-            for i in b:
-                block_of[i] = k
+        source, labels, targets, sums = _rows(chain, block_of)
+        entries = np.empty(len(sums), dtype=_ENTRY)
+        entries["label"], entries["block"] = labels, targets
+        entries["value"] = np.rint(sums / quantum) if quantum > 0 else sums
+        data = entries.tobytes()
+        bounds = (np.searchsorted(source, np.arange(n + 1)) * _ENTRY.itemsize).tolist()
+        ids: Dict[Tuple[int, bool, bytes], int] = {}
+        # states in order, so that each block is numbered when its least member is met
+        refined = [ids.setdefault((block, kind, data[lo:hi]), len(ids))
+                   for block, kind, lo, hi in zip(block_of.tolist(), chain.tangible, bounds, bounds[1:])]
+        block_of = np.array(refined, dtype=np.intp)
+        if len(ids) == count:
+            blocks: List[List[int]] = [[] for _ in range(count)]
+            for i, k in enumerate(refined):
+                blocks[k].append(i)
+            return Partition(blocks, refined)
+        count = len(ids)
+
+
+def _largest(chain: Chain, quantum: float) -> Partition:
+    _check_quantum(quantum)
+    part = _refine(chain, quantum)
+    tangible = np.asarray(chain.tangible, dtype=bool)
+    if (tangible != tangible[[block[0] for block in part.blocks]][part.block_of]).any():
+        raise AssertionError("a bisimulation block mixes tangible and vanishing states")
+    return part
 
 
 def largest_autobisim(ts: TransitionSystem, quantum: float = DEFAULT_QUANTUM) -> Partition:
-    """Coarsest partition in which every block has one outgoing signature."""
-    part = _refine(ts, quantum)
-    for block in part.blocks:
-        kinds = {ts.states[i].tangible for i in block}
-        if len(kinds) != 1:
-            raise AssertionError("a bisimulation block mixes tangible and vanishing states")
-    return part
+    """Coarsest partition in which every block has one outgoing signature.
+    ``quantum`` is the bucket width of the probabilities compared, or 0 to
+    compare them exactly."""
+    return _largest(Chain.from_ts(ts), quantum)
 
 
 def union_ts(a: TransitionSystem, b: TransitionSystem) -> TransitionSystem:
@@ -166,6 +202,11 @@ class Quotient:
         return self._chain
 
 
+def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The indices ``start[i] + j`` for ``j < length[i]``, range after range."""
+    return np.repeat(start - np.cumsum(length) + length, length) + np.arange(length.sum())
+
+
 def quotient(
     ts: TransitionSystem,
     part: Optional[Partition] = None,
@@ -176,32 +217,51 @@ def quotient(
 
     The partition defaults to the largest one.  Block-level probabilities are
     taken from the least representative and verified against every other
-    member, so a partition that is not an autobisimulation is rejected.
+    member, so a partition that is not an autobisimulation is rejected: at
+    the first block that mixes state kinds or has a member that steps
+    otherwise.
     """
+    arcs = Chain.from_ts(ts)
     if part is None:
-        part = largest_autobisim(ts, quantum)
-    labels = ts.labels()
-    keys: List[str] = []
-    tangible: List[bool] = []
-    indptr = [0]
-    arcs: List[Tuple[Tuple[int, int], float]] = []  # ((label id, target block), probability)
-    for k, block in enumerate(part.blocks):
-        keys.append("{%s}" % ",".join("s%d" % (i + 1) for i in block))
-        kinds = {ts.states[i].tangible for i in block}
-        if len(kinds) != 1:
+        part = _largest(arcs, quantum)
+    else:
+        _check_quantum(quantum)
+    sizes = np.array([len(block) for block in part.blocks], dtype=np.intp)
+    members = np.array([i for block in part.blocks for i in block], dtype=np.intp)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    reps = np.array([block[0] if block else 0 for block in part.blocks], dtype=np.intp)
+    rep = reps[owner]
+    tangible = np.asarray(arcs.tangible, dtype=bool)
+    mixed = sizes == 0
+    mixed[owner[tangible[members] != tangible[rep]]] = True
+
+    # every member's rows against its representative's, entry by entry
+    source, labels, targets, sums = _rows(arcs, np.asarray(part.block_of, dtype=np.intp))
+    start = np.searchsorted(source, np.arange(arcs.size + 1))
+    length = np.diff(start)
+    alike = length[members] == length[rep]
+    count = length[members[alike]]
+    mine, theirs = _ranges(start[members[alike]], count), _ranges(start[rep[alike]], count)
+    differs = (labels[mine] != labels[theirs]) | (targets[mine] != targets[theirs]) | (
+        np.abs(sums[mine] - sums[theirs]) > check_tol)
+    unlike = np.zeros(len(sizes), dtype=bool)
+    unlike[owner[~alike]] = True
+    unlike[np.repeat(owner[alike], count)[differs]] = True
+    failing = np.flatnonzero(mixed | unlike)
+    if failing.size:
+        k = failing[0]
+        if mixed[k]:
             raise AssertionError("quotient block %d mixes state kinds" % (k + 1))
-        tangible.append(kinds.pop())
+        raise AssertionError("partition is not an autobisimulation (block %d)" % (k + 1))
 
-        per_member = [_aggregate(ts, i, part.block_of) for i in block]
-        rep = per_member[0]
-        for other in per_member[1:]:
-            if set(other) != set(rep) or any(abs(other[k2] - rep[k2]) > check_tol for k2 in rep):
-                raise AssertionError("partition is not an autobisimulation (block %d)" % (k + 1))
-        arcs += sorted(rep.items(), key=lambda arc: (labels[arc[0][0]], arc[0][1]))
-        indptr.append(len(arcs))
-
-    chain = Chain(keys, tangible, labels, np.array(indptr, dtype=np.intp),
-                  np.array([lbl for (lbl, _), _ in arcs], dtype=np.intp),
-                  np.array([blk for (_, blk), _ in arcs], dtype=np.intp),
-                  np.array([[p for _, p in arcs]]), part.block_of[ts.initial])
+    # each block steps as its representative, arcs sorted by label, then
+    # target block; the labels are ranked once
+    rank = np.empty(len(arcs.labels), dtype=np.intp)
+    rank[sorted(range(len(arcs.labels)), key=arcs.labels.__getitem__)] = np.arange(len(arcs.labels))
+    out = length[reps]
+    rows = _ranges(start[reps], out)
+    rows = rows[np.lexsort((targets[rows], rank[labels[rows]], np.repeat(np.arange(len(sizes)), out)))]
+    keys = ["{%s}" % ",".join("s%d" % (i + 1) for i in block) for block in part.blocks]
+    chain = Chain(keys, tangible[reps].tolist(), arcs.labels, np.concatenate(([0], np.cumsum(out))),
+                  labels[rows], targets[rows], sums[rows][None], part.block_of[ts.initial])
     return Quotient(part, ts, chain)

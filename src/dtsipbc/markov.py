@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -192,10 +193,12 @@ def _sojourn(pm: np.ndarray, tangible: Sequence[bool]) -> Tuple[SojournStats, np
     return stats, leave
 
 
-def _embedded(pm: np.ndarray, leave: np.ndarray) -> np.ndarray:
-    """Self-loop abstracted matrices: zero diagonal, absorbing rows zero."""
+def _embedded(pm: np.ndarray, leave: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Self-loop abstracted matrices: zero diagonal, absorbing rows zero.
+    ``out`` may be ``pm`` itself: each entry is read before it is written."""
     live = (leave != 0.0)[..., None]
-    out = np.zeros_like(pm)
+    out = np.empty_like(pm) if out is None else out
+    np.copyto(out, 0.0, where=~live)
     np.divide(pm, leave[..., None], out=out, where=live)
     k = pm.shape[-1]
     out[:, np.arange(k), np.arange(k)] = 0.0
@@ -412,6 +415,20 @@ def _max_residual(x: np.ndarray, gen: np.ndarray) -> np.ndarray:
     return np.max(np.abs((x[:, None, :] @ gen)[:, 0, :]), axis=-1)
 
 
+@contextmanager
+def _lu_input(gen: np.ndarray, last: np.ndarray):
+    """The LU input of ``_stationary_on_class``: a view of ``gen``
+    transposed, whose last row of ones is ``gen``'s last column set to 1.0
+    for as long as the block runs.  ``last``, the true column, is put back
+    on every exit, a ``LinAlgError`` included."""
+    a = gen.transpose(0, 2, 1)
+    a[:, -1, :] = 1.0
+    try:
+        yield a
+    finally:
+        a[:, -1, :] = last
+
+
 def _stationary_on_class(sub: np.ndarray, residual_tol: float) -> Tuple[np.ndarray, np.ndarray]:
     """LU solve of x(P - I) = 0, x summing to one, on one closed class, for
     a stack of matrices.
@@ -423,20 +440,21 @@ def _stationary_on_class(sub: np.ndarray, residual_tol: float) -> Tuple[np.ndarr
     keeps its best of up to five rounds and leaves the loop once it
     converges.
 
-    ``sub`` is overwritten with the generators.  Their diagonal depends
-    only on the off-diagonal entries, so solving them again solves the same
-    systems.
+    ``sub`` is overwritten with the generators, and LAPACK reads them
+    through a transposed view (``_lu_input``), not a copy.  Their diagonal
+    depends only on the off-diagonal entries, so solving them again solves
+    the same systems.
     """
     points, k = sub.shape[:2]
     diag = np.arange(k)
     gen = sub
     gen[:, diag, diag] = -_off_diagonal_sums(gen)
-    a = gen.transpose(0, 2, 1).copy()
-    a[:, -1, :] = 1.0
+    last = gen[:, :, -1].copy()
     b = np.zeros((points, k))
     b[:, -1] = 1.0
 
-    x = _solve(a, b)
+    with _lu_input(gen, last) as a:
+        x = _solve(a, b)
     best = np.empty_like(x)
     best_res = np.empty(points)
     live = np.arange(points)
@@ -450,8 +468,9 @@ def _stationary_on_class(sub: np.ndarray, residual_tol: float) -> Tuple[np.ndarr
         live, x = live[going], x[going]
         if round_ == 4 or not live.size:
             break
-        resid = np.array([_compensated_residual(a[p], b[p], xp) for p, xp in zip(live.tolist(), x)])
-        x = x + _solve(a if live.size == points else a[live], resid)
+        with _lu_input(gen, last) as a:
+            resid = np.array([_compensated_residual(a[p], b[p], xp) for p, xp in zip(live.tolist(), x)])
+            x = x + _solve(a if live.size == points else a[live], resid)
     x = np.where(np.abs(best) < 1e-300, 0.0, np.clip(best, 0.0, None))
     x = x / x.sum(axis=-1, keepdims=True)
     return x, _max_residual(x, gen)
@@ -586,12 +605,20 @@ def solve_stack(chain: Chain) -> StackResult:
     return _solve_stack(chain, slice(None), _CROSS_CHECK_TOL)
 
 
-def _support_groups(*stacks: np.ndarray) -> List[np.ndarray]:
-    """The points of equal support (positive entries) in every stack."""
-    points = stacks[0].shape[0]
+def _support_groups(pm: np.ndarray) -> List[np.ndarray]:
+    """The points of equal support (positive entries) in a stack of
+    one-step matrices.
+
+    They are also the points of equal support in the embedded stack: in a
+    live row, an embedded entry is positive exactly where the off-diagonal
+    entry of ``pm`` is, and a row that ``_embedded`` zeroes has no
+    off-diagonal support in either.  (An entry so small that dividing it
+    rounds to zero would break this; probabilities of a chain do not come
+    near the subnormal range.)"""
+    points = pm.shape[0]
     if points == 1:
         return [np.zeros(1, dtype=np.intp)]
-    support = np.packbits(np.concatenate([m.reshape(points, -1) > 0 for m in stacks], axis=1), axis=1)
+    support = np.packbits(pm.reshape(points, -1) > 0, axis=1)
     groups: Dict[bytes, List[int]] = {}
     for p, key in enumerate(support):
         groups.setdefault(key.tobytes(), []).append(p)
@@ -599,21 +626,21 @@ def _support_groups(*stacks: np.ndarray) -> List[np.ndarray]:
 
 
 def _solve_stack(chain: Chain, at: slice, cross_check_tol: float) -> StackResult:
-    """Both routes at the points ``at`` of ``chain``.  The full and the
-    embedded stacks are built here and overwritten by the solves, and no
+    """Both routes at the points ``at`` of ``chain``, on one stack: the
+    full route solves on the one-step matrices, which then become the
+    embedded ones in place for the embedded route (``_solve_group``).  No
     n-by-n array outlives the call."""
     pm = chain.matrices(at)
     points, n = pm.shape[:2]
     tangible = chain.tangible
     stats, leave = _sojourn(pm, tangible)
-    emb = _embedded(pm, leave)
     out = StackResult(stats, np.zeros((points, n)), np.zeros((points, n)), np.zeros((points, n)),
                       [[]] * points, [False] * points, [False] * points, [None] * points)
-    groups = _support_groups(pm, emb)
+    groups = _support_groups(pm)
     for group in groups:
-        take = group if len(groups) > 1 else slice(None)  # one group: views, no copies
+        take = group if len(groups) > 1 else slice(None)  # one group: the stack itself, no copy
         psi, psi_star, phi, comp, emb_periodic, full_periodic, errors = _solve_group(
-            pm[take], emb[take], stats.average[take], tangible, cross_check_tol
+            pm[take], leave[take], stats.average[take], tangible, cross_check_tol
         )
         out.psi[take], out.psi_star[take], out.phi[take] = psi, psi_star, phi
         for k, p in enumerate(group.tolist()):
@@ -624,12 +651,16 @@ def _solve_stack(chain: Chain, at: slice, cross_check_tol: float) -> StackResult
     return out
 
 
-def _solve_group(pm: np.ndarray, emb: np.ndarray, average: np.ndarray, tangible: Sequence[bool],
+def _solve_group(pm: np.ndarray, leave: np.ndarray, average: np.ndarray, tangible: Sequence[bool],
                  cross_check_tol: float):
-    """Both routes on points that share one support."""
+    """Both routes on points that share one support, on the one stack
+    ``pm``, which is overwritten.  The full route solves first: it writes
+    only the diagonal of the closed class's block (and restores the column
+    it lends to the LU), which ``_embedded`` zeroes; ``leave`` was read
+    before either route ran."""
     points, n = pm.shape[:2]
-    psi_star, comp, emb_periodic, emb_errors = _stationary_stack(emb, 1e-10)
     psi, full_comp, full_periodic, full_errors = _stationary_stack(pm, 1e-10)
+    psi_star, comp, emb_periodic, emb_errors = _stationary_stack(_embedded(pm, leave, out=pm), 1e-10)
     errors = [e or f for e, f in zip(emb_errors, full_errors)]
 
     def fail(where: np.ndarray, message: str) -> None:

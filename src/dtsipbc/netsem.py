@@ -249,7 +249,16 @@ def _syn_box(n: DtsiBox, action: str) -> DtsiBox:
                         pool[merged_act] = merged
                         frontier.append(len(order))
                         join(merged)
-    return DtsiBox(n.places, tuple(sorted(pool.values())))
+    return DtsiBox(n.places, tuple(sorted(pool.values(), key=_activity_order)))
+
+
+def _activity_order(t: NetTransition) -> tuple:
+    """The order of ``NetTransition``s within one pool, as plain tuples: the
+    activities of a pool are distinct, so theirs decides it, and an
+    ``Activity`` orders by its multiaction's ((name, conjugated), count)
+    pairs, then ``immediate``, then ``leaves``."""
+    act = t.activity
+    return tuple(((x.name, x.conjugated), count) for x, count in act.part.items), act.immediate, act.leaves
 
 
 def box_of(expr: StaticExpr) -> DtsiBox:

@@ -20,10 +20,14 @@ Each re-derives the slow, plain way what the program computes fast:
   computes on index-coded markings;
 * by one arc at a time, row by row, the chains that the program stores
   as row-ordered arrays and sums into matrices in one place;
+* by one dictionary of signature tuples per state and round, the
+  bisimulation blocks that the program refines on the chain's arrays, and
+  block by block the quotient check that it makes for all members at once;
 * by scalar loops, one matrix and one state at a time, what the solver
   computes on stacks of matrices; by one strided copy of the whole stack,
   the off-diagonal row sums that the solver gathers a block of rows at a
-  time;
+  time; by the supports of both stacks, the support groups that the
+  solver reads off the full stack alone;
 * by one product per step in set order, the step probabilities that the
   program compiles into index arrays (``opsem.Readiness``);
 * by Python float arithmetic, one index and one solution at a time, the
@@ -46,6 +50,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
+from dtsipbc.equiv import Partition
 from dtsipbc.expr import (
     Act,
     Action,
@@ -1140,6 +1145,67 @@ def arcs(chain: Chain) -> List[Tuple[int, Multiset, float, int]]:
 
 
 # ---------------------------------------------------------------------------
+# Bisimulation refinement
+# ---------------------------------------------------------------------------
+
+
+def aggregate(ts: TransitionSystem, state: int, block_of) -> Dict[Tuple[int, int], float]:
+    """Probability of each (label id, target block) pair out of a state,
+    added one transition at a time."""
+    agg: Dict[Tuple[int, int], float] = {}
+    for t, k in zip(ts.outgoing(state), ts.label_ids(state)):
+        key = (k, block_of[t.target])
+        agg[key] = agg.get(key, 0.0) + t.prob
+    return agg
+
+
+def _signature(ts: TransitionSystem, state: int, block_of, quantum: float):
+    agg = aggregate(ts, state, block_of)
+    if quantum > 0:
+        items = tuple(sorted((lbl, blk, round(p / quantum)) for (lbl, blk), p in agg.items()))
+    else:
+        items = tuple(sorted((lbl, blk, p) for (lbl, blk), p in agg.items()))
+    return (ts.states[state].tangible, items)
+
+
+def refine(ts: TransitionSystem, quantum: float) -> Partition:
+    """Whole-signature refinement, one state and one dictionary of Python
+    signature tuples at a time."""
+    n = len(ts.states)
+    block_of = [0] * n
+    while True:
+        groups: Dict[Tuple[int, object], List[int]] = {}
+        for i in range(n):
+            key = (block_of[i], _signature(ts, i, block_of, quantum))
+            groups.setdefault(key, []).append(i)
+        blocks = sorted(groups.values(), key=min)
+        if len(blocks) == len(set(block_of)):
+            final = sorted(([sorted(b) for b in blocks]), key=min)
+            block_of = [0] * n
+            for k, b in enumerate(final):
+                for i in b:
+                    block_of[i] = k
+            return Partition(final, block_of)
+        for k, b in enumerate(blocks):
+            for i in b:
+                block_of[i] = k
+
+
+def quotient_failure(ts: TransitionSystem, part: Partition, check_tol: float = 1e-9) -> Optional[str]:
+    """The message that rejects ``part`` as a quotient's partition, block by
+    block, or None."""
+    for k, block in enumerate(part.blocks):
+        if len({ts.states[i].tangible for i in block}) != 1:
+            return "quotient block %d mixes state kinds" % (k + 1)
+        per_member = [aggregate(ts, i, part.block_of) for i in block]
+        rep = per_member[0]
+        for other in per_member[1:]:
+            if set(other) != set(rep) or any(abs(other[k2] - rep[k2]) > check_tol for k2 in rep):
+                return "partition is not an autobisimulation (block %d)" % (k + 1)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Solver loops
 # ---------------------------------------------------------------------------
 
@@ -1161,6 +1227,18 @@ def off_diagonal_sums(m):
     points, k = m.shape[0], m.shape[-1]
     flat = np.ascontiguousarray(m).reshape(points, k * k)[:, 1:]
     return flat.reshape(points, k - 1, k + 1)[:, :, :-1].reshape(points, k, k - 1).sum(axis=-1)
+
+
+def support_groups(*stacks) -> List[np.ndarray]:
+    """The points of equal support (positive entries) in every stack, in
+    the order of their first points: the solver's grouping when it kept
+    the full and the embedded stacks side by side."""
+    points = stacks[0].shape[0]
+    support = np.packbits(np.concatenate([m.reshape(points, -1) > 0 for m in stacks], axis=1), axis=1)
+    groups: Dict[bytes, List[int]] = {}
+    for p, key in enumerate(support):
+        groups.setdefault(key.tobytes(), []).append(p)
+    return [np.array(group, dtype=np.intp) for group in groups.values()]
 
 
 def exit_mass(pm, i: int) -> float:

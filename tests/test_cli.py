@@ -244,6 +244,21 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: analysis error") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("argv", [["quotient", "shared_memory"], ["checkeq", "ssbsspt_pair"],
+                                      ["solve", "shared_memory", "--quotient"]], ids=["quotient", "checkeq", "solve"])
+    @pytest.mark.parametrize("tol", ["1e-320", "inf", "1e999"])
+    def test_tolerance_outside_the_normal_range(self, capsys, tmp_path, argv, tol):
+        # below the normal range p / tol overflows; an infinite one buckets
+        # every probability to 0
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path), "--tol", tol)
+        assert (code, out) == (2, "")
+        assert err == "error: --tol must be finite and at least 2.2250738585072014e-308, got %r\n" % float(tol)
+        assert not list(tmp_path.iterdir())
+
+    def test_smallest_normal_tolerance_accepted(self, capsys, tmp_path):
+        code, _, err = run(capsys, "quotient", "shared_memory", "--out", str(tmp_path), "--tol", "2.2250738585072014e-308")
+        assert (code, err) == (0, "blocks: 9 (from 9 states)\n")
+
     def test_singular_system(self, capsys, tmp_path):
         model = tmp_path / "singular.dtsi"
         model.write_text(

@@ -1,10 +1,13 @@
 """Bisimulation refinement, equivalence pairs, quotients, preservation laws."""
 
 import itertools
+import math
+import sys
 
 import numpy as np
 import pytest
 
+from dtsipbc import equiv
 from dtsipbc.equiv import (
     Partition,
     bisim_equivalent,
@@ -16,10 +19,13 @@ from dtsipbc.equiv import (
 from dtsipbc.expr import Act, Action, Activity, Multiset, activities_of
 from dtsipbc.markov import Chain, solve_chain, trace_prob
 from dtsipbc.models import load_model
+from dtsipbc.netsem import box_of, build_rg
 from dtsipbc.opsem import _remap_leaves, build_ts, step_label, ts_isomorphic
-from dtsipbc.parser import parse_static
+from dtsipbc.parser import parse_model, parse_static
 
-from conftest import fast_ts, instantiate, make_rng, random_regular_text, shared_memory_order, ts_of
+import oracles
+from conftest import (bundled_roots, fast_ts, instantiate, make_rng, random_regular_text, shared_memory_order,
+                      shm_text, ts_of)
 
 
 def abstract_block_order(ts, part):
@@ -88,6 +94,100 @@ class TestRefinement:
             part = largest_autobisim(ts)
             for block in part.blocks:
                 assert len({ts.states[i].tangible for i in block}) == 1
+
+
+def partition_of(blocks):
+    """The partition of the given blocks, sorted as refinement sorts them."""
+    blocks = sorted((sorted(b) for b in blocks if b), key=min)
+    block_of = [0] * sum(len(b) for b in blocks)
+    for k, block in enumerate(blocks):
+        for i in block:
+            block_of[i] = k
+    return Partition(blocks, block_of)
+
+
+def refinement_systems():
+    """The bundled roots and peers, generated shm-2 to shm-5 as reachability
+    graphs in both variants, 60 random terms, and the unions that checkeq
+    refines."""
+    systems = [build_ts(term) for _, term in bundled_roots()]
+    for n in (2, 3, 5):
+        for abstract in (True, False):
+            systems.append(build_rg(box_of(parse_model(shm_text(n, abstract)).instantiate())))
+    rng = make_rng(901)
+    for _ in range(60):
+        systems.append(build_ts(parse_static(random_regular_text(rng)), max_states=20_000))
+    systems += [union_ts(a, b) for a, b in zip(systems[:8], systems[1:9])]
+    return systems
+
+
+class TestArrayRefinement:
+    """Refinement and the quotient check on the chain's arrays, against the
+    loops over each state's transitions and dictionaries of signatures."""
+
+    @pytest.fixture(scope="class")
+    def systems(self):
+        return refinement_systems()
+
+    @pytest.mark.parametrize("quantum", [1e-9, 1e-3, 0.0])
+    def test_blocks_match_the_scalar_loop(self, systems, quantum):
+        for ts in systems:
+            got, want = largest_autobisim(ts, quantum), oracles.refine(ts, quantum)
+            assert (got.blocks, got.block_of) == (want.blocks, want.block_of)
+
+    def test_sort_on_three_keys(self, systems, monkeypatch):
+        # systems too large for one int64 sort key sort on three
+        monkeypatch.setattr(equiv, "_KEY_LIMIT", 0)
+        for ts in systems[::4]:
+            got, want = quotient(ts), oracles.refine(ts, 1e-9)
+            assert got.partition.blocks == want.blocks
+            assert oracles.arcs(got.chain()) == oracles.quotient_arcs(ts, want.blocks)[0]
+
+    def test_quotient_chain_matches_the_least_members(self, systems):
+        for ts in systems:
+            q = quotient(ts)
+            rows, _ = oracles.quotient_arcs(ts, q.partition.blocks)
+            assert oracles.arcs(q.chain()) == rows
+            assert [p.hex() for _, _, p, _ in oracles.arcs(q.chain())] == [p.hex() for _, _, p, _ in rows]
+
+    def test_rejections_match_block_by_block(self, systems):
+        # coarsen, split and move states of the largest partition: the first
+        # failing block and its message, or the same chain
+        rng = make_rng(17)
+        for ts in systems:
+            blocks = largest_autobisim(ts).blocks
+            for _ in range(6):
+                trial = [list(b) for b in blocks]
+                k, j = rng.randrange(len(trial)), rng.randrange(len(trial))
+                move = rng.random()
+                if move < 0.3 and k != j:
+                    trial[k], trial[j] = trial[k] + trial[j], []
+                elif move < 0.6 and len(trial[k]) > 1:
+                    trial.append([trial[k].pop(rng.randrange(len(trial[k])))])
+                elif k != j:
+                    trial[j].append(trial[k].pop(rng.randrange(len(trial[k]))))
+                part = partition_of(trial)
+                want = oracles.quotient_failure(ts, part)
+                if want is None:
+                    rows, _ = oracles.quotient_arcs(ts, part.blocks)
+                    assert oracles.arcs(quotient(ts, part).chain()) == rows
+                else:
+                    with pytest.raises(AssertionError) as got:
+                        quotient(ts, part)
+                    assert str(got.value) == want
+
+    @pytest.mark.parametrize("quantum", [1e-320, 1e-308, math.inf, math.nan])
+    def test_quantum_outside_the_normal_range_refused(self, quantum):
+        ts = ts_of("shared_memory")
+        for call in (largest_autobisim, lambda ts, quantum: quotient(ts, quantum=quantum)):
+            with pytest.raises(ValueError, match="quantum must be 0 or a finite float"):
+                call(ts, quantum)
+
+    @pytest.mark.parametrize("quantum", [0.0, sys.float_info.min, 1e-300])
+    def test_small_quanta_kept(self, quantum):
+        # every probability of the chain stays finite over these quanta
+        ts = ts_of("shared_memory_abstract")
+        assert largest_autobisim(ts, quantum).blocks == oracles.refine(ts, quantum).blocks
 
 
 class TestEquivalencePairs:
