@@ -6,7 +6,9 @@ under that label coincide.  The coarsest such partition is the fixpoint of
 whole-signature refinement; probabilities are quantized before hashing so
 that floating-point noise does not split blocks.  Signatures key on the
 integer label ids that the transition system interns once
-(``TransitionSystem.label_ids``), never on rebuilt label multisets.
+(``TransitionSystem.label_ids``), never on rebuilt label multisets, and are
+computed for all states at once from the arc arrays of the system's
+``Chain``.
 """
 
 from __future__ import annotations
@@ -67,10 +69,6 @@ def _check_quantum(quantum: float) -> None:
                          % (sys.float_info.min, quantum))
 
 
-# the bound below which _rows sorts on one int64 key
-_KEY_LIMIT = 2**62
-
-
 def _rows(chain: Chain, block_of: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The probability of each (label id, target block) pair out of each
     state: the source, label id, target block and sum of each pair, sorted
@@ -78,12 +76,7 @@ def _rows(chain: Chain, block_of: np.ndarray) -> Tuple[np.ndarray, np.ndarray, n
     pair sums its arcs in arc order, as adding them one at a time does."""
     source = chain.sources
     targets = block_of[chain.targets]
-    labels, blocks = len(chain.labels), int(targets.max(initial=0)) + 1
-    if chain.size * labels * blocks < _KEY_LIMIT:
-        # the same order from one integer key, several times faster
-        order = np.argsort((source * labels + chain.label_ids) * blocks + targets, kind="stable")
-    else:
-        order = np.lexsort((targets, chain.label_ids, source))
+    order = np.lexsort((targets, chain.label_ids, source))
     source, labels, targets = source[order], chain.label_ids[order], targets[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (source[1:] != source[:-1]) | (labels[1:] != labels[:-1]) | (targets[1:] != targets[:-1])
@@ -127,7 +120,6 @@ def _refine(chain: Chain, quantum: float) -> Partition:
 
 
 def _largest(chain: Chain, quantum: float) -> Partition:
-    _check_quantum(quantum)
     part = _refine(chain, quantum)
     tangible = np.asarray(chain.tangible, dtype=bool)
     if (tangible != tangible[[block[0] for block in part.blocks]][part.block_of]).any():
@@ -139,6 +131,7 @@ def largest_autobisim(ts: TransitionSystem, quantum: float = DEFAULT_QUANTUM) ->
     """Coarsest partition in which every block has one outgoing signature.
     ``quantum`` is the bucket width of the probabilities compared, or 0 to
     compare them exactly."""
+    _check_quantum(quantum)
     return _largest(Chain.from_ts(ts), quantum)
 
 
@@ -221,11 +214,10 @@ def quotient(
     the first block that mixes state kinds or has a member that steps
     otherwise.
     """
+    _check_quantum(quantum)
     arcs = Chain.from_ts(ts)
     if part is None:
         part = _largest(arcs, quantum)
-    else:
-        _check_quantum(quantum)
     sizes = np.array([len(block) for block in part.blocks], dtype=np.intp)
     members = np.array([i for block in part.blocks for i in block], dtype=np.intp)
     owner = np.repeat(np.arange(len(sizes)), sizes)

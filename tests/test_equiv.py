@@ -7,7 +7,6 @@ import sys
 import numpy as np
 import pytest
 
-from dtsipbc import equiv
 from dtsipbc.equiv import (
     Partition,
     bisim_equivalent,
@@ -134,14 +133,6 @@ class TestArrayRefinement:
         for ts in systems:
             got, want = largest_autobisim(ts, quantum), oracles.refine(ts, quantum)
             assert (got.blocks, got.block_of) == (want.blocks, want.block_of)
-
-    def test_sort_on_three_keys(self, systems, monkeypatch):
-        # systems too large for one int64 sort key sort on three
-        monkeypatch.setattr(equiv, "_KEY_LIMIT", 0)
-        for ts in systems[::4]:
-            got, want = quotient(ts), oracles.refine(ts, 1e-9)
-            assert got.partition.blocks == want.blocks
-            assert oracles.arcs(got.chain()) == oracles.quotient_arcs(ts, want.blocks)[0]
 
     def test_quotient_chain_matches_the_least_members(self, systems):
         for ts in systems:
