@@ -89,18 +89,19 @@ def _rows(chain: Chain, block_of: np.ndarray) -> Tuple[np.ndarray, np.ndarray, n
 _ENTRY = np.dtype([("label", "<i8"), ("block", "<i8"), ("value", "<f8")])
 
 
-def _refine(chain: Chain, quantum: float) -> Partition:
+def _refine(chain: Chain, quantum: float) -> Tuple[Partition, Tuple[np.ndarray, ...]]:
     """Whole-signature refinement from the single block: each round keys
     every state by its block, its kind and the bytes of its (label id,
     target block, quantized probability) entries, and numbers the new
     blocks by their least members, until no block splits.  ``np.rint``
     buckets as ``round`` does below 2**53, and above it both keep the
-    float's own value."""
+    float's own value.  The last round's ``_rows`` come with the
+    partition: that round numbered the blocks as the one before it did."""
     n = chain.size
     block_of = np.zeros(n, dtype=np.intp)
     count = min(n, 1)
     while True:
-        source, labels, targets, sums = _rows(chain, block_of)
+        rows = source, labels, targets, sums = _rows(chain, block_of)
         entries = np.empty(len(sums), dtype=_ENTRY)
         entries["label"], entries["block"] = labels, targets
         entries["value"] = np.rint(sums / quantum) if quantum > 0 else sums
@@ -115,16 +116,8 @@ def _refine(chain: Chain, quantum: float) -> Partition:
             blocks: List[List[int]] = [[] for _ in range(count)]
             for i, k in enumerate(refined):
                 blocks[k].append(i)
-            return Partition(blocks, refined)
+            return Partition(blocks, refined), rows
         count = len(ids)
-
-
-def _largest(chain: Chain, quantum: float) -> Partition:
-    part = _refine(chain, quantum)
-    tangible = np.asarray(chain.tangible, dtype=bool)
-    if (tangible != tangible[[block[0] for block in part.blocks]][part.block_of]).any():
-        raise AssertionError("a bisimulation block mixes tangible and vanishing states")
-    return part
 
 
 def largest_autobisim(ts: TransitionSystem, quantum: float = DEFAULT_QUANTUM) -> Partition:
@@ -132,7 +125,12 @@ def largest_autobisim(ts: TransitionSystem, quantum: float = DEFAULT_QUANTUM) ->
     ``quantum`` is the bucket width of the probabilities compared, or 0 to
     compare them exactly."""
     _check_quantum(quantum)
-    return _largest(Chain.from_ts(ts), quantum)
+    part, _ = _refine(Chain.from_ts(ts), quantum)
+    for block in part.blocks:
+        kinds = {ts.states[i].tangible for i in block}
+        if len(kinds) != 1:
+            raise AssertionError("a bisimulation block mixes tangible and vanishing states")
+    return part
 
 
 def union_ts(a: TransitionSystem, b: TransitionSystem) -> TransitionSystem:
@@ -195,11 +193,6 @@ class Quotient:
         return self._chain
 
 
-def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """The indices ``start[i] + j`` for ``j < length[i]``, range after range."""
-    return np.repeat(start - np.cumsum(length) + length, length) + np.arange(length.sum())
-
-
 def quotient(
     ts: TransitionSystem,
     part: Optional[Partition] = None,
@@ -217,29 +210,27 @@ def quotient(
     _check_quantum(quantum)
     arcs = Chain.from_ts(ts)
     if part is None:
-        part = _largest(arcs, quantum)
-    sizes = np.array([len(block) for block in part.blocks], dtype=np.intp)
-    members = np.array([i for block in part.blocks for i in block], dtype=np.intp)
-    owner = np.repeat(np.arange(len(sizes)), sizes)
+        part, rows = _refine(arcs, quantum)
+    else:
+        rows = _rows(arcs, np.asarray(part.block_of, dtype=np.intp))
+    source, labels, targets, sums = rows
+    block_of = np.asarray(part.block_of, dtype=np.intp)
     reps = np.array([block[0] if block else 0 for block in part.blocks], dtype=np.intp)
-    rep = reps[owner]
+    rep = reps[block_of]
     tangible = np.asarray(arcs.tangible, dtype=bool)
-    mixed = sizes == 0
-    mixed[owner[tangible[members] != tangible[rep]]] = True
 
-    # every member's rows against its representative's, entry by entry
-    source, labels, targets, sums = _rows(arcs, np.asarray(part.block_of, dtype=np.intp))
+    # every row against the row at the same place in its representative's
     start = np.searchsorted(source, np.arange(arcs.size + 1))
-    length = np.diff(start)
-    alike = length[members] == length[rep]
-    count = length[members[alike]]
-    mine, theirs = _ranges(start[members[alike]], count), _ranges(start[rep[alike]], count)
-    differs = (labels[mine] != labels[theirs]) | (targets[mine] != targets[theirs]) | (
-        np.abs(sums[mine] - sums[theirs]) > check_tol)
-    unlike = np.zeros(len(sizes), dtype=bool)
-    unlike[owner[~alike]] = True
-    unlike[np.repeat(owner[alike], count)[differs]] = True
-    failing = np.flatnonzero(mixed | unlike)
+    length = start[1:] - start[:-1]
+    twin = np.minimum(start[rep[source]] + np.arange(len(source)) - start[source], max(len(source) - 1, 0))
+    differs = (labels != labels[twin]) | (targets != targets[twin]) | (np.abs(sums - sums[twin]) > check_tol)
+    unlike = length != length[rep]
+    unlike[source[differs]] = True
+    mixed = np.bincount(block_of, minlength=len(reps)) == 0  # an empty block has no kind
+    mixed[block_of[tangible != tangible[rep]]] = True
+    stray = np.zeros(len(reps), dtype=bool)
+    stray[block_of[unlike]] = True
+    failing = np.flatnonzero(mixed | stray)
     if failing.size:
         k = failing[0]
         if mixed[k]:
@@ -250,10 +241,9 @@ def quotient(
     # target block; the labels are ranked once
     rank = np.empty(len(arcs.labels), dtype=np.intp)
     rank[sorted(range(len(arcs.labels)), key=arcs.labels.__getitem__)] = np.arange(len(arcs.labels))
-    out = length[reps]
-    rows = _ranges(start[reps], out)
-    rows = rows[np.lexsort((targets[rows], rank[labels[rows]], np.repeat(np.arange(len(sizes)), out)))]
+    kept = np.flatnonzero(rep[source] == source)
+    kept = kept[np.lexsort((targets[kept], rank[labels[kept]], block_of[source[kept]]))]
     keys = ["{%s}" % ",".join("s%d" % (i + 1) for i in block) for block in part.blocks]
-    chain = Chain(keys, tangible[reps].tolist(), arcs.labels, np.concatenate(([0], np.cumsum(out))),
-                  labels[rows], targets[rows], sums[rows][None], part.block_of[ts.initial])
+    chain = Chain(keys, tangible[reps].tolist(), arcs.labels, np.concatenate(([0], np.cumsum(length[reps]))),
+                  labels[kept], targets[kept], sums[kept][None], part.block_of[ts.initial])
     return Quotient(part, ts, chain)

@@ -612,9 +612,10 @@ def _support_groups(pm: np.ndarray) -> List[np.ndarray]:
     They are also the points of equal support in the embedded stack: in a
     live row, an embedded entry is positive exactly where the off-diagonal
     entry of ``pm`` is, and a row that ``_embedded`` zeroes has no
-    off-diagonal support in either.  (An entry so small that dividing it
-    rounds to zero would break this; probabilities of a chain do not come
-    near the subnormal range.)"""
+    off-diagonal support in either.  Only a division that rounds a positive
+    entry (a subnormal one) to zero could break this, and that takes a
+    divisor of 2 or more: ``_embedded`` divides by the row's off-diagonal
+    mass and then by a row sum near one, both below 2 in a stochastic row."""
     points = pm.shape[0]
     if points == 1:
         return [np.zeros(1, dtype=np.intp)]

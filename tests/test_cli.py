@@ -256,7 +256,8 @@ class TestExitCodes:
         assert not list(tmp_path.iterdir())
 
     def test_smallest_normal_tolerance_accepted(self, capsys, tmp_path):
-        code, _, err = run(capsys, "quotient", "shared_memory", "--out", str(tmp_path), "--tol", "2.2250738585072014e-308")
+        code, _, err = run(capsys, "quotient", "shared_memory", "--out", str(tmp_path),
+                           "--tol", "2.2250738585072014e-308")
         assert (code, err) == (0, "blocks: 9 (from 9 states)\n")
 
     def test_singular_system(self, capsys, tmp_path):
