@@ -16,17 +16,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .expr import Multiset, StaticExpr
+from .expr import StaticExpr
 from .markov import Chain
 from .opsem import State, Transition, TransitionSystem, build_ts
 
 __all__ = [
     "Partition",
-    "pm_a",
     "largest_autobisim",
     "union_ts",
     "bisim_equivalent",
@@ -47,18 +46,6 @@ class Partition:
     @property
     def size(self) -> int:
         return len(self.blocks)
-
-
-def pm_a(ts: TransitionSystem, state: int, label: Multiset, targets: Iterable[int]) -> float:
-    """Aggregate probability of steps with the given multiaction part landing
-    in the given set of states."""
-    target_set = set(targets)
-    labels = ts.labels()
-    return sum(
-        t.prob
-        for t, k in zip(ts.outgoing(state), ts.label_ids(state))
-        if t.target in target_set and labels[k] == label
-    )
 
 
 def _check_quantum(quantum: float) -> None:

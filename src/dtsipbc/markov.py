@@ -6,8 +6,8 @@ The embedded chain abstracts self-loops (zero diagonal); the full chain keeps
 transition probabilities verbatim.  Both stationary vectors are computed by a
 direct linear solve on the unique closed communication class, refined with
 compensated residuals (Stewart, *Introduction to the Numerical Solution of
-Markov Chains*, 1994), with power iteration retained as an independent
-oracle.
+Markov Chains*, 1994).  Power iteration, an independent check of the
+solver, is in ``tests/oracles.py``.
 
 A chain holds its arcs once, as row-ordered arrays, with probabilities at
 one or many points of a parameter grid; it sums them into one matrix per
@@ -41,20 +41,12 @@ __all__ = [
     "AnalysisError",
     "Chain",
     "SojournStats",
-    "StationaryResult",
     "SolveResult",
     "StackResult",
-    "sojourn_stats",
-    "dtmc_tpm",
-    "edtmc_tpm",
-    "communication_classes",
-    "steady_state",
-    "power_iteration",
     "transient",
     "solve_chain",
     "solve_stack",
     "trace_prob",
-    "reward_probability",
     "evaluate_index",
     "evaluate_index_stack",
 ]
@@ -131,11 +123,6 @@ class Chain:
         np.add.at(pm, (slice(None), self.sources, self.targets), probs)
         return pm
 
-    @property
-    def pm(self) -> np.ndarray:
-        """The one-step matrices at every point, summed anew at each read."""
-        return self.matrices()
-
 
 @dataclass
 class SojournStats:
@@ -181,9 +168,10 @@ def _sojourn(pm: np.ndarray, tangible: Sequence[bool]) -> Tuple[SojournStats, np
     # Python's float power, as in the scalar formula p / leave**2: it is not
     # always the correctly rounded square that leave * leave would give
     squares = np.array([v**2 for v in leave.ravel().tolist()]).reshape(leave.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a subnormal exit mass gives an infinite mean, a square that underflows
+    # an infinite variance, both quietly
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inverse = 1.0 / leave
-        # a square that underflows gives an infinite variance, quietly
         variance = np.where(absorbing, math.inf, p / squares)
     stats = SojournStats(
         np.where(tangible, inverse, 0.0),
@@ -199,28 +187,13 @@ def _embedded(pm: np.ndarray, leave: np.ndarray, out: Optional[np.ndarray] = Non
     live = (leave != 0.0)[..., None]
     out = np.empty_like(pm) if out is None else out
     np.copyto(out, 0.0, where=~live)
-    np.divide(pm, leave[..., None], out=out, where=live)
+    with np.errstate(over="ignore"):  # a self-loop over a subnormal exit mass
+        np.divide(pm, leave[..., None], out=out, where=live)
     k = pm.shape[-1]
     out[:, np.arange(k), np.arange(k)] = 0.0
     # rescale away the division noise so rows sum to one exactly enough
     np.divide(out, out.sum(axis=-1, keepdims=True), out=out, where=live)
     return out
-
-
-def sojourn_stats(chain: Chain) -> SojournStats:
-    stats, _ = _sojourn(chain.matrices(slice(0, 1)), chain.tangible)
-    return SojournStats(stats.average[0], stats.variance[0], stats.loop_factor[0])
-
-
-def dtmc_tpm(chain: Chain) -> np.ndarray:
-    """One-step matrix of the first point, freshly summed from the arcs."""
-    return chain.matrices(slice(0, 1))[0]
-
-
-def edtmc_tpm(chain: Chain) -> np.ndarray:
-    """Self-loop abstracted one-step matrix: zero diagonal, absorbing rows zero."""
-    pm = chain.matrices(slice(0, 1))
-    return _embedded(pm, _off_diagonal_sums(pm))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +209,8 @@ def _adjacency(tpm: np.ndarray) -> List[List[int]]:
     return [cols[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def communication_classes(tpm: np.ndarray) -> Tuple[List[List[int]], List[List[int]]]:
-    """Strongly connected components and the closed ones among them."""
-    return _classes(_adjacency(tpm))
-
-
 def _classes(adjacency: List[List[int]]) -> Tuple[List[List[int]], List[List[int]]]:
+    """Strongly connected components and the closed ones among them."""
     n = len(adjacency)
     index_of = [-1] * n
     lowlink = [0] * n
@@ -315,38 +284,14 @@ def _class_period(adjacency: List[List[int]], comp: List[int]) -> int:
     return abs(g) if g else 1
 
 
-@dataclass
-class StationaryResult:
-    pmf: np.ndarray
-    closed_class: List[int]
-    periodic: bool  # stationary distribution exists but is not limiting
-
-    @property
-    def limiting(self) -> bool:
-        return not self.periodic
-
-
-def steady_state(tpm: np.ndarray, residual_tol: float = 1e-10) -> StationaryResult:
-    """Stationary row vector of a chain with a single closed communication class.
-
-    Transient states get probability zero.  Chains whose closed class is
-    periodic keep their unique stationary vector but are flagged as having no
-    limiting distribution.  Several closed classes raise, carrying the class
-    decomposition.
-    """
-    pmf, comp, periodic, errors = _stationary_stack(np.array(tpm, dtype=float)[None], residual_tol)
-    if errors[0] is not None:
-        raise errors[0]
-    return StationaryResult(pmf[0], comp, periodic)
-
-
 def _stationary_stack(
     tpm: np.ndarray, residual_tol: float
 ) -> Tuple[np.ndarray, List[int], bool, List[Optional[AnalysisError]]]:
-    """``steady_state`` of every matrix of a stack that shares one support:
-    the stationary vectors, the closed class, whether it is periodic, and
-    the error ``steady_state`` would raise at each point.  The closed
-    class's matrices in ``tpm`` are overwritten with their generators."""
+    """The stationary row vectors (zero at transient states) of a stack of
+    matrices that share one support, their closed class, whether it is
+    periodic, and each point's ``AnalysisError`` (None where it solves).
+    The closed class's matrices in ``tpm`` are overwritten with their
+    generators."""
     points, n = tpm.shape[:2]
     pmf = np.zeros((points, n))
     adjacency = _adjacency(tpm[0])
@@ -476,29 +421,6 @@ def _stationary_on_class(sub: np.ndarray, residual_tol: float) -> Tuple[np.ndarr
     return x, _max_residual(x, gen)
 
 
-def power_iteration(
-    tpm: np.ndarray,
-    start: Optional[np.ndarray] = None,
-    tol: float = 1e-12,
-    max_iter: int = 10**6,
-) -> np.ndarray:
-    """Independent stationary oracle: damped iteration x(P+I)/2 from a PMF."""
-    n = tpm.shape[0]
-    x = np.full(n, 1.0 / n) if start is None else start.astype(float)
-    half = 0.5 * (tpm + np.eye(n))
-    # rows of an embedded chain may be zero at absorbing states; patch them to
-    # self-loops so the damped matrix stays stochastic
-    for i in range(n):
-        if tpm[i].sum() == 0:
-            half[i, i] = 1.0
-    for _ in range(max_iter):
-        nxt = x @ half
-        if np.max(np.abs(nxt - x)) < tol:
-            return nxt
-        x = nxt
-    return x
-
-
 def transient(tpm: np.ndarray, steps: int, start: Optional[np.ndarray] = None, initial: int = 0) -> np.ndarray:
     """k-step distribution; the zero-step vector is the point mass at start."""
     n = tpm.shape[0]
@@ -538,11 +460,15 @@ class SolveResult:
 
     @property
     def dtmc(self) -> np.ndarray:
-        return dtmc_tpm(self.chain)
+        """The one-step matrix."""
+        return self.chain.matrices(slice(0, 1))[0]
 
     @property
     def edtmc(self) -> np.ndarray:
-        return edtmc_tpm(self.chain)
+        """The self-loop abstracted one-step matrix: zero diagonal, absorbing
+        rows zero."""
+        pm = self.chain.matrices(slice(0, 1))
+        return _embedded(pm, _off_diagonal_sums(pm))[0]
 
     def state_rows(self) -> List[Dict[str, object]]:
         rows = []
@@ -718,12 +644,6 @@ def trace_prob(chain: Chain, start: int, labels: Sequence[Multiset]) -> float:
         if chain.labels[k] == head:
             total += prob * trace_prob(chain, target, rest)
     return total
-
-
-def reward_probability(phi: np.ndarray, rewards: Sequence[float]) -> float:
-    if any(not 0.0 <= r <= 1.0 for r in rewards):
-        raise ValueError("rewards must lie in [0;1]")
-    return float(np.dot(phi, np.asarray(rewards, dtype=float)))
 
 
 def evaluate_index(expr, result: SolveResult) -> float:

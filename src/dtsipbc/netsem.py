@@ -17,8 +17,7 @@ box's net explores the markings reachable from the initial marking once:
 ``check_safe_clean`` and ``build_rg`` read the same exploration, in either
 order, and ``build_rg`` releases its per-marking rows once it has read them.
 Only the reachable markings are turned back into ``Multiset`` objects and
-key strings.  ``enabled`` and ``fire`` keep working on ``Multiset`` markings
-of the box itself.
+key strings.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .expr import (
     Act,
@@ -54,9 +53,6 @@ __all__ = [
     "NetTransition",
     "DtsiBox",
     "box_of",
-    "enabled",
-    "fire",
-    "fire_prob",
     "build_rg",
     "check_safe_clean",
     "StructureReport",
@@ -103,9 +99,6 @@ class DtsiBox:
 
     def initial_marking(self) -> Multiset:
         return self.entries()
-
-    def final_marking(self) -> Multiset:
-        return self.exits()
 
     @cached_property
     def _net(self) -> "_Net":
@@ -283,49 +276,6 @@ _COMBINATOR = {
 
 
 # ---------------------------------------------------------------------------
-# Firing rule
-# ---------------------------------------------------------------------------
-
-
-def enabled(box: DtsiBox, marking: Multiset) -> List[NetTransition]:
-    """Transitions with sufficient tokens; immediate ones pre-empt stochastic."""
-    fireable = [t for t in box.transitions if t.pre.issubset(marking)]
-    if any(t.activity.immediate for t in fireable):
-        fireable = [t for t in fireable if t.activity.immediate]
-    return sorted(fireable)
-
-
-def fire(box: DtsiBox, marking: Multiset, group: Iterable[NetTransition]) -> Multiset:
-    """Fire a set of transitions at once; no self-concurrency, so sets only."""
-    group = list(group)
-    ena = set(enabled(box, marking))
-    if not all(t in ena for t in group):
-        raise SemanticsError("transition set is not enabled")
-    pre = Multiset()
-    post = Multiset()
-    for t in group:
-        pre = pre + t.pre
-        post = post + t.post
-    if not pre.issubset(marking):
-        raise SemanticsError("transition set is not enabled as a set")
-    return marking - pre + post
-
-
-def fire_prob(box: DtsiBox, marking: Multiset, group: Iterable[NetTransition]) -> float:
-    """Normalized probability that exactly this transition set fires."""
-    group = tuple(sorted(group))
-    net = _net_for(box, marking)
-    m = net.encode(marking)
-    ena, tangible = net.enabled(m)
-    groups = [g for g, _ in net.groups(m, ena, tangible)]
-    named = [tuple(net.transitions[k] for k in g.members) for g in groups]
-    if group not in named:
-        raise SemanticsError("transition set is not fireable here")
-    ready = net.ready(ena, tangible, groups)
-    return ready[named.index(group)] / sum(ready)
-
-
-# ---------------------------------------------------------------------------
 # Index-coded nets
 # ---------------------------------------------------------------------------
 
@@ -362,18 +312,17 @@ class _Net:
     guard bit above each field; ``guard`` has every guard bit set.  A preset
     ``pre`` fits marking ``m`` when ``((m | guard) - pre) & guard == guard``
     (no field borrows from its guard), and firing is ``m - pre + post``.
-    Transitions are numbered in sorted order, which is the order of
-    ``enabled``; each activity's value and immediacy are read once.
+    Transitions are numbered in sorted order; each activity's value and
+    immediacy are read once.
 
     ``explored`` keeps the exploration from the box's initial marking once
     it has finished: its markings, and its rows until ``build_rg`` takes
     them.
     """
 
-    def __init__(self, box: DtsiBox, marking: Multiset = Multiset()):
-        names = set(marking).union(
-            (p.name for p in box.places), *(t.pre for t in box.transitions), *(t.post for t in box.transitions)
-        )
+    def __init__(self, box: DtsiBox):
+        names = {p.name for p in box.places}.union(*(t.pre for t in box.transitions),
+                                                   *(t.post for t in box.transitions))
         self.names = sorted(names)
         self.place = {x: k for k, x in enumerate(self.names)}
         self.transitions = sorted(box.transitions)
@@ -434,7 +383,8 @@ class _Net:
         return ((m | guard) - sub) & guard == guard
 
     def enabled(self, m: int) -> Tuple[List[int], bool]:
-        """``enabled`` as indices, and whether the marking is tangible."""
+        """The enabled transitions, immediate ones pre-empting stochastic
+        ones, as indices, and whether the marking is tangible."""
         guard = self.guard
         free = m | guard
         ena = [k for k, pre in enumerate(self.pre) if (free - pre) & guard == guard]
@@ -497,12 +447,13 @@ class _Net:
             out.append(prob)
         return out
 
-    def explore(self, start: Multiset, max_states: int) -> Tuple[List[int], List[Row]]:
-        """Reachable markings in breadth-first order, each with its enabled
-        transitions, tangibility and firing groups in step order."""
+    def explore(self, max_states: int) -> Tuple[List[int], List[Row]]:
+        """The markings reachable from the initial one in breadth-first
+        order, each with its enabled transitions, tangibility and firing
+        groups in step order."""
         # the marking with index i lies at most i steps from the start, and
         # a marking with an index of max_states or more stops the run
-        self.fit(max((n for _, n in start.items), default=0) + max_states * self.growth)
+        self.fit(max((n for _, n in self.initial.items), default=0) + max_states * self.growth)
         index: Dict[int, int] = {}
         markings: List[int] = []
 
@@ -516,7 +467,7 @@ class _Net:
                 markings.append(m)
             return idx
 
-        intern(self.encode(start))
+        intern(self.encode(self.initial))
         rows: List[Row] = []
         while len(rows) < len(markings):
             m = markings[len(rows)]
@@ -535,7 +486,7 @@ class _Net:
     def reachable(self, max_states: int) -> Tuple[List[int], Optional[List[Row]]]:
         """The exploration from the initial marking, run once and kept."""
         if self.explored is None:
-            self.explored = self.explore(self.initial, max_states)
+            self.explored = self.explore(max_states)
         markings, rows = self.explored
         if len(markings) > max_states:
             raise StateSpaceLimit(max_states)
@@ -544,16 +495,6 @@ class _Net:
 
 def _step_order(arc: Tuple[_Group, int]) -> Tuple[int, ...]:
     return arc[0].key
-
-
-def _net_for(box: DtsiBox, marking: Multiset) -> _Net:
-    """The box's compiled net, fitted to hold ``marking``, or a net of its
-    own when ``marking`` names a place the box lacks."""
-    net = box._net
-    if not all(x in net.place for x in marking):
-        net = _Net(box, marking)
-    net.fit(max((n for _, n in marking.items), default=0))
-    return net
 
 
 # ---------------------------------------------------------------------------
@@ -565,20 +506,16 @@ def marking_key(marking: Multiset) -> str:
     return str(marking)
 
 
-def build_rg(box: DtsiBox, initial: Optional[Multiset] = None, max_states: int = 100_000) -> TransitionSystem:
+def build_rg(box: DtsiBox, max_states: int = 100_000) -> TransitionSystem:
     """Reachability graph under the step firing rule, shaped like a transition
     system (steps are the activity sets of the fired transitions).  A
     marking whose immediate weights sum past the float range has no step
     probabilities, and is refused as ``build_ts`` refuses its state."""
     net = box._net
-    if initial is None or initial == net.initial:
-        counts, rows = net.reachable(max_states)
-        if rows is None:  # an earlier graph took them
-            counts, rows = net.explore(net.initial, max_states)
-        net.release(counts)
-    else:
-        net = _net_for(box, initial)
-        counts, rows = net.explore(initial, max_states)
+    counts, rows = net.reachable(max_states)
+    if rows is None:  # an earlier graph took them
+        counts, rows = net.explore(max_states)
+    net.release(counts)
     markings = [net.decode(m) for m in counts]
     states = [State(marking_key(m), (), tangible) for m, (_, tangible, _) in zip(markings, rows)]
     transitions: List[Transition] = []

@@ -62,7 +62,6 @@ from .expr import (
     _children,
     _kind,
     _rebuild,
-    activities_of,
     apply_relabel,
     fold,
     is_regular,
@@ -84,7 +83,6 @@ __all__ = [
     "inaction_closure",
     "build_ts",
     "ts_isomorphic",
-    "leaf_values_of",
     "Readiness",
 ]
 
@@ -231,19 +229,6 @@ class TransitionSystem:
             self._labels = (labels, ids)
         return self._labels
 
-    def exec_steps(self, i: int) -> List[Step]:
-        return [t.step for t in self.outgoing(i)]
-
-    def step_prob(self, step: Step, i: int) -> float:
-        """Probability to execute ``step`` in state ``i``."""
-        for t in self.outgoing(i):
-            if t.step == step:
-                return t.prob
-        raise SemanticsError("step %r is not executable in state %d" % (sorted(map(str, step)), i + 1))
-
-    def move_prob(self, i: int, j: int) -> float:
-        return sum(t.prob for t in self.outgoing(i) if t.target == j)
-
     # -- parameter sweeps ---------------------------------------------------
 
     def readiness(self) -> "Readiness":
@@ -294,15 +279,6 @@ def _remap_leaves(node, leaf_values: Dict[int, float]):
         return _rebuild(node, operands)
 
     return fold(node, visit)
-
-
-def leaf_values_of(expr: StaticExpr) -> Dict[int, float]:
-    """Base value carried by every activity leaf of a numbered expression."""
-    out: Dict[int, float] = {}
-    for u in activities_of(expr):
-        for i, v in u.leaves:
-            out[i] = v
-    return out
 
 
 class Readiness:
@@ -527,12 +503,6 @@ class Engine:
         arg = self.class_of(args[at])
         args[at] = self._classes[arg].skel
         return self._port(_rebuild(g, args, _kind(g).counterpart), at, arg)
-
-    def is_initial(self, g: DynamicExpr) -> bool:
-        return self._classes[self.class_of(g)].initial
-
-    def is_final(self, g: DynamicExpr) -> bool:
-        return self._classes[self.class_of(g)].final
 
     def key(self, cid: int) -> str:
         """The least serialization of an operative member of the class."""

@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Sequence
 import pytest
 
 from dtsipbc.models import bundled_model_names, load_model
-from dtsipbc.opsem import TransitionSystem, build_ts, leaf_values_of, step_label
+from dtsipbc.opsem import TransitionSystem, build_ts
 
 
 def instantiate(name: str, **params):
@@ -40,7 +40,18 @@ def fast_ts(name: str, **params) -> TransitionSystem:
     model, base = _BASE[name]
     if not params:
         return base
-    return base.reweight(leaf_values_of(model.instantiate(params)))
+    return base.reweight(model.leaf_values(params))
+
+
+def step_prob(ts: TransitionSystem, step, i: int) -> float:
+    """The probability of ``step`` in state ``i``, read off ``ts.outgoing(i)``."""
+    (prob,) = [t.prob for t in ts.outgoing(i) if t.step == step]
+    return prob
+
+
+def move_prob(ts: TransitionSystem, i: int, j: int) -> float:
+    """The probability of moving from state ``i`` to state ``j`` in one step."""
+    return sum(t.prob for t in ts.outgoing(i) if t.target == j)
 
 
 def label_strings(step) -> List[str]:

@@ -27,7 +27,8 @@ Each re-derives the slow, plain way what the program computes fast:
   computes on stacks of matrices; by one strided copy of the whole stack,
   the off-diagonal row sums that the solver gathers a block of rows at a
   time; by the supports of both stacks, the support groups that the
-  solver reads off the full stack alone;
+  solver reads off the full stack alone; by damped power iteration, the
+  stationary vectors that the solver finds by a direct solve;
 * by one product per step in set order, the step probabilities that the
   program compiles into index arrays (``opsem.Readiness``);
 * by Python float arithmetic, one index and one solution at a time, the
@@ -80,20 +81,15 @@ from dtsipbc.expr import (
     _kind,
     _rebuild,
     _renumbered,
+    activities_of,
     is_dynamic,
     is_stop,
     renumber,
     sync_activities,
     underlying,
 )
-from dtsipbc.markov import (
-    AnalysisError,
-    Chain,
-    SojournStats,
-    SolveResult,
-    StationaryResult,
-)
-from dtsipbc.netsem import DtsiBox, NetTransition, StructureReport, enabled, fire, marking_key
+from dtsipbc.markov import AnalysisError, Chain, SojournStats, SolveResult
+from dtsipbc.netsem import DtsiBox, NetTransition, StructureReport, marking_key
 from dtsipbc.opsem import (
     _GROUP_OF,
     _PORT_GROUPS,
@@ -105,7 +101,6 @@ from dtsipbc.opsem import (
     Transition,
     TransitionSystem,
     _saturate_step,
-    leaf_values_of,
     step_key,
     step_label,
 )
@@ -779,7 +774,7 @@ def normalized(i: int, pairs: List[Tuple[Step, int]], tangible: bool) -> List[Tr
 def ready_prob(ts: TransitionSystem, step: Step, i: int) -> float:
     """Readiness (stochastic) or cumulative weight (immediate) of an
     executable step of state ``i``."""
-    steps = ts.exec_steps(i)
+    steps = [t.step for t in ts.outgoing(i)]
     if step not in steps:
         raise SemanticsError("step %r is not executable in state %d" % (sorted(map(str, step)), i + 1))
     return ready(step, singles_of(steps), ts.states[i].tangible)
@@ -969,6 +964,30 @@ def syn_box(n: DtsiBox, action: str) -> DtsiBox:
     return DtsiBox(n.places, tuple(sorted(pool.values())))
 
 
+def enabled(box: DtsiBox, marking: Multiset) -> List[NetTransition]:
+    """Transitions with sufficient tokens; immediate ones pre-empt stochastic."""
+    fireable = [t for t in box.transitions if t.pre.issubset(marking)]
+    if any(t.activity.immediate for t in fireable):
+        fireable = [t for t in fireable if t.activity.immediate]
+    return sorted(fireable)
+
+
+def fire(box: DtsiBox, marking: Multiset, group) -> Multiset:
+    """Fire a set of transitions at once; no self-concurrency, so sets only."""
+    group = list(group)
+    ena = set(enabled(box, marking))
+    if not all(t in ena for t in group):
+        raise SemanticsError("transition set is not enabled")
+    pre = Multiset()
+    post = Multiset()
+    for t in group:
+        pre = pre + t.pre
+        post = post + t.post
+    if not pre.issubset(marking):
+        raise SemanticsError("transition set is not enabled as a set")
+    return marking - pre + post
+
+
 def marking_tangible(box: DtsiBox, marking: Multiset) -> bool:
     ena = enabled(box, marking)
     return not any(t.activity.immediate for t in ena)
@@ -1008,21 +1027,9 @@ def group_ready(group: Tuple[NetTransition, ...], ena: List[NetTransition], tang
     return prob
 
 
-def fire_prob(box: DtsiBox, marking: Multiset, group) -> float:
-    group = tuple(sorted(group))
-    groups = firing_groups(box, marking)
-    if group not in groups:
-        raise SemanticsError("transition set is not fireable here")
-    ena = enabled(box, marking)
-    tangible = marking_tangible(box, marking)
-    total = sum(group_ready(g, ena, tangible) for g in groups)
-    return group_ready(group, ena, tangible) / total
-
-
-def build_rg(box: DtsiBox, initial: Optional[Multiset] = None, max_states: int = 100_000) -> TransitionSystem:
+def build_rg(box: DtsiBox, max_states: int = 100_000) -> TransitionSystem:
     """Reachability graph by ``enabled``, ``fire`` and the firing groups of
     each ``Multiset`` marking."""
-    start = box.initial_marking() if initial is None else initial
     index: Dict[Multiset, int] = {}
     markings: List[Multiset] = []
     states: List[State] = []
@@ -1040,7 +1047,7 @@ def build_rg(box: DtsiBox, initial: Optional[Multiset] = None, max_states: int =
             step_rows.append([])
         return idx
 
-    intern(start)
+    intern(box.initial_marking())
     cursor = 0
     while cursor < len(markings):
         i = cursor
@@ -1247,7 +1254,7 @@ def exit_mass(pm, i: int) -> float:
 
 def sojourn_stats(chain: Chain) -> SojournStats:
     n = chain.size
-    pm = chain.pm[0]
+    pm = chain.matrices()[0]
     avg = np.zeros(n)
     var = np.zeros(n)
     sl = np.ones(n)
@@ -1269,7 +1276,7 @@ def sojourn_stats(chain: Chain) -> SojournStats:
 
 def edtmc_tpm(chain: Chain) -> np.ndarray:
     n = chain.size
-    pm = chain.pm[0]
+    pm = chain.matrices()[0]
     out = np.zeros((n, n))
     for i in range(n):
         leave = exit_mass(pm, i)
@@ -1342,6 +1349,13 @@ def class_period(tpm, comp: List[int]) -> int:
     return abs(g) if g else 1
 
 
+@dataclass
+class StationaryResult:
+    pmf: np.ndarray
+    closed_class: List[int]
+    periodic: bool  # stationary distribution exists but is not limiting
+
+
 def steady_state(tpm, residual_tol: float = 1e-10) -> StationaryResult:
     n = tpm.shape[0]
     closed = closed_classes(tpm)
@@ -1366,6 +1380,24 @@ def steady_state(tpm, residual_tol: float = 1e-10) -> StationaryResult:
     return StationaryResult(pmf, comp, periodic=class_period(tpm, comp) > 1)
 
 
+def power_iteration(tpm, start: Optional[np.ndarray] = None, tol: float = 1e-12, max_iter: int = 10**6) -> np.ndarray:
+    """A stationary vector by damped iteration x(P+I)/2 from a PMF."""
+    n = tpm.shape[0]
+    x = np.full(n, 1.0 / n) if start is None else start.astype(float)
+    half = 0.5 * (tpm + np.eye(n))
+    # rows of an embedded chain may be zero at absorbing states; patch them to
+    # self-loops so the damped matrix stays stochastic
+    for i in range(n):
+        if tpm[i].sum() == 0:
+            half[i, i] = 1.0
+    for _ in range(max_iter):
+        nxt = x @ half
+        if np.max(np.abs(nxt - x)) < tol:
+            return nxt
+        x = nxt
+    return x
+
+
 @dataclass
 class ScalarSolveResult(SolveResult):
     """A ``SolveResult`` that keeps the matrices the scalar loops built
@@ -1378,7 +1410,7 @@ class ScalarSolveResult(SolveResult):
 def solve_chain(chain: Chain, cross_check_tol: float = 1e-10) -> SolveResult:
     """The solver one matrix and one state at a time."""
     stats = sojourn_stats(chain)
-    p_full = chain.pm[0].copy()
+    p_full = chain.matrices()[0].copy()
     p_emb = edtmc_tpm(chain)
     emb = steady_state(p_emb)
     full = steady_state(p_full)
@@ -1467,6 +1499,15 @@ def evaluate_index(expr, result: SolveResult) -> float:
 # ---------------------------------------------------------------------------
 # Parameter sweeps
 # ---------------------------------------------------------------------------
+
+
+def leaf_values_of(expr: StaticExpr) -> Dict[int, float]:
+    """Base value carried by every activity leaf of a numbered expression."""
+    out: Dict[int, float] = {}
+    for u in activities_of(expr):
+        for i, v in u.leaves:
+            out[i] = v
+    return out
 
 
 def sweep_rows(model, base_ts: TransitionSystem, indices, points) -> List[Dict[str, float]]:

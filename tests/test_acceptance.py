@@ -11,22 +11,15 @@ import pytest
 
 from dtsipbc.equiv import bisim_equivalent, largest_autobisim, quotient
 from dtsipbc.expr import Action, Activity, Multiset
-from dtsipbc.markov import (
-    Chain,
-    dtmc_tpm,
-    edtmc_tpm,
-    evaluate_index,
-    power_iteration,
-    solve_chain,
-    steady_state,
-    trace_prob,
-)
+from dtsipbc.markov import Chain, evaluate_index, solve_chain, trace_prob
 from dtsipbc.models import bundled_model_names, load_model
 from dtsipbc.netsem import box_of, build_rg, check_safe_clean
-from dtsipbc.opsem import build_ts, leaf_values_of, ts_isomorphic
+from dtsipbc.opsem import build_ts, ts_isomorphic
 from dtsipbc.parser import parse_static
 
-from conftest import RELABELING_TERMS, fast_ts, make_rng, random_regular_text, shared_memory_order
+import oracles
+from conftest import (RELABELING_TERMS, fast_ts, make_rng, move_prob, random_regular_text, shared_memory_order,
+                      step_prob)
 from test_equiv import _perturb_value, _rename_leaf_action, abstract_block_order
 from test_opsem import oracle_exec, oracle_step_prob
 
@@ -68,13 +61,13 @@ def test_criterion_2_closed_forms():
         ts = build_ts(parse_static("({a},%r)[]({a},%r)" % (rho, chi)))
         a1 = frozenset([Activity.make(Multiset.of(Action("a")), False, rho, 1)])
         z = 1 - rho * chi
-        assert abs(ts.step_prob(a1, 0) - rho * (1 - chi) / z) <= TOL
-        assert abs(ts.step_prob(frozenset(), 0) - (1 - rho) * (1 - chi) / z) <= TOL
-        assert abs(ts.move_prob(0, 1) - (rho + chi - 2 * rho * chi) / z) <= TOL
+        assert abs(step_prob(ts, a1, 0) - rho * (1 - chi) / z) <= TOL
+        assert abs(step_prob(ts, frozenset(), 0) - (1 - rho) * (1 - chi) / z) <= TOL
+        assert abs(move_prob(ts, 0, 1) - (rho + chi - 2 * rho * chi) / z) <= TOL
         tsi = build_ts(parse_static("({a},#%r)[]({a},#%r)" % (l, m)))
         u1 = frozenset([Activity.make(Multiset.of(Action("a")), True, l, 1)])
-        assert abs(tsi.step_prob(u1, 0) - l / (l + m)) <= TOL
-        assert abs(tsi.move_prob(0, 1) - 1.0) <= TOL
+        assert abs(step_prob(tsi, u1, 0) - l / (l + m)) <= TOL
+        assert abs(move_prob(tsi, 0, 1) - 1.0) <= TOL
 
     for seed in range(20):
         rng = make_rng(920_000 + seed)
@@ -147,7 +140,7 @@ def test_criterion_3_sweep_extrema():
     rows = []
     rho = step
     while rho < 1.0 - step / 2:
-        ts = base.reweight(leaf_values_of(model.instantiate({"rho": rho})))
+        ts = base.reweight(model.leaf_values({"rho": rho}))
         res = solve_chain(Chain.from_ts(ts))
         rows.append((rho, {k: evaluate_index(ix, res) for k, ix in indices.items()}))
         rho = round(rho + step, 10)
@@ -214,9 +207,9 @@ def test_criterion_5_stationary_relationships():
         ])
         assert np.allclose(res.phi, route_b, atol=TOL), name
     for name in bundled_model_names():
-        chain = Chain.from_ts(fast_ts(name))
-        assert np.allclose(dtmc_tpm(chain).sum(axis=1), 1.0, atol=1e-12), name
-        assert np.all(np.diag(edtmc_tpm(chain)) == 0.0), name
+        res = solve_chain(Chain.from_ts(fast_ts(name)))
+        assert np.allclose(res.dtmc.sum(axis=1), 1.0, atol=1e-12), name
+        assert np.all(np.diag(res.edtmc) == 0.0), name
     _report("criterion 5: stationary relationships and TPM shapes on all bundled models")
 
 
@@ -266,9 +259,7 @@ def test_criterion_6_equivalence_suite():
                 lhs = sum(full.phi[i] * trace_prob(chain, i, sigma) for i in block)
                 rhs = red.phi[k] * trace_prob(qchain, k, sigma)
                 assert abs(lhs - rhs) <= TOL
-        from dtsipbc.markov import sojourn_stats
-
-        fs, rs = sojourn_stats(chain), sojourn_stats(qchain)
+        fs, rs = full.sojourn, red.sojourn
         for k, block in enumerate(q.partition.blocks):
             for i in block:
                 assert rs.average[k] == pytest.approx(fs.average[i], rel=1e-12)
@@ -279,9 +270,7 @@ def test_criterion_6_equivalence_suite():
     ts1 = build_ts(e1)
     c_label = Multiset.of(Multiset.of(Action("c")))
     chain1 = Chain.from_ts(ts1)
-    from dtsipbc.markov import sojourn_stats
-
-    stats = sojourn_stats(chain1)
+    stats = solve_chain(chain1).sojourn
     branch = next(
         i for i in range(chain1.size)
         if chain1.tangible[i] and trace_prob(chain1, i, [c_label]) > 0
@@ -299,7 +288,7 @@ def test_criterion_7_oracles():
         ts = build_ts(parse_static(text))
         for i, state in enumerate(ts.states):
             want_sets, want_tangible = oracle_exec(state.members)
-            assert {s for s in ts.exec_steps(i) if s} == want_sets, text
+            assert {t.step for t in ts.outgoing(i) if t.step} == want_sets, text
             assert state.tangible == want_tangible, text
             for t in ts.outgoing(i):
                 if t.step:
@@ -309,8 +298,8 @@ def test_criterion_7_oracles():
         checked += 1
 
     for name in ERGODIC:
-        chain = Chain.from_ts(fast_ts(name))
-        direct = steady_state(dtmc_tpm(chain)).pmf
-        iterated = power_iteration(dtmc_tpm(chain))
+        res = solve_chain(Chain.from_ts(fast_ts(name)))
+        direct = res.psi
+        iterated = oracles.power_iteration(res.dtmc)
         assert np.max(np.abs(direct - iterated)) < 1e-8, name
     _report("criterion 7: rule engine matches brute-force oracle; solver matches power iteration")

@@ -238,11 +238,14 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("error")
     def test_underflow_fails_quietly(self, capsys):
-        # rho**2 and the squared exit masses underflow: three closed classes,
-        # and no numpy warning on stderr
-        code, _, err = run(capsys, "solve", "shared_memory_abstract", "--param", "rho=1e-200")
-        assert code == 1
-        assert err.startswith("error: analysis error") and err.count("\n") == 1, err
+        # at 1e-200, rho**2 and the squared exit masses underflow: three
+        # closed classes; at 1e-160 the exit masses are subnormal, and the
+        # mean sojourn and the self-loop over the exit mass overflow to inf:
+        # two closed classes; no numpy warning on stderr
+        for rho in ("1e-200", "1e-160"):
+            code, _, err = run(capsys, "solve", "shared_memory_abstract", "--param", "rho=" + rho)
+            assert code == 1
+            assert err.startswith("error: analysis error") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("argv", [["quotient", "shared_memory"], ["checkeq", "ssbsspt_pair"],
                                       ["solve", "shared_memory", "--quotient"]], ids=["quotient", "checkeq", "solve"])

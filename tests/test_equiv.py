@@ -11,7 +11,6 @@ from dtsipbc.equiv import (
     Partition,
     bisim_equivalent,
     largest_autobisim,
-    pm_a,
     quotient,
     union_ts,
 )
@@ -19,7 +18,7 @@ from dtsipbc.expr import Act, Action, Activity, Multiset, activities_of
 from dtsipbc.markov import Chain, solve_chain, trace_prob
 from dtsipbc.models import load_model
 from dtsipbc.netsem import box_of, build_rg
-from dtsipbc.opsem import _remap_leaves, build_ts, step_label, ts_isomorphic
+from dtsipbc.opsem import _remap_leaves, build_ts, ts_isomorphic
 from dtsipbc.parser import parse_model, parse_static
 
 import oracles
@@ -41,27 +40,35 @@ def abstract_block_order(ts, part):
     return out
 
 
+def pm_a(chain, state, label, targets):
+    """Aggregate probability of the arcs of ``state`` with the multiaction
+    part ``label`` into ``targets``, read off the chain's arc arrays."""
+    arcs = range(chain.indptr[state], chain.indptr[state + 1])
+    return sum(chain.probs[0, k] for k in arcs
+               if chain.targets[k] in targets and chain.labels[chain.label_ids[k]] == label)
+
+
 class TestPmA:
     def test_empty_label_is_the_self_loop(self):
-        ts = ts_of("choice_stoch")
-        assert pm_a(ts, 0, Multiset(), [0]) == pytest.approx(ts.move_prob(0, 0))
+        chain = Chain.from_ts(ts_of("choice_stoch"))
+        assert pm_a(chain, 0, Multiset(), [0]) == pytest.approx(chain.matrices()[0, 0, 0])
 
     def test_split_choice_aggregates(self):
-        ts = build_ts(parse_static("({a},1/3)[]({a},1/3)"))
+        chain = Chain.from_ts(build_ts(parse_static("({a},1/3)[]({a},1/3)")))
         label = Multiset.of(Multiset.of(Action("a")))
-        assert pm_a(ts, 0, label, [1]) == pytest.approx(0.5, abs=1e-12)
+        assert pm_a(chain, 0, label, [1]) == pytest.approx(0.5, abs=1e-12)
 
     def test_vanishing_state_has_no_empty_step(self):
-        ts = ts_of("choice_imm")
-        assert pm_a(ts, 0, Multiset(), range(len(ts.states))) == 0.0
+        chain = Chain.from_ts(ts_of("choice_imm"))
+        assert pm_a(chain, 0, Multiset(), range(chain.size)) == 0.0
 
     def test_sums_to_move_prob(self):
-        ts = ts_of("shared_memory")
-        for i in range(len(ts.states)):
-            labels = {step_label(t.step) for t in ts.outgoing(i)}
-            for j in range(len(ts.states)):
-                total = sum(pm_a(ts, i, lbl, [j]) for lbl in labels)
-                assert total == pytest.approx(ts.move_prob(i, j), abs=1e-12)
+        chain = Chain.from_ts(ts_of("shared_memory"))
+        pm = chain.matrices()[0]
+        for i in range(chain.size):
+            for j in range(chain.size):
+                total = sum(pm_a(chain, i, label, [j]) for label in chain.labels)
+                assert total == pytest.approx(pm[i, j], abs=1e-12)
 
 
 class TestRefinement:
@@ -386,12 +393,8 @@ class TestPreservation:
     def test_sojourn_lumps_blockwise(self, name):
         ts = ts_of(name)
         q = quotient(ts)
-        chain = Chain.from_ts(ts)
-        reduced = q.chain()
-        from dtsipbc.markov import sojourn_stats
-
-        full_stats = sojourn_stats(chain)
-        red_stats = sojourn_stats(reduced)
+        full_stats = solve_chain(Chain.from_ts(ts)).sojourn
+        red_stats = solve_chain(q.chain()).sojourn
         for k, block in enumerate(q.partition.blocks):
             for i in block:
                 assert red_stats.average[k] == pytest.approx(full_stats.average[i], rel=1e-12)
@@ -426,9 +429,7 @@ class TestPreservation:
             b for b in part.blocks
             if any(i < offset and trace_prob(chain1, i, [c_label]) > 0 for i in b)
         )
-        from dtsipbc.markov import sojourn_stats
-
-        stats1, stats2 = sojourn_stats(chain1), sojourn_stats(chain2)
+        stats1, stats2 = solve_chain(chain1).sojourn, solve_chain(chain2).sojourn
         for i in branching:
             stats, idx = (stats1, i) if i < offset else (stats2, i - offset)
             assert stats.average[idx] == pytest.approx(2.0, abs=1e-12)

@@ -10,22 +10,8 @@ import oracles
 from dtsipbc import markov
 from dtsipbc.equiv import quotient
 from dtsipbc.expr import Action, Multiset
-from dtsipbc.markov import (
-    AnalysisError,
-    Chain,
-    _compensated_residual,
-    communication_classes,
-    dtmc_tpm,
-    edtmc_tpm,
-    evaluate_index,
-    power_iteration,
-    reward_probability,
-    sojourn_stats,
-    solve_chain,
-    steady_state,
-    trace_prob,
-    transient,
-)
+from dtsipbc.markov import (AnalysisError, Chain, _compensated_residual, evaluate_index, solve_chain, trace_prob,
+                            transient)
 from dtsipbc.models import bundled_model_names, load_model, model_text
 from dtsipbc.netsem import box_of, build_rg
 from dtsipbc.opsem import TransitionSystem, build_ts, step_label
@@ -207,20 +193,20 @@ class TestStationaryRelationships:
 
     @pytest.mark.parametrize("name", ERGODIC_MODELS + ABSORBING_MODELS)
     def test_tpm_shapes(self, name):
-        chain = chain_of(name)
-        p_full = dtmc_tpm(chain)
+        result = solve_chain(chain_of(name))
+        p_full = result.dtmc
         assert np.allclose(p_full.sum(axis=1), 1.0, atol=1e-12)
-        p_emb = edtmc_tpm(chain)
+        p_emb = result.edtmc
         assert np.all(np.diag(p_emb) == 0.0)
-        for i in range(chain.size):
+        for i in range(result.chain.size):
             row = p_emb[i].sum()
             assert row == pytest.approx(1.0, abs=1e-12) or row == 0.0
 
     @pytest.mark.parametrize("name", ERGODIC_MODELS + ABSORBING_MODELS)
     def test_same_communication_classes(self, name):
-        chain = chain_of(name)
-        full_comps, full_closed = communication_classes(dtmc_tpm(chain))
-        emb_comps, emb_closed = communication_classes(edtmc_tpm(chain))
+        result = solve_chain(chain_of(name))
+        full_comps, full_closed = markov._classes(markov._adjacency(result.dtmc))
+        emb_comps, emb_closed = markov._classes(markov._adjacency(result.edtmc))
         strip = lambda comps: sorted(map(tuple, comps))
         assert strip(full_comps) == strip(emb_comps)
         assert strip(full_closed) == strip(emb_closed)
@@ -245,12 +231,12 @@ class TestChainExtraction:
         assert oracles.arcs(chain) == [
             (t.source, step_label(t.step), t.prob, t.target) for i in range(len(ts.states)) for t in ts.outgoing(i)
         ]
-        assert chain.pm[0].tobytes() == oracles.pm_matrix(ts).tobytes()
+        assert chain.matrices()[0].tobytes() == oracles.pm_matrix(ts).tobytes()
 
     @staticmethod
     def assert_reference(chain, arcs, pm):
         assert oracles.arcs(chain) == arcs
-        assert chain.pm.shape == (1,) + pm.shape and chain.pm[0].tobytes() == pm.tobytes()
+        assert chain.matrices().shape == (1,) + pm.shape and chain.matrices()[0].tobytes() == pm.tobytes()
 
     def test_chain_is_the_row_by_row_reference(self):
         # the arcs and matrix of every chain, from a system and from its
@@ -282,21 +268,21 @@ class TestChainExtraction:
         base = build_ts(model.instantiate())
         points = [model.leaf_values({"rho": rho}) for rho in (0.001, 0.25, 0.5, 0.75, 0.999)]
         chain = Chain.from_ts(base, np.array([list(values.values()) for values in points]))
-        assert chain.pm.shape[0] == chain.probs.shape[0] == 5
+        assert chain.matrices().shape[0] == chain.probs.shape[0] == 5
         for k, values in enumerate(points):
             ts = base.reweight(values)
             want = Chain.from_ts(ts)
             got = chain.point(k, want.keys)
             assert oracles.arcs(got) == oracles.arcs(want)
-            assert got.pm.tobytes() == want.pm.tobytes() == chain.pm[k:k + 1].tobytes()
+            assert got.matrices().tobytes() == want.matrices().tobytes() == chain.matrices(slice(k, k + 1)).tobytes()
             assert (got.keys, got.tangible, got.initial) == (want.keys, want.tangible, want.initial)
             self.assert_reference(got, *oracles.chain_arcs(ts))
 
 
 class TestStationarySolver:
     def test_single_state(self):
-        r = steady_state(np.array([[1.0]]))
-        assert r.pmf.tolist() == [1.0]
+        r = solve_chain(Chain.from_ts(build_ts(parse_static("Stop"))))
+        assert r.psi.tolist() == r.psi_star.tolist() == [1.0]
 
     def test_periodicity_flags(self):
         result = solve_chain(chain_of("ts_example"))
@@ -309,38 +295,40 @@ class TestStationarySolver:
         )
         chain = Chain.from_ts(build_ts(e))
         with pytest.raises(AnalysisError) as err:
-            steady_state(dtmc_tpm(chain))
+            solve_chain(chain)
         assert len(err.value.closed_classes) == 2
 
     @pytest.mark.parametrize("name", ERGODIC_MODELS)
     def test_power_iteration_oracle(self, name):
-        chain = chain_of(name)
-        direct = steady_state(dtmc_tpm(chain)).pmf
-        iterated = power_iteration(dtmc_tpm(chain))
+        result = solve_chain(chain_of(name))
+        direct = result.psi
+        iterated = oracles.power_iteration(result.dtmc)
         assert np.max(np.abs(direct - iterated)) < 1e-8
 
     @pytest.mark.parametrize("name", ERGODIC_MODELS)
     def test_closed_class_around_a_transient_state(self, name):
-        # a transient state numbered inside the closed class: the class is
-        # not consecutive, and its gathered matrix solves to the same bits
-        p = dtmc_tpm(chain_of(name))
-        want = steady_state(p)
+        # a transient state numbered inside the closed class, which leaves
+        # for the state before it: the class is not consecutive, and its
+        # gathered matrix solves to the same bits
+        chain = chain_of(name)
+        want = solve_chain(chain)
         t = want.closed_class[0] + 1
-        moved = [i + (i >= t) for i in range(p.shape[0])]
-        q = np.zeros((p.shape[0] + 1,) * 2)
-        q[np.ix_(moved, moved)] = p
-        q[t, t - 1] = 1.0
-        got = steady_state(q)
+        moved = np.arange(chain.size) + (np.arange(chain.size) >= t)
+        at = chain.indptr[t]
+        got = solve_chain(Chain(chain.keys[:t] + ["t"] + chain.keys[t:],
+                                chain.tangible[:t] + [True] + chain.tangible[t:], chain.labels, np.concatenate([chain.indptr[:t + 1], chain.indptr[t:] + 1]),
+                                np.insert(chain.label_ids, at, 0), np.insert(moved[chain.targets], at, t - 1),
+                                np.insert(chain.probs, at, 1.0, axis=1)))
         assert got.closed_class == [moved[c] for c in want.closed_class]
-        assert got.pmf[moved].tobytes() == want.pmf.tobytes() and got.pmf[t] == 0.0
-        assert got.periodic == want.periodic
+        assert got.psi[moved].tobytes() == want.psi.tobytes() and got.psi[t] == 0.0
+        assert got.dtmc_periodic == want.dtmc_periodic
 
     def test_power_iteration_on_periodic_embedded_chain(self):
-        chain = chain_of("ts_example")
-        direct = steady_state(edtmc_tpm(chain)).pmf
-        start = np.zeros(chain.size)
+        result = solve_chain(chain_of("ts_example"))
+        direct = result.psi_star
+        start = np.zeros(result.chain.size)
         start[0] = 1.0
-        iterated = power_iteration(edtmc_tpm(chain), start=start)
+        iterated = oracles.power_iteration(result.edtmc, start=start)
         assert np.max(np.abs(direct - iterated)) < 1e-8
 
     def test_compensated_residual_matches_scalar_loop(self):
@@ -454,26 +442,23 @@ class TestMatricesOnDemand:
 
 class TestTransient:
     def test_zero_steps_is_point_mass(self):
-        chain = chain_of("ts_example")
-        x = transient(dtmc_tpm(chain), 0)
+        x = transient(chain_of("ts_example").matrices()[0], 0)
         assert x[0] == 1.0 and x.sum() == 1.0
 
     def test_one_step_is_first_row(self):
-        chain = chain_of("ts_example")
-        x = transient(dtmc_tpm(chain), 1)
-        assert np.allclose(x, dtmc_tpm(chain)[0], atol=1e-15)
+        p = chain_of("ts_example").matrices()[0]
+        x = transient(p, 1)
+        assert np.allclose(x, p[0], atol=1e-15)
 
     def test_recurrence(self):
-        chain = chain_of("shared_memory")
-        p = dtmc_tpm(chain)
+        p = chain_of("shared_memory").matrices()[0]
         assert np.allclose(transient(p, 7), transient(p, 6) @ p, atol=1e-14)
 
     @pytest.mark.parametrize("name", ERGODIC_MODELS)
     def test_convergence_to_stationary(self, name):
-        chain = chain_of(name)
-        p = dtmc_tpm(chain)
-        stat = steady_state(p).pmf
-        x = transient(p, 4000)
+        result = solve_chain(chain_of(name))
+        stat = result.psi
+        x = transient(result.dtmc, 4000)
         assert np.max(np.abs(x - stat)) < 1e-8
 
 
@@ -538,12 +523,6 @@ class TestTracesAndIndices:
         den = 2 + rho - rho**2 - rho**3
         got = evaluate_index(model.indices["one_request_prob"], result)
         assert got == pytest.approx(rho**2 * (2 - rho) * (1 + rho - rho**2) / den, abs=1e-10)
-
-    def test_reward_probability(self):
-        result = solve_chain(chain_of("ts_example"))
-        assert reward_probability(result.phi, [1.0] * result.chain.size) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            reward_probability(result.phi, [2.0] * result.chain.size)
 
     def test_step_probability_direct(self):
         result = solve_chain(chain_of("choice_imm"))

@@ -12,14 +12,11 @@ from dtsipbc.netsem import (
     box_of,
     build_rg,
     check_safe_clean,
-    enabled,
-    fire,
-    fire_prob,
 )
-from dtsipbc.opsem import SemanticsError, StateSpaceLimit, build_ts, ts_isomorphic
+from dtsipbc.opsem import StateSpaceLimit, build_ts, ts_isomorphic
 from dtsipbc.parser import parse_model, parse_static
 
-from conftest import RELABELING_TERMS, bundled_roots, instantiate, make_rng, random_regular_text, shm_text
+from conftest import RELABELING_TERMS, bundled_roots, instantiate, make_rng, random_regular_text, shm_text, step_prob
 
 
 class TestConstruction:
@@ -76,53 +73,58 @@ class TestConstruction:
 
 
 class TestFiringRule:
+    """The firing rule, read off the reachability graph's first marking."""
+
     def setup_method(self):
         self.box = box_of(parse_static("({a},0.3)[]({a},0.5)"))
-        self.m0 = self.box.initial_marking()
+        self.rg = build_rg(self.box)
 
     def test_priority_of_immediates(self):
-        box = box_of(parse_static("({a},#1)||({b},0.5)"))
-        ena = enabled(box, box.initial_marking())
-        assert [t.activity.immediate for t in ena] == [True]
+        rg = build_rg(box_of(parse_static("({a},#1)||({b},0.5)")))
+        assert [[u.immediate for u in t.step] for t in rg.outgoing(0)] == [[True]]
+        assert not rg.states[0].tangible
 
     def test_enabled_empty_marking(self):
-        assert enabled(self.box, Multiset()) == []
+        # without its entry places the box starts from the empty marking,
+        # which enables nothing and keeps ticking
+        rg = build_rg(DtsiBox(tuple(p for p in self.box.places if p.label != "e"), self.box.transitions))
+        assert rg.markings == [Multiset()]
+        assert [(t.step, t.prob, t.target) for t in rg.outgoing(0)] == [(frozenset(), 1.0, 0)]
 
     def test_fire_moves_tokens(self):
         (t1, t2) = sorted(self.box.transitions)
-        m1 = fire(self.box, self.m0, [t1])
-        assert m1 == self.box.final_marking()
+        (move,) = [t for t in self.rg.outgoing(0) if t.step == {t1.activity}]
+        assert self.rg.markings[move.target] == self.box.exits()
 
     def test_fire_probabilities_match_expression(self):
         ts = build_ts(parse_static("({a},0.3)[]({a},0.5)"))
         for t in sorted(self.box.transitions):
-            got = fire_prob(self.box, self.m0, [t])
+            got = step_prob(self.rg, frozenset({t.activity}), 0)
             want = next(
                 tr.prob
                 for tr in ts.outgoing(0)
                 if tr.step and next(iter(tr.step)).value == t.activity.value
             )
             assert got == pytest.approx(want, abs=1e-12)
-        assert fire_prob(self.box, self.m0, []) == pytest.approx(
+        assert step_prob(self.rg, frozenset(), 0) == pytest.approx(
             (1 - 0.3) * (1 - 0.5) / (1 - 0.15), abs=1e-12
         )
 
     def test_vanishing_marking_weights(self):
         box = box_of(parse_static("({a},#1)[]({a},#2)"))
         (t1, t2) = sorted(box.transitions, key=lambda t: t.activity.value)
-        m0 = box.initial_marking()
-        assert fire_prob(box, m0, [t1]) == pytest.approx(1 / 3)
-        assert fire_prob(box, m0, [t2]) == pytest.approx(2 / 3)
+        rg = build_rg(box)
+        assert step_prob(rg, frozenset({t1.activity}), 0) == pytest.approx(1 / 3)
+        assert step_prob(rg, frozenset({t2.activity}), 0) == pytest.approx(2 / 3)
 
     def test_conflicting_set_rejected(self):
+        # both transitions take the one entry token: no step fires both
         (t1, t2) = self.box.transitions
-        with pytest.raises(Exception):
-            fire(self.box, self.m0, [t1, t2])
-        with pytest.raises(SemanticsError):
-            fire_prob(self.box, self.m0, [t1, t2])
+        assert frozenset({t1.activity, t2.activity}) not in [t.step for t in self.rg.outgoing(0)]
 
     def test_empty_step_keeps_marking(self):
-        assert fire(self.box, self.m0, []) == self.m0
+        (stay,) = [t for t in self.rg.outgoing(0) if not t.step]
+        assert stay.target == 0
 
 
 class TestReachability:
@@ -206,10 +208,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("expr", [pytest.param(e, id=label) for label, e in bundled_roots()]
                              + [pytest.param(parse_static(t), id=t) for t in RELABELING_TERMS])
     def test_bundled_roots(self, expr, monkeypatch):
-        box = assert_same_net_semantics(expr, monkeypatch)
-        for m in build_rg(box).markings:
-            for g in oracles.firing_groups(box, m):
-                assert fire_prob(box, m, g).hex() == oracles.fire_prob(box, m, g).hex()
+        assert_same_net_semantics(expr, monkeypatch)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("abstract", [True, False])
@@ -241,12 +240,8 @@ class TestAgainstReference:
             (tb, NetTransition(a, Multiset.of("q"), Multiset.of("r")), tb,
              NetTransition(a, Multiset.of("p"), Multiset.of("r")), NetTransition(c, Multiset.of("s"), Multiset.of("r"))),
         )
-        rg = build_rg(box)
-        assert_same_rg(rg, oracles.build_rg(box))
+        assert_same_rg(build_rg(box), oracles.build_rg(box))
         assert check_safe_clean(box) == oracles.check_safe_clean(box)
-        for m in rg.markings:
-            for g in oracles.firing_groups(box, m):
-                assert fire_prob(box, m, g).hex() == oracles.fire_prob(box, m, g).hex()
 
     def test_state_space_limit(self):
         box = box_of(parse_model(shm_text(3)).instantiate())
@@ -266,9 +261,9 @@ def count_explorations(monkeypatch):
     calls = []
     explore = netsem._Net.explore
 
-    def counted(net, start, max_states):
+    def counted(net, max_states):
         calls.append(max_states)
-        return explore(net, start, max_states)
+        return explore(net, max_states)
 
     monkeypatch.setattr(netsem._Net, "explore", counted)
     return calls
@@ -278,11 +273,16 @@ def shm3_box():
     return box_of(parse_model(shm_text(3)).instantiate())
 
 
-def token_box(post_counts):
-    """One stochastic transition from the entry place p to ``post_counts``."""
-    t = NetTransition(Activity.make(Multiset.of(Action("a")), False, 0.5, 1), Multiset.of("p"),
-                      Multiset.from_counts(post_counts))
-    return DtsiBox((Place("p", "e"), Place("q", "x")), (t,))
+def token_box(post_counts, start=None):
+    """One stochastic transition from the entry place p to ``post_counts``;
+    with the counts ``start``, p is internal, and a first transition from
+    the entry place s puts ``start`` on p and q."""
+    a = Multiset.of(Action("a"))
+    t = NetTransition(Activity.make(a, False, 0.5, 1), Multiset.of("p"), Multiset.from_counts(post_counts))
+    if start is None:
+        return DtsiBox((Place("p", "e"), Place("q", "x")), (t,))
+    first = NetTransition(Activity.make(a, False, 0.5, 2), Multiset.of("s"), Multiset.from_counts(start))
+    return DtsiBox((Place("s", "e"), Place("p", "i"), Place("q", "x")), (t, first))
 
 
 class TestSharedExploration:
@@ -331,12 +331,13 @@ class TestSharedExploration:
             assert box._net.explored is None
         assert check_safe_clean(box, max_states=21).marking_count == 21
 
-    def test_separate_net_for_a_foreign_place(self):
-        box = shm3_box()
-        check_safe_clean(box)
-        marking = box.initial_marking() + Multiset.of("elsewhere")
-        assert_same_rg(build_rg(box, initial=marking), oracles.build_rg(box, initial=marking))
-        assert len(box._net.explored[0]) == 21
+    def test_entry_place_no_transition_touches(self):
+        # its token stays in every marking
+        shm3 = shm3_box()
+        box = DtsiBox(shm3.places + (Place("elsewhere", "e"),), shm3.transitions)
+        rg = build_rg(box)
+        assert len(rg.states) == 21 and all("elsewhere" in m for m in rg.markings)
+        assert_same_rg(rg, oracles.build_rg(box))
 
     @pytest.mark.parametrize("cap", [1, 2, 5, 64, 1000])
     def test_growing_net_hits_the_cap(self, cap):
@@ -347,22 +348,16 @@ class TestSharedExploration:
             with pytest.raises(StateSpaceLimit):
                 explore(box, max_states=cap)
         assert box._net.explored is None
-        deep = Multiset.from_counts({"p": 1, "q": 3 * 2 ** 40})
+        deep = token_box({"p": 1, "q": 3}, start={"p": 1, "q": 3 * 2 ** 40})
         with pytest.raises(StateSpaceLimit):
-            build_rg(box, initial=deep, max_states=cap)
+            build_rg(deep, max_states=cap)
 
     def test_many_tokens_on_a_place(self):
-        # each step takes a token from p and puts three on q: 301 markings,
-        # and q ends with three times the tokens of the start
-        box = token_box({"q": 3})
-        start = Multiset.from_counts({"p": 300})
-        rg = build_rg(box, initial=start)
-        assert len(rg.states) == 301 and rg.markings[-1] == Multiset.from_counts({"q": 900})
-        assert_same_rg(rg, oracles.build_rg(box, initial=start))
-        (t,) = box.transitions
-        report = check_safe_clean(box)
-        # a marking wider than the explored fields widens them
-        wide = Multiset.from_counts({"p": 2 ** 40})
-        assert fire_prob(box, wide, [t]).hex() == oracles.fire_prob(box, wide, [t]).hex()
-        assert check_safe_clean(box) == report == oracles.check_safe_clean(box)
-        assert_same_rg(build_rg(box), oracles.build_rg(box))
+        # the first step puts 300 tokens on p; each later one takes a token
+        # from p and puts three on q: 301 markings after the first, and q
+        # ends with three times the tokens that p started with
+        box = token_box({"q": 3}, start={"p": 300})
+        rg = build_rg(box)
+        assert len(rg.states) == 302 and rg.markings[-1] == Multiset.from_counts({"q": 900})
+        assert_same_rg(rg, oracles.build_rg(box))
+        assert check_safe_clean(box) == oracles.check_safe_clean(box)

@@ -24,7 +24,7 @@ from dtsipbc import cli, export, markov
 from dtsipbc.markov import AnalysisError, Chain, solve_chain, solve_stack
 from dtsipbc.models import bundled_model_names, load_model, model_text
 from dtsipbc.netsem import box_of, build_rg
-from dtsipbc.opsem import build_ts, leaf_values_of
+from dtsipbc.opsem import build_ts
 from dtsipbc.parser import grid_point, grid_size, parse_model, parse_static
 
 from conftest import INDEX_FORMS, make_rng, random_regular_text, shm_text
@@ -189,14 +189,14 @@ class TestStack:
         model = load_model("shared_memory_abstract")
         base = build_ts(model.instantiate())
         leaves, _ = model.leaf_grid(model.sweep_grid({"rho": (0.001, 0.999, 0.033)}))
-        stacks = [Chain.from_ts(base, leaves).pm]
+        stacks = [Chain.from_ts(base, leaves).matrices()]
         mixed = [model.leaf_values({"rho": rho}) for rho in (0.3, 1e-200, 0.9999, 1e-160, 1e-200, 0.0001, 0.5)]
-        stacks.append(Chain.from_ts(base, np.array([[v[leaf] for leaf in sorted(v)] for v in mixed])).pm)
+        stacks.append(Chain.from_ts(base, np.array([[v[leaf] for leaf in sorted(v)] for v in mixed])).matrices())
         for text, overrides in ((LOOP_OR_LEAVE, {"l": (1e283, 1e284, 1e282)}),
                                 (model_text("shared_memory"), {"rho": (0.05, 0.95, 0.1), "l": (0.25, 4.0, 0.25)})):
             model = parse_model(text)
             leaves, _ = model.leaf_grid(model.sweep_grid(overrides))
-            stacks.append(Chain.from_ts(build_ts(model.instantiate()), leaves).pm)
+            stacks.append(Chain.from_ts(build_ts(model.instantiate()), leaves).matrices())
         splits = 0
         for pm in stacks:
             with np.errstate(over="ignore"):  # a self-loop over a subnormal exit mass
@@ -224,9 +224,9 @@ class TestStack:
                 tpm = rng.random((n, n)) * edges
                 if d == 1:
                     tpm[rng.integers(0, n, 2)] = 0.0
-                _, closed = markov.communication_classes(tpm)
-                assert closed == oracles.closed_classes(tpm)
                 adjacency = markov._adjacency(tpm)
+                _, closed = markov._classes(adjacency)
+                assert closed == oracles.closed_classes(tpm)
                 for comp in closed:
                     period = oracles.class_period(tpm, comp)
                     assert markov._class_period(adjacency, comp) == period
@@ -344,7 +344,7 @@ class TestBlocks:
         base = build_ts(model.instantiate(grid_point(grid, 0)))
         _, results = cli._sweep_batch(types.SimpleNamespace(per_point=True), base, model, dict(model.indices), grid)
         leaves, _ = model.leaf_grid(grid)
-        pm = Chain.from_ts(base, leaves).pm
+        pm = Chain.from_ts(base, leaves).matrices()
         embedded = markov._embedded(pm, oracles.off_diagonal_sums(pm))
         assert len(results) == len(pm) == grid_size(grid) > 7 * 4
         for k, result in enumerate(results):
@@ -360,7 +360,7 @@ class TestCompiledModel:
         model = load_model(name)
         points = [{}, {"rho": 0.125, "l": 3.5, "chi": 0.75}, {"rho": 0.875, "m": 0.25, "theta": 0.0625, "phi": 0.3}]
         for point in points:
-            assert model.leaf_values(point) == leaf_values_of(model.instantiate(point))
+            assert model.leaf_values(point) == oracles.leaf_values_of(model.instantiate(point))
 
     def test_out_of_range_values(self):
         model = load_model("shared_memory_abstract")
@@ -390,7 +390,7 @@ class TestCompiledModel:
                 table[:, leaf - 1] *= 5
             readiness = ts.readiness()
             probs = readiness.probabilities(table)
-            pm = Chain.from_ts(ts, table).pm
+            pm = Chain.from_ts(ts, table).matrices()
             for k in range(5):
                 ref = oracles.reweight(ts, {leaf: table[k, leaf - 1] for leaf in leaves})
                 want = np.array([t.prob for t in ref.transitions])
@@ -410,12 +410,12 @@ class TestCompiledModel:
         rng = make_rng(4242)
         for _ in range(40):
             expr = parse_static(random_regular_text(rng, max_activities=8, max_sync=3))
-            systems.append((build_ts(expr, max_states=20_000), leaf_values_of(expr)))
+            systems.append((build_ts(expr, max_states=20_000), oracles.leaf_values_of(expr)))
         for ts, leaf_values in systems:
             row = np.array([[leaf_values[leaf] for leaf in range(1, max(leaf_values) + 1)]])
             stack = Chain.from_ts(ts, row)
             assert stack.probs[0].tobytes() == np.array([t.prob for t in ts.transitions]).tobytes()
-            assert stack.pm[0].tobytes() == oracles.pm_matrix(ts).tobytes()
+            assert stack.matrices()[0].tobytes() == oracles.pm_matrix(ts).tobytes()
             assert ts.reweight(leaf_values).transitions == ts.transitions
 
 
