@@ -8,10 +8,14 @@ solution), 2 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -24,7 +28,7 @@ from .markov import AnalysisError, Chain, StackResult, evaluate_index_stack, sol
 from .models import bundled_model_names, load_model
 from .netsem import box_of, build_rg, check_safe_clean
 from .opsem import SemanticsError, StateSpaceLimit, build_ts, ts_isomorphic
-from .parser import ModelFile, ParseError, grid_point, grid_size
+from .parser import ModelFile, ParseError, grid_block, grid_point, grid_size
 
 ANALYSIS_ERROR, INPUT_ERROR = 1, 2
 
@@ -264,77 +268,81 @@ def cmd_checkeq(args) -> int:
     return ANALYSIS_ERROR
 
 
-def _input_error(grid: Dict[str, object], leaves: np.ndarray, error: Optional[ValueError], probs: np.ndarray,
-                 sources: np.ndarray) -> Tuple[int, Optional[CliError]]:
-    """The number of grid points before the first that is an input error,
-    and that error: where a step probability in ``probs`` (one row per
-    point, one column per arc, from the states ``sources``) is not finite,
-    because a state's immediate weights sum past the float range, or else
-    ``error``, the value out of range after the ``leaves`` rows."""
+def _input_error(grid: Dict[str, object], first: int, leaves: np.ndarray, error: Optional[ValueError],
+                 probs: np.ndarray, sources: np.ndarray) -> Tuple[int, Optional[CliError]]:
+    """The number of points, from grid point ``first`` on, before the first
+    that is an input error, and that error: where a step probability in
+    ``probs`` (one row per point, one column per arc, from the states
+    ``sources``) is not finite, because a state's immediate weights sum past
+    the float range, or else ``error``, the value out of range after the
+    ``leaves`` rows."""
     undefined = ~np.isfinite(probs)
     failing = np.flatnonzero(undefined.any(axis=1))
     if failing.size:
         k = int(failing[0])
         state = int(sources[np.argmax(undefined[k])])
         return k, CliError("at %s: the immediate weights of state %d sum past the float range"
-                           % (grid_point(grid, k), state + 1), INPUT_ERROR)
+                           % (grid_point(grid, first + k), state + 1), INPUT_ERROR)
     return len(leaves), None if error is None else CliError(str(error), INPUT_ERROR)
 
 
-def _sweep_quotient(args, base_ts, model: ModelFile, indices, grid):
-    """Index values on the quotient chain at each point, one list per index,
-    one reweighted system after another (the partition depends on the
-    values), and the solutions when ``--per-point`` writes them."""
-    leaves, error = model.leaf_grid(grid)
+# the entries of the (points, n, n) stack that a sweep solves at once: a
+# block of max(1, _SWEEP_BUDGET // n**2) points of an n-state system, so
+# that a sweep's memory grows with neither its grid nor its block
+_SWEEP_BUDGET = 1 << 15
+
+
+def _sweep_blocks(args, base_ts, model: ModelFile, indices, grid):
+    """The grid solved a block of points at a time: for each block, its
+    first point and the point after its last, the index values there, one
+    list per index, and the solutions when ``--per-point`` writes them.
+
+    The arcs are taken once from ``base_ts``; each block reads its leaf
+    values and step probabilities off its slice of the grid.  The batched
+    route solves a block as one stack; with ``--quotient``, each point is
+    reweighted and lumped on its own, as the partition depends on the
+    values.  It fails at the first point, and with the error, where a
+    point-by-point run would: a point's input error comes after any
+    analysis error at an earlier point."""
+    size = len(base_ts.states)
+    points = max(1, _SWEEP_BUDGET // (size * size))
+    chain = Chain.from_ts(base_ts)
     readiness = base_ts.readiness()
-    valid, input_error = _input_error(grid, leaves, error, readiness.probabilities(leaves), readiness.source)
-    values: Dict[str, List[float]] = {name: [] for name in indices}
-    results = []
-    for k, row in enumerate(leaves[:valid].tolist()):
-        chain = quotient(base_ts.reweight(dict(enumerate(row, 1))), quantum=args.tol).chain()
-        solved = solve_stack(chain)
-        for name, column in _index_columns(indices, chain, solved, grid, k).items():
-            values[name] += column
-        if args.per_point:
-            results.append(solved.result(0, chain))
-    if input_error is not None:
-        raise input_error
-    return values, results
+    # the chain's arcs are the system's transitions sorted by source
+    order = np.argsort(readiness.source, kind="stable")
+    for first in range(0, grid_size(grid), points):
+        leaves, error = model.leaf_grid(grid_block(grid, first, first + points))
+        probs = readiness.probabilities(leaves)[:, order]
+        valid, input_error = _input_error(grid, first, leaves, error, probs, chain.sources)
+        rows = leaves[:valid].tolist()
+        values: Dict[str, List[float]] = {name: [] for name in indices}
+        results = []
+        if args.quotient:
+            for k, row in enumerate(rows, first):
+                lumped = quotient(base_ts.reweight(dict(enumerate(row, 1))), quantum=args.tol).chain()
+                solved = solve_stack(lumped)
+                for name, column in _index_columns(indices, lumped, solved, grid, k).items():
+                    values[name] += column
+                if args.per_point:
+                    results.append(solved.result(0, lumped))
+        elif valid:
+            block = replace(chain, probs=probs[:valid])
+            solved = solve_stack(block)
+            values = _index_columns(indices, block, solved, grid, first)
+            if args.per_point:
+                # state keys serialize the values, so each point has its own
+                results = [solved.result(k, block.point(k, base_ts.keys_at(dict(enumerate(row, 1)))))
+                           for k, row in enumerate(rows)]
+        if valid:
+            yield first, first + valid, values, results
+        if input_error is not None:
+            raise input_error
 
 
-# the grid points that a sweep solves at once: the solver's memory grows
-# with this, not with the grid
-_SWEEP_BLOCK = 4096
-
-
-def _sweep_batch(args, base_ts, model: ModelFile, indices, grid):
-    """Index values at every point, one list per index, from one chain of
-    the whole grid solved a block of points at a time, and the solutions
-    when ``--per-point`` writes them.  It fails at the first point, and
-    with the error, where a point-by-point run would: a point's input error
-    comes after any analysis error at an earlier point."""
-    leaves, error = model.leaf_grid(grid)
-    chain = Chain.from_ts(base_ts, leaves)
-    valid, input_error = _input_error(grid, leaves, error, chain.probs, chain.sources)
-    values: Dict[str, List[float]] = {name: [] for name in indices}
-    results = []
-    for first in range(0, valid, _SWEEP_BLOCK):
-        stop = min(first + _SWEEP_BLOCK, valid)
-        block = replace(chain, probs=chain.probs[first:stop])
-        solved = solve_stack(block)
-        for name, column in _index_columns(indices, block, solved, grid, first).items():
-            values[name] += column
-        if args.per_point:
-            # state keys serialize the values, so each point has its own
-            results += [solved.result(k, block.point(k, base_ts.keys_at(dict(enumerate(row, 1)))))
-                        for k, row in enumerate(leaves[first:stop].tolist())]
-    if input_error is not None:
-        raise input_error
-    return values, results
-
-
-def _extrema(swept: List[str], names: List[str], columns: Dict[str, List[float]]) -> List[str]:
-    """A line per index with finite values: its least and greatest, and where.
+def _extreme_points(swept: List[str], names: List[str], columns: Dict[str, List[float]]
+                    ) -> Dict[str, Tuple[int, int]]:
+    """The points of the least and the greatest finite value of each index
+    that has one.
 
     Each is the pick of ``min`` (or ``max``) over the pairs (value, grid
     tuple) of the finite values, the grid tuple holding the ``swept``
@@ -349,18 +357,91 @@ def _extrema(swept: List[str], names: List[str], columns: Dict[str, List[float]]
         # lexsort is stable and sorts by its last key first
         return int(tied[np.lexsort([sign * column[tied] for column in reversed(at)])[0]])
 
-    def where(k: int) -> str:
-        return ",".join("%s=%s" % (p, columns[p][k]) for p in swept)
-
-    lines = []
+    picks = {}
     for name in names:
         values = np.array(columns[name])
         finite = np.flatnonzero(np.isfinite(values))
         if finite.size:
-            lo, hi = pick(values, finite, False), pick(values, finite, True)
-            lines.append("index %s: min %.6g at %s; max %.6g at %s"
-                         % (name, columns[name][lo], where(lo), columns[name][hi], where(hi)))
-    return lines
+            picks[name] = pick(values, finite, False), pick(values, finite, True)
+    return picks
+
+
+def _extrema(swept: List[str], names: List[str], columns: Dict[str, List[float]]) -> List[str]:
+    """A line per index with finite values: its least and greatest, and
+    where, as ``_extreme_points`` picks them."""
+
+    def where(k: int) -> str:
+        return ",".join("%s=%s" % (p, columns[p][k]) for p in swept)
+
+    return ["index %s: min %.6g at %s; max %.6g at %s" % (name, columns[name][lo], where(lo), columns[name][hi],
+                                                           where(hi))
+            for name, (lo, hi) in _extreme_points(swept, names, columns).items()]
+
+
+class _Extrema:
+    """The extrema lines of a sweep read a block of points at a time.  Only
+    the points that are some index's least or greatest so far are kept, in
+    grid order, so ``_extrema`` over them and the next block picks what it
+    would over every point up to that block's end: a point dropped is
+    beaten, or tied and later, for every index."""
+
+    def __init__(self, swept: List[str], names: List[str]):
+        self.swept, self.names = swept, names
+        self.kept: Dict[str, List[float]] = {name: [] for name in swept + names}
+
+    def add(self, columns: Dict[str, List[float]]) -> None:
+        merged = {name: kept + columns[name] for name, kept in self.kept.items()}
+        picked = sorted({k for pair in _extreme_points(self.swept, self.names, merged).values() for k in pair})
+        self.kept = {name: [column[k] for k in picked] for name, column in merged.items()}
+
+    def lines(self) -> List[str]:
+        return _extrema(self.swept, self.names, self.kept)
+
+
+@contextlib.contextmanager
+def _staged(args):
+    """Where a sweep writes its table and its point files: an open text
+    file, and the directory for point files (None without ``--out``).
+
+    Both are staged, and published only when the block ends without an
+    error, so that a failing sweep writes nothing: under ``--out``, in a
+    hidden directory there, whose files then replace ``sweep.csv`` and the
+    files of ``points/``; on stdout, in a spooled temporary file that is
+    then copied to stdout.  A directory of ``--out`` that the sweep made is
+    removed again when it fails."""
+    if not args.out:
+        with tempfile.SpooledTemporaryFile(max_size=1 << 20, mode="w+", encoding="utf-8") as spool:
+            yield spool, None
+            spool.seek(0)
+            shutil.copyfileobj(spool, sys.stdout)
+        return
+    out = Path(args.out)
+    target = out / "sweep.csv"
+    made = list(itertools.takewhile(lambda d: not d.exists(), [out, *out.parents]))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=".sweep-", dir=out))
+    except OSError as exc:
+        raise CliError("cannot write %s: %s" % (target, exc.strerror or exc), INPUT_ERROR)
+    published = False
+    try:
+        with open(stage / "sweep.csv", "w", encoding="utf-8") as table:
+            yield table, stage / "points"
+        if (stage / "points").is_dir():
+            (out / "points").mkdir(exist_ok=True)
+            for path in sorted((stage / "points").iterdir()):
+                os.replace(path, out / "points" / path.name)
+        os.replace(stage / "sweep.csv", target)
+        published = True
+    except OSError as exc:
+        raise CliError("cannot write %s: %s" % (target, exc.strerror or exc), INPUT_ERROR)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+        if not published:
+            for directory in made:
+                with contextlib.suppress(OSError):
+                    directory.rmdir()
+    print("wrote %s" % target)
 
 
 def cmd_sweep(args) -> int:
@@ -378,21 +459,22 @@ def cmd_sweep(args) -> int:
         raise CliError("sweep needs at least one ranged parameter (name=start:stop:step)", INPUT_ERROR)
     steps = {name: rng[2] for name, rng in model.sweep_axes(overrides)}
     swept = sorted(steps)
+    names = sorted(indices)
     base_ts = build_ts(_instantiate(model, grid_point(grid, 0)), max_states=args.max_states)
 
-    sweep = _sweep_quotient if args.quotient else _sweep_batch
-    values, results = sweep(args, base_ts, model, indices, grid)
-    # an index named as a swept parameter takes its column, as in a row dictionary
-    columns: Dict[str, List[float]] = {name: grid[name].tolist() for name in swept}
-    columns.update(values)
-
     note = "sweep over %s; grid steps %s" % (",".join(swept), ",".join(str(steps[n]) for n in swept))
-    _emit(args, "sweep.csv", export.sweep_csv(swept, sorted(indices), columns, header_note=note))
+    extrema = _Extrema(swept, names)
+    with _staged(args) as (table, points):
+        for first, stop, values, results in _sweep_blocks(args, base_ts, model, indices, grid):
+            # an index named as a swept parameter takes its column, as in a row dictionary
+            columns: Dict[str, List[float]] = {name: grid[name][first:stop].tolist() for name in swept}
+            columns.update(values)
+            table.write(export.sweep_csv(swept, names, columns, header_note=note, header=first == 0))
+            for k, result in enumerate(results, first + 1):
+                _write(points / ("point_%05d.csv" % k), export.states_csv(result))
+            extrema.add(columns)
 
-    for k, result in enumerate(results):
-        _write(Path(args.out) / "points" / ("point_%05d.csv" % (k + 1)), export.states_csv(result))
-
-    for line in _extrema(swept, sorted(indices), columns):
+    for line in extrema.lines():
         print(line, file=sys.stderr)
     return 0
 
@@ -435,7 +517,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_common(solve, with_format=False)
     solve.add_argument("--format", choices=("json", "csv"), default="json")
     solve.add_argument("--index", action="append", help="evaluate only this named index (repeatable)")
-    solve.add_argument("--quotient", action="store_true", help="solve the bisimulation quotient instead")
+    solve.add_argument("--quotient", action="store_true",
+                       help="solve the bisimulation quotient instead; phi[k], psi[k] and sj[k] then read "
+                            "quotient block k, as numbered in quotient.json")
     solve.set_defaults(func=cmd_solve)
 
     quot = commands.add_parser("quotient", help="reduce modulo step stochastic bisimulation")
@@ -449,7 +533,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sweep = commands.add_parser("sweep", help="evaluate indices over a parameter grid")
     _add_common(sweep, with_format=False)
     sweep.add_argument("--index", action="append", help="evaluate only this named index (repeatable)")
-    sweep.add_argument("--quotient", action="store_true", help="evaluate on the quotient chain")
+    sweep.add_argument("--quotient", action="store_true",
+                       help="evaluate on the quotient chain; phi[k], psi[k] and sj[k] then read quotient "
+                            "block k, as numbered in quotient.json")
     sweep.add_argument("--jobs", type=int, default=min(8, os.cpu_count() or 1),
                        help="accepted for compatibility and ignored: points are solved one after another")
     sweep.add_argument("--per-point", action="store_true", help="also write one state CSV per grid point")

@@ -137,14 +137,15 @@ def states_csv(result: SolveResult) -> str:
 
 
 def sweep_csv(param_names: List[str], index_names: List[str], columns: Dict[str, Sequence[float]],
-              header_note: str = "") -> str:
+              header_note: str = "", header: bool = True) -> str:
     """The sweep table, one row per grid point, from one column of values
     per parameter and index: each value's ``repr``, comma-separated (a float
-    repr or an identifier never needs the quotes of a CSV field)."""
+    repr or an identifier never needs the quotes of a CSV field).  Without
+    ``header``, the rows alone: a later block of points of one table."""
     names = param_names + index_names
     rows = map(",".join, zip(*[map(repr, columns[name]) for name in names]))
-    note = ["# %s" % header_note] if header_note else []
-    return "\n".join(itertools.chain(note, [",".join(names)], rows, [""]))
+    head = ((["# %s" % header_note] if header_note else []) + [",".join(names)]) if header else []
+    return "\n".join(itertools.chain(head, rows, [""]))
 
 
 def _dot_escape(text: str) -> str:

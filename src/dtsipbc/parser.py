@@ -754,6 +754,13 @@ def grid_point(grid: Dict[str, Union[float, np.ndarray]], k: int) -> Dict[str, f
     return {name: float(v[k]) if isinstance(v, np.ndarray) else v for name, v in grid.items()}
 
 
+def grid_block(grid: Dict[str, Union[float, np.ndarray]], first: int, stop: int
+               ) -> Dict[str, Union[float, np.ndarray]]:
+    """Points ``first`` to ``stop - 1`` of a ``sweep_grid``, as a grid of
+    their own (views of its columns), for ``ModelFile.leaf_grid``."""
+    return {name: v[first:stop] if isinstance(v, np.ndarray) else v for name, v in grid.items()}
+
+
 def parse_model(text: str) -> ModelFile:
     tokens = tokenize(text, keep_newlines=True)
     model = ModelFile()

@@ -12,12 +12,16 @@ point with the same message.
 import csv
 import dataclasses
 import math
+import os
 import shutil
-import types
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dtsipbc
 import oracles
 from dtsipbc.cli import main
 from dtsipbc import cli, export, markov
@@ -288,9 +292,16 @@ LOOP_OR_LEAVE = ("param l = 1\nparam m = 1e-40\n"
 
 
 class TestBlocks:
-    """The batched route solves the grid a block of points at a time.  With
-    blocks of seven points it writes what one block writes, byte for byte,
-    and fails at the same point with the same message."""
+    """The sweep solves and writes the grid a block of points at a time.
+    With blocks of seven points it writes what one block writes, byte for
+    byte, and fails at the same point with the same message, leaving no
+    file behind."""
+
+    @staticmethod
+    def seven_point_blocks(monkeypatch, model):
+        """Make a sweep of ``model`` solve seven points at a time."""
+        size = len(build_ts(load_model(str(model)).instantiate()).states)
+        monkeypatch.setattr(cli, "_SWEEP_BUDGET", 7 * size * size)
 
     @staticmethod
     def run_sweep(capsys, out, model, argv):
@@ -313,7 +324,7 @@ class TestBlocks:
             model = tmp_path / "model.dtsi"
         out = tmp_path / "out"
         whole = self.run_sweep(capsys, out, model, argv)
-        monkeypatch.setattr(cli, "_SWEEP_BLOCK", 7)
+        self.seven_point_blocks(monkeypatch, model)
         blocks = self.run_sweep(capsys, out, model, argv)
         assert blocks == whole and whole[0] == code
         assert whole[2].startswith("error: ") == bool(code)
@@ -334,24 +345,86 @@ class TestBlocks:
             "error: at {'l': 1.7e+308, 'm': 1e+307}: the immediate weights of state 2 sum past the float range",
         ]
 
-    def test_per_point_matrices(self, monkeypatch):
+    @pytest.mark.parametrize("model, argv, code, message", [
+        ("shared_memory_abstract", ["--param", "rho=0.9:1.05:0.001"], 2,
+         "error: probability must lie strictly in (0;1), got 1.0\n"),
+        (LOOP_OR_LEAVE, ["--param", "l=1e283:1e284:1e282"], 1,
+         "error: analysis error at {'l': 4.1e+283, 'm': 1e-40}: chain has 2 closed communication classes; "
+         "expected one\n"),
+    ], ids=["input-error", "analysis-error"])
+    @pytest.mark.parametrize("route, to_out", [
+        ((), True), (("--per-point",), True), (("--quotient",), True), ((), False), (("--quotient",), False),
+    ], ids=["batched", "per-point", "quotient", "batched-stdout", "quotient-stdout"])
+    def test_late_failure_writes_nothing(self, capsys, tmp_path, monkeypatch, model, argv, code, message, route,
+                                         to_out):
+        # the failing point lies in the 5th (analysis) or the 15th (input)
+        # block of seven, after earlier blocks were solved and staged
+        if model == LOOP_OR_LEAVE:
+            (tmp_path / "model.dtsi").write_text(model)
+            model = tmp_path / "model.dtsi"
+        self.seven_point_blocks(monkeypatch, model)
+        out = tmp_path / "out"
+        out.mkdir()
+        where = ["--out", str(out)] if to_out else []
+        assert main(["sweep", str(model), *argv, *route, *where]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+        assert list(out.iterdir()) == []
+
+    def test_unmade_out_directory_stays_unmade(self, capsys, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert main(["sweep", "shared_memory_abstract", "--param", "rho=0.9:1.05:0.001", "--out", str(out)]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_per_point_matrices(self, capsys, tmp_path, monkeypatch):
         # each point's solution sums its own matrices from its arcs: the
         # bits of the whole grid's stack and of the embedded formula on it,
-        # and of the point's reweighted system
-        monkeypatch.setattr(cli, "_SWEEP_BLOCK", 7)
+        # and of the point's reweighted system; the point files hold the
+        # state tables of these solutions
+        self.seven_point_blocks(monkeypatch, "shared_memory_abstract")
+        results = []
+        write = export.states_csv
+
+        def states_csv(result):
+            results.append(result)
+            return write(result)
+
+        monkeypatch.setattr(export, "states_csv", states_csv)
+        assert main(["sweep", "shared_memory_abstract", "--param", "rho=0.001:0.999:0.033", "--per-point",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
         model = load_model("shared_memory_abstract")
         grid = model.sweep_grid({"rho": (0.001, 0.999, 0.033)})
         base = build_ts(model.instantiate(grid_point(grid, 0)))
-        _, results = cli._sweep_batch(types.SimpleNamespace(per_point=True), base, model, dict(model.indices), grid)
         leaves, _ = model.leaf_grid(grid)
         pm = Chain.from_ts(base, leaves).matrices()
         embedded = markov._embedded(pm, oracles.off_diagonal_sums(pm))
-        assert len(results) == len(pm) == grid_size(grid) > 7 * 4
-        for k, result in enumerate(results):
+        files = sorted((tmp_path / "points").iterdir())
+        assert len(results) == len(files) == len(pm) == grid_size(grid) > 7 * 4
+        for k, (result, path) in enumerate(zip(results, files)):
+            assert path.name == "point_%05d.csv" % (k + 1)
+            assert path.read_text() == write(result)
             assert result.dtmc.tobytes() == pm[k].tobytes()
             assert result.edtmc.tobytes() == embedded[k].tobytes() == oracles.edtmc_tpm(result.chain).tobytes()
             ts = base.reweight(dict(enumerate(leaves[k].tolist(), 1)))
             assert result.dtmc.tobytes() == oracles.pm_matrix(ts).tobytes()
+
+
+def test_memory_does_not_grow_with_the_grid(tmp_path):
+    # two fresh processes, each reporting its own peak resident set size:
+    # only the grid columns grow with the grid, about 40 bytes a point (the
+    # peaks were about 45 MiB apart when the whole grid was held at once)
+    script = ("import resource, sys\nfrom dtsipbc.cli import main\nassert main(sys.argv[1:]) == 0\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    src = str(Path(dtsipbc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    peaks = []
+    for k, grid in enumerate(["rho=0.001:0.999:0.001", "rho=2e-05:0.99999:2e-05"]):
+        done = subprocess.run([sys.executable, "-c", script, "sweep", "shared_memory_abstract", "--param", grid,
+                               "--out", str(tmp_path / str(k))], env=env, capture_output=True, text=True, check=True)
+        peaks.append(int(done.stdout.splitlines()[-1]) / 1024)  # ru_maxrss is in KiB
+    assert len((tmp_path / "1" / "sweep.csv").read_text().splitlines()) == 2 + 49_999
+    assert abs(peaks[1] - peaks[0]) < 8, peaks
 
 
 class TestCompiledModel:
@@ -546,6 +619,18 @@ class TestColumns:
             assert got == oracles.sweep_extrema(swept, names, rows)
             lines += len(got)
         assert lines > 500
+
+    def test_extrema_a_block_at_a_time(self):
+        # the extrema lines of a sweep written in blocks: the same ties,
+        # however the points are cut into blocks
+        rng = np.random.default_rng(7)
+        for swept, names, columns, rows in self.cases():
+            points = len(rows)
+            cuts = sorted(rng.choice(np.arange(1, points), int(rng.integers(0, points)), replace=False).tolist())
+            extrema = cli._Extrema(swept, names)
+            for lo, hi in zip([0] + cuts, cuts + [points]):
+                extrema.add({name: column[lo:hi] for name, column in columns.items()})
+            assert extrema.lines() == oracles.sweep_extrema(swept, names, rows)
 
     def test_two_axis_sweep(self, capsys, tmp_path):
         # rho, the model's first parameter, varies slowest; the columns and

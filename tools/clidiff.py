@@ -16,6 +16,9 @@ same commands on each:
 * ``sweep`` of ``shared_memory_abstract`` on a two-axis grid (``rho`` and
   the immediate weight ``l``), plain and ``--per-point``, and on a ``rho``
   range whose middle point, 1.0, is out of range (an input error);
+* ``sweep`` of ``shared_memory_abstract`` over grids of several blocks of
+  points: 999 points, plain and ``--per-point``, and a ``rho`` range whose
+  point 1.0, out of range, lies in its second block;
 * ``ts``, ``box``, ``solve`` and ``quotient`` on four models that are input
   errors: an unbound parameter, a probability of 1.5, a barred root and a
   root that is not regular.
@@ -44,6 +47,9 @@ OUT = "--out"  # in a command, stands for --out and the run's own directory
 SWEEP = "rho=0.05:0.95:0.05"
 SWEEP_2D = ("--param", "rho=0.1:0.9:0.2", "--param", "l=1:3:1")
 SWEEP_MIDDLE_OUT = "rho=0.2:1.8:0.4"  # 0.2, 0.6, 1.0, 1.4, 1.8
+# grids of more points than one solver block holds (404 for 9 states)
+SWEEP_BLOCKS = "rho=0.001:0.999:0.001"
+SWEEP_LATE_OUT = "rho=0.9:1.05:0.0002"  # 1.0 is point 501
 ERROR_MODELS = {
     "unbound.dtsi": "root = ({a},rho)\n",
     "prob15.dtsi": "root = ({a},1.5)\n",
@@ -85,7 +91,10 @@ def commands(a: Path, models: Path) -> List[List[str]]:
             out.append(["sweep", m, "--param", SWEEP, *flags, OUT])
     out += [["sweep", "shared_memory_abstract", *SWEEP_2D, OUT],
             ["sweep", "shared_memory_abstract", *SWEEP_2D, "--per-point", OUT],
-            ["sweep", "shared_memory_abstract", "--param", SWEEP_MIDDLE_OUT, OUT]]
+            ["sweep", "shared_memory_abstract", "--param", SWEEP_MIDDLE_OUT, OUT],
+            ["sweep", "shared_memory_abstract", "--param", SWEEP_BLOCKS, OUT],
+            ["sweep", "shared_memory_abstract", "--param", SWEEP_BLOCKS, "--per-point", OUT],
+            ["sweep", "shared_memory_abstract", "--param", SWEEP_LATE_OUT, OUT]]
     for name, text in ERROR_MODELS.items():
         path = models / name
         path.write_text(text)
