@@ -144,7 +144,8 @@ def sweep_csv(param_names: List[str], index_names: List[str], columns: Dict[str,
     ``header``, the rows alone: a later block of points of one table."""
     names = param_names + index_names
     rows = map(",".join, zip(*[map(repr, columns[name]) for name in names]))
-    head = ((["# %s" % header_note] if header_note else []) + [",".join(names)]) if header else []
+    note = ["# %s" % header_note] if header_note else []
+    head = note + [",".join(names)] if header else []
     return "\n".join(itertools.chain(head, rows, [""]))
 
 
