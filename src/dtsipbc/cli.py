@@ -16,14 +16,13 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import export
-from .equiv import bisim_equivalent_ts, quotient
+from .equiv import bisim_equivalent_ts, lump, quotient
 from .markov import AnalysisError, Chain, StackResult, evaluate_index_stack, solve_chain, solve_stack
 from .models import bundled_model_names, load_model
 from .netsem import box_of, build_rg, check_safe_clean
@@ -268,22 +267,21 @@ def cmd_checkeq(args) -> int:
     return ANALYSIS_ERROR
 
 
-def _input_error(grid: Dict[str, object], first: int, leaves: np.ndarray, error: Optional[ValueError],
-                 probs: np.ndarray, sources: np.ndarray) -> Tuple[int, Optional[CliError]]:
-    """The number of points, from grid point ``first`` on, before the first
-    that is an input error, and that error: where a step probability in
-    ``probs`` (one row per point, one column per arc, from the states
-    ``sources``) is not finite, because a state's immediate weights sum past
-    the float range, or else ``error``, the value out of range after the
-    ``leaves`` rows."""
-    undefined = ~np.isfinite(probs)
+def _input_error(grid: Dict[str, object], first: int, error: Optional[ValueError], chain: Chain
+                 ) -> Tuple[int, Optional[CliError]]:
+    """The number of points of a block's ``chain``, from grid point
+    ``first`` on, before the first that is an input error, and that error:
+    where a step probability is not finite, because a state's immediate
+    weights sum past the float range, or else ``error``, the value out of
+    range after the chain's last point."""
+    undefined = ~np.isfinite(chain.probs)
     failing = np.flatnonzero(undefined.any(axis=1))
     if failing.size:
         k = int(failing[0])
-        state = int(sources[np.argmax(undefined[k])])
+        state = int(chain.sources[np.argmax(undefined[k])])
         return k, CliError("at %s: the immediate weights of state %d sum past the float range"
                            % (grid_point(grid, first + k), state + 1), INPUT_ERROR)
-    return len(leaves), None if error is None else CliError(str(error), INPUT_ERROR)
+    return len(chain.probs), None if error is None else CliError(str(error), INPUT_ERROR)
 
 
 # the entries of the (points, n, n) stack that a sweep solves at once: a
@@ -297,105 +295,83 @@ def _sweep_blocks(args, base_ts, model: ModelFile, indices, grid):
     first point and the point after its last, the index values there, one
     list per index, and the solutions when ``--per-point`` writes them.
 
-    The arcs are taken once from ``base_ts``; each block reads its leaf
-    values and step probabilities off its slice of the grid.  The batched
-    route solves a block as one stack; with ``--quotient``, each point is
-    reweighted and lumped on its own, as the partition depends on the
-    values.  It fails at the first point, and with the error, where a
-    point-by-point run would: a point's input error comes after any
-    analysis error at an earlier point."""
+    Each block is one chain, ``base_ts`` at the leaf values of its slice of
+    the grid.  The batched route solves it as one stack; with
+    ``--quotient``, each of its points is lumped and solved on its own, as
+    the partition depends on the values.  It fails at the first point, and
+    with the error, where a point-by-point run would: a point's input error
+    comes after any analysis error at an earlier point."""
     size = len(base_ts.states)
     points = max(1, _SWEEP_BUDGET // (size * size))
-    chain = Chain.from_ts(base_ts)
-    readiness = base_ts.readiness()
-    # the chain's arcs are the system's transitions sorted by source
-    order = np.argsort(readiness.source, kind="stable")
     for first in range(0, grid_size(grid), points):
         leaves, error = model.leaf_grid(grid_block(grid, first, first + points))
-        probs = readiness.probabilities(leaves)[:, order]
-        valid, input_error = _input_error(grid, first, leaves, error, probs, chain.sources)
-        rows = leaves[:valid].tolist()
+        chain = Chain.from_ts(base_ts, leaves)
+        valid, input_error = _input_error(grid, first, error, chain)
+        if valid < len(leaves):  # only the points before the input error are solved
+            chain = Chain.from_ts(base_ts, leaves[:valid])
         values: Dict[str, List[float]] = {name: [] for name in indices}
         results = []
         if args.quotient:
-            for k, row in enumerate(rows, first):
-                lumped = quotient(base_ts.reweight(dict(enumerate(row, 1))), quantum=args.tol).chain()
+            for k in range(valid):
+                _, lumped = lump(chain.point(k, chain.keys), quantum=args.tol)
                 solved = solve_stack(lumped)
-                for name, column in _index_columns(indices, lumped, solved, grid, k).items():
+                for name, column in _index_columns(indices, lumped, solved, grid, first + k).items():
                     values[name] += column
                 if args.per_point:
                     results.append(solved.result(0, lumped))
         elif valid:
-            block = replace(chain, probs=probs[:valid])
-            solved = solve_stack(block)
-            values = _index_columns(indices, block, solved, grid, first)
+            solved = solve_stack(chain)
+            values = _index_columns(indices, chain, solved, grid, first)
             if args.per_point:
                 # state keys serialize the values, so each point has its own
-                results = [solved.result(k, block.point(k, base_ts.keys_at(dict(enumerate(row, 1)))))
-                           for k, row in enumerate(rows)]
+                results = [solved.result(k, chain.point(k, base_ts.keys_at(dict(enumerate(row, 1)))))
+                           for k, row in enumerate(leaves[:valid].tolist())]
         if valid:
             yield first, first + valid, values, results
         if input_error is not None:
             raise input_error
 
 
-def _extreme_points(swept: List[str], names: List[str], columns: Dict[str, List[float]]
-                    ) -> Dict[str, Tuple[int, int]]:
-    """The points of the least and the greatest finite value of each index
-    that has one.
-
-    Each is the pick of ``min`` (or ``max``) over the pairs (value, grid
-    tuple) of the finite values, the grid tuple holding the ``swept``
-    columns: a tie in value goes to the least (greatest) grid tuple, and
-    then to the earliest point."""
-    at = [np.array(columns[p]) for p in swept]
-
-    def pick(values: np.ndarray, finite: np.ndarray, largest: bool) -> int:
-        best = values[finite].max() if largest else values[finite].min()
-        tied = finite[values[finite] == best]
-        sign = -1.0 if largest else 1.0
-        # lexsort is stable and sorts by its last key first
-        return int(tied[np.lexsort([sign * column[tied] for column in reversed(at)])[0]])
-
-    picks = {}
-    for name in names:
-        values = np.array(columns[name])
-        finite = np.flatnonzero(np.isfinite(values))
-        if finite.size:
-            picks[name] = pick(values, finite, False), pick(values, finite, True)
-    return picks
-
-
-def _extrema(swept: List[str], names: List[str], columns: Dict[str, List[float]]) -> List[str]:
-    """A line per index with finite values: its least and greatest, and
-    where, as ``_extreme_points`` picks them."""
-
-    def where(k: int) -> str:
-        return ",".join("%s=%s" % (p, columns[p][k]) for p in swept)
-
-    return ["index %s: min %.6g at %s; max %.6g at %s" % (name, columns[name][lo], where(lo), columns[name][hi],
-                                                           where(hi))
-            for name, (lo, hi) in _extreme_points(swept, names, columns).items()]
-
-
 class _Extrema:
-    """The extrema lines of a sweep read a block of points at a time.  Only
-    the points that are some index's least or greatest so far are kept, in
-    grid order, so ``_extrema`` over them and the next block picks what it
-    would over every point up to that block's end: a point dropped is
-    beaten, or tied and later, for every index."""
+    """The extrema lines of a sweep, read a block of points at a time.
+
+    For each index it keeps its least and its greatest finite value so far,
+    each with its grid tuple, the point's ``swept`` columns: a tie in value
+    goes to the least (greatest) grid tuple, and then to the earliest
+    point.  Each block makes one pick over the entry kept, which comes
+    first, and the block's points."""
 
     def __init__(self, swept: List[str], names: List[str]):
         self.swept, self.names = swept, names
-        self.kept: Dict[str, List[float]] = {name: [] for name in swept + names}
+        self.kept: Dict[Tuple[str, bool], List[float]] = {}
 
     def add(self, columns: Dict[str, List[float]]) -> None:
-        merged = {name: kept + columns[name] for name, kept in self.kept.items()}
-        picked = sorted({k for pair in _extreme_points(self.swept, self.names, merged).values() for k in pair})
-        self.kept = {name: [column[k] for k in picked] for name, column in merged.items()}
+        for name in self.names:
+            block = np.array([columns[c] for c in [name, *self.swept]], dtype=float)
+            for largest in (False, True):
+                kept = self.kept.get((name, largest))
+                table = block if kept is None else np.column_stack((kept, block))
+                finite = np.flatnonzero(np.isfinite(table[0]))
+                if finite.size:
+                    sign = -1.0 if largest else 1.0
+                    # lexsort is stable and sorts by its last key first: the value
+                    k = finite[np.lexsort(sign * table[::-1, finite])[0]]
+                    self.kept[name, largest] = table[:, k].tolist()
 
     def lines(self) -> List[str]:
-        return _extrema(self.swept, self.names, self.kept)
+        """A line per index with finite values: its least and greatest, and
+        where."""
+
+        def where(at: List[float]) -> str:
+            return ",".join("%s=%s" % (p, v) for p, v in zip(self.swept, at))
+
+        lines = []
+        for name in self.names:
+            if (name, False) in self.kept:
+                lo, hi = self.kept[name, False], self.kept[name, True]
+                lines.append("index %s: min %.6g at %s; max %.6g at %s" % (name, lo[0], where(lo[1:]), hi[0],
+                                                                          where(hi[1:])))
+        return lines
 
 
 @contextlib.contextmanager

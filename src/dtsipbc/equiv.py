@@ -8,7 +8,9 @@ that floating-point noise does not split blocks.  Signatures key on the
 integer label ids that the transition system interns once
 (``TransitionSystem.label_ids``), never on rebuilt label multisets, and are
 computed for all states at once from the arc arrays of the system's
-``Chain``.
+``Chain``.  ``lump`` collapses a chain's first point by a bisimulation, so
+that a point of a sweep's chain lumps without a system of its own;
+``quotient`` is ``lump`` of a system's chain.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "union_ts",
     "bisim_equivalent",
     "Quotient",
+    "lump",
     "quotient",
 ]
 
@@ -175,42 +178,40 @@ class Quotient:
         return self.partition.size
 
     def chain(self) -> Chain:
-        """The chain over the blocks: block ``k`` has the key listing its
-        members, and its arcs are sorted by label, then target block."""
+        """The chain over the blocks, as ``lump`` builds it."""
         return self._chain
 
 
-def quotient(
-    ts: TransitionSystem,
-    part: Optional[Partition] = None,
-    quantum: float = DEFAULT_QUANTUM,
-    check_tol: float = 1e-9,
-) -> Quotient:
-    """Collapse a transition system by a step stochastic autobisimulation.
+def lump(chain: Chain, part: Optional[Partition] = None, quantum: float = DEFAULT_QUANTUM
+         ) -> Tuple[Partition, Chain]:
+    """Collapse the first point of a chain by a step stochastic
+    autobisimulation: the partition, by default the largest one, and the
+    chain over its blocks, in which block ``k`` has the key listing its
+    members and its arcs are sorted by label, then target block.
 
-    The partition defaults to the largest one.  Block-level probabilities are
-    taken from the least representative and verified against every other
-    member, so a partition that is not an autobisimulation is rejected: at
-    the first block that mixes state kinds or has a member that steps
-    otherwise.
+    Block-level probabilities are taken from the least representative and
+    verified against every other member, within the partition's own
+    coarseness (``quantum``, and at least 1e-9), so a partition that is not
+    an autobisimulation is rejected: at the first block that mixes state
+    kinds or has a member that steps otherwise.
     """
     _check_quantum(quantum)
-    arcs = Chain.from_ts(ts)
     if part is None:
-        part, rows = _refine(arcs, quantum)
+        part, rows = _refine(chain, quantum)
     else:
-        rows = _rows(arcs, np.asarray(part.block_of, dtype=np.intp))
+        rows = _rows(chain, np.asarray(part.block_of, dtype=np.intp))
     source, labels, targets, sums = rows
     block_of = np.asarray(part.block_of, dtype=np.intp)
     reps = np.array([block[0] if block else 0 for block in part.blocks], dtype=np.intp)
     rep = reps[block_of]
-    tangible = np.asarray(arcs.tangible, dtype=bool)
+    tangible = np.asarray(chain.tangible, dtype=bool)
 
     # every row against the row at the same place in its representative's
-    start = np.searchsorted(source, np.arange(arcs.size + 1))
+    start = np.searchsorted(source, np.arange(chain.size + 1))
     length = start[1:] - start[:-1]
     twin = np.minimum(start[rep[source]] + np.arange(len(source)) - start[source], max(len(source) - 1, 0))
-    differs = (labels != labels[twin]) | (targets != targets[twin]) | (np.abs(sums - sums[twin]) > check_tol)
+    tol = max(quantum, 1e-9)
+    differs = (labels != labels[twin]) | (targets != targets[twin]) | (np.abs(sums - sums[twin]) > tol)
     unlike = length != length[rep]
     unlike[source[differs]] = True
     mixed = np.bincount(block_of, minlength=len(reps)) == 0  # an empty block has no kind
@@ -226,11 +227,17 @@ def quotient(
 
     # each block steps as its representative, arcs sorted by label, then
     # target block; the labels are ranked once
-    rank = np.empty(len(arcs.labels), dtype=np.intp)
-    rank[sorted(range(len(arcs.labels)), key=arcs.labels.__getitem__)] = np.arange(len(arcs.labels))
+    rank = np.empty(len(chain.labels), dtype=np.intp)
+    rank[sorted(range(len(chain.labels)), key=chain.labels.__getitem__)] = np.arange(len(chain.labels))
     kept = np.flatnonzero(rep[source] == source)
     kept = kept[np.lexsort((targets[kept], rank[labels[kept]], block_of[source[kept]]))]
     keys = ["{%s}" % ",".join("s%d" % (i + 1) for i in block) for block in part.blocks]
-    chain = Chain(keys, tangible[reps].tolist(), arcs.labels, np.concatenate(([0], np.cumsum(length[reps]))),
-                  labels[kept], targets[kept], sums[kept][None], part.block_of[ts.initial])
+    return part, Chain(keys, tangible[reps].tolist(), chain.labels, np.concatenate(([0], np.cumsum(length[reps]))),
+                       labels[kept], targets[kept], sums[kept][None], part.block_of[chain.initial])
+
+
+def quotient(ts: TransitionSystem, part: Optional[Partition] = None, quantum: float = DEFAULT_QUANTUM) -> Quotient:
+    """Collapse a transition system by a step stochastic autobisimulation,
+    by default the largest one: ``lump`` of its chain."""
+    part, chain = lump(Chain.from_ts(ts), part, quantum)
     return Quotient(part, ts, chain)

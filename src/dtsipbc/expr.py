@@ -272,9 +272,6 @@ class Activity:
             return "(%s,#%r)" % (self.part, self.value)
         return "(%s,%r)" % (self.part, self.value)
 
-    def tagged(self) -> str:
-        return "%s:%s" % (self, numbering_str(self.num))
-
 
 def weight_sum(weights: Iterable[float]) -> float:
     """The exact sum of immediate weights (``math.fsum``), or inf where it

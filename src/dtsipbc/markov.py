@@ -1,4 +1,4 @@
-"""Sojourn statistics, embedded and full chains, stationary and transient solving.
+"""Sojourn statistics, embedded and full chains, stationary solving.
 
 The semi-Markov view of a transition system: tangible states hold for a
 geometrically distributed number of ticks, vanishing states take zero time.
@@ -6,8 +6,8 @@ The embedded chain abstracts self-loops (zero diagonal); the full chain keeps
 transition probabilities verbatim.  Both stationary vectors are computed by a
 direct linear solve on the unique closed communication class, refined with
 compensated residuals (Stewart, *Introduction to the Numerical Solution of
-Markov Chains*, 1994).  Power iteration, an independent check of the
-solver, is in ``tests/oracles.py``.
+Markov Chains*, 1994).  Power iteration and the k-step distributions,
+independent checks of the solver, are in ``tests/oracles.py``.
 
 A chain holds its arcs once, as row-ordered arrays, with probabilities at
 one or many points of a parameter grid; it sums them into one matrix per
@@ -43,7 +43,6 @@ __all__ = [
     "SojournStats",
     "SolveResult",
     "StackResult",
-    "transient",
     "solve_chain",
     "solve_stack",
     "trace_prob",
@@ -419,19 +418,6 @@ def _stationary_on_class(sub: np.ndarray, residual_tol: float) -> Tuple[np.ndarr
     x = np.where(np.abs(best) < 1e-300, 0.0, np.clip(best, 0.0, None))
     x = x / x.sum(axis=-1, keepdims=True)
     return x, _max_residual(x, gen)
-
-
-def transient(tpm: np.ndarray, steps: int, start: Optional[np.ndarray] = None, initial: int = 0) -> np.ndarray:
-    """k-step distribution; the zero-step vector is the point mass at start."""
-    n = tpm.shape[0]
-    x = np.zeros(n)
-    if start is None:
-        x[initial] = 1.0
-    else:
-        x = start.astype(float)
-    for _ in range(steps):
-        x = x @ tpm
-    return x
 
 
 # ---------------------------------------------------------------------------

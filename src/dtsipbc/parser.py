@@ -190,30 +190,30 @@ class ParamSpec:
     value: Optional[float] = None
     sweep: Optional[Tuple[float, float, float]] = None
 
-    def grid(self) -> List[float]:
+    def grid(self) -> np.ndarray:
         """The values of the parameter: its one value, or ``start + k * step``
         for k = 0, 1, ... up to ``stop`` (with a relative slack of 1e-9 of a
-        step), each rounded to 12 decimals.  A range with a step that is not
-        positive, a bound that is not finite or more than
-        ``MAX_GRID_POINTS`` values raises ``ValueError``."""
+        step), each rounded to 12 decimals, filled into the array one at a
+        time.  A range with a step that is not positive, a bound that is not
+        finite or more than ``MAX_GRID_POINTS`` values raises
+        ``ValueError``."""
         if self.sweep is None:
-            return [self.value] if self.value is not None else []
+            return np.array([] if self.value is None else [self.value])
         start, stop, step = self.sweep
         if step <= 0:
             raise ValueError("sweep step must be positive")
         if not all(map(math.isfinite, self.sweep)):
             raise ValueError("sweep range %s:%s:%s is not finite" % self.sweep)
-        out = []
-        k = 0
-        while True:
-            v = start + k * step
-            if v > stop + step * 1e-9:
-                break
-            if k == MAX_GRID_POINTS:
-                raise ValueError("sweep range %s:%s:%s has more than %d points" % (*self.sweep, MAX_GRID_POINTS))
-            out.append(round(v, 12))
-            k += 1
-        return out
+
+        def values():
+            k = 0
+            while start + k * step <= stop + step * 1e-9:
+                if k == MAX_GRID_POINTS:
+                    raise ValueError("sweep range %s:%s:%s has more than %d points" % (*self.sweep, MAX_GRID_POINTS))
+                yield round(start + k * step, 12)
+                k += 1
+
+        return np.fromiter(values(), dtype=float)
 
 
 def _parse_number(tokens: TokenStream) -> float:
@@ -735,7 +735,7 @@ class ModelFile:
         grid of more than ``MAX_GRID_POINTS`` points raises ``ValueError``."""
         scalars = {name: v for name, v in (overrides or {}).items() if not isinstance(v, tuple)}
         grid: Dict[str, Union[float, np.ndarray]] = self.bindings(scalars)
-        axes = [(name, np.array(ParamSpec(sweep=rng).grid())) for name, rng in self.sweep_axes(overrides)]
+        axes = [(name, ParamSpec(sweep=rng).grid()) for name, rng in self.sweep_axes(overrides)]
         sizes = [len(values) for _, values in axes]
         if math.prod(sizes) > MAX_GRID_POINTS:
             raise ValueError("sweep grid has more than %d points" % MAX_GRID_POINTS)

@@ -27,8 +27,9 @@ Each re-derives the slow, plain way what the program computes fast:
   computes on stacks of matrices; by one strided copy of the whole stack,
   the off-diagonal row sums that the solver gathers a block of rows at a
   time; by the supports of both stacks, the support groups that the
-  solver reads off the full stack alone; by damped power iteration, the
-  stationary vectors that the solver finds by a direct solve;
+  solver reads off the full stack alone; by damped power iteration, and
+  by the k-step distributions that tend to them, the stationary vectors
+  that the solver finds by a direct solve;
 * by one product per step in set order, the step probabilities that the
   program compiles into index arrays (``opsem.Readiness``);
 * by Python float arithmetic, one index and one solution at a time, the
@@ -1398,6 +1399,19 @@ def power_iteration(tpm, start: Optional[np.ndarray] = None, tol: float = 1e-12,
     return x
 
 
+def transient(tpm: np.ndarray, steps: int, start: Optional[np.ndarray] = None, initial: int = 0) -> np.ndarray:
+    """k-step distribution; the zero-step vector is the point mass at start."""
+    n = tpm.shape[0]
+    x = np.zeros(n)
+    if start is None:
+        x[initial] = 1.0
+    else:
+        x = start.astype(float)
+    for _ in range(steps):
+        x = x @ tpm
+    return x
+
+
 @dataclass
 class ScalarSolveResult(SolveResult):
     """A ``SolveResult`` that keeps the matrices the scalar loops built
@@ -1538,7 +1552,7 @@ def sweep_points(model: ModelFile, overrides=None) -> List[Dict[str, float]]:
     scalars = {name: v for name, v in (overrides or {}).items() if not isinstance(v, tuple)}
     points = [model.bindings(scalars)]
     for name, rng in model.sweep_axes(overrides):
-        points = [dict(p, **{name: v}) for p in points for v in ParamSpec(sweep=rng).grid()]
+        points = [dict(p, **{name: v}) for p in points for v in ParamSpec(sweep=rng).grid().tolist()]
     return points
 
 

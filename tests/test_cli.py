@@ -576,6 +576,23 @@ ROUNDING_PEER = "(({a},#0.5093149315);({c},0.5)) [] (({b},#0.4906850685);({c},0.
 ROUNDING_BUG = "the verdict buckets float sums by round(p / quantum), which splits at a rounding boundary"
 
 
+# the two {a} steps differ by 2e-4, which a 1e-3 quantum lumps
+COARSE_PAIR = "root = (({x},0.5);({a},0.1002);({y},0.5)) [] (({x},0.5);({a},0.1004);({y},0.5))\n"
+
+
+class TestCoarseTolerance:
+    @pytest.mark.parametrize("argv", [["quotient"], ["solve", "--quotient"]], ids=["quotient", "solve"])
+    def test_refinement_passes_its_own_check(self, capsys, tmp_path, argv):
+        # a block's members are checked at the partition's own coarseness,
+        # so the partition that a coarse --tol refines passes the check
+        model = tmp_path / "pair.dtsi"
+        model.write_text(COARSE_PAIR)
+        code, _, err = run(capsys, argv[0], str(model), *argv[1:], "--out", str(tmp_path), "--tol", "1e-3")
+        assert code == 0, err
+        if argv == ["quotient"]:
+            assert "blocks: 4 (from 6 states)" in err
+
+
 class TestRoundingBoundary:
     def test_coarser_quantum_accepts(self, capsys, tmp_path):
         model = tmp_path / "pair.dtsi"

@@ -174,6 +174,12 @@ class TestArrayRefinement:
                         quotient(ts, part)
                     assert str(got.value) == want
 
+    @pytest.mark.parametrize("quantum", [1e-8, 1e-6, 1e-3])
+    def test_coarse_quanta_pass_their_own_check(self, systems, quantum):
+        # the members of refinement's blocks agree within its own quantum
+        for ts in systems:
+            assert quotient(ts, quantum=quantum).partition.blocks == largest_autobisim(ts, quantum).blocks
+
     @pytest.mark.parametrize("quantum", [1e-320, 1e-308, math.inf, math.nan])
     def test_quantum_outside_the_normal_range_refused(self, quantum):
         ts = ts_of("shared_memory")

@@ -24,6 +24,7 @@ import pytest
 import dtsipbc
 import oracles
 from dtsipbc.cli import main
+from dtsipbc.equiv import quotient
 from dtsipbc import cli, export, markov
 from dtsipbc.markov import AnalysisError, Chain, solve_chain, solve_stack
 from dtsipbc.models import bundled_model_names, load_model, model_text
@@ -409,6 +410,31 @@ class TestBlocks:
             ts = base.reweight(dict(enumerate(leaves[k].tolist(), 1)))
             assert result.dtmc.tobytes() == oracles.pm_matrix(ts).tobytes()
 
+    @pytest.mark.parametrize("route", [("--quotient",), ("--per-point", "--quotient")],
+                             ids=["quotient", "per-point-quotient"])
+    def test_quotient_points_lump_as_their_systems(self, capsys, tmp_path, monkeypatch, route):
+        # each point of a block's chain is lumped as the base system
+        # reweighted to that point is: the same index and state-table bits,
+        # over 19 points in blocks of seven
+        self.seven_point_blocks(monkeypatch, "shared_memory_abstract")
+        assert main(["sweep", "shared_memory_abstract", "--param", "rho=0.05:0.95:0.05", *route,
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "sweep.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        model = load_model("shared_memory_abstract")
+        base = build_ts(model.instantiate())
+        points = oracles.sweep_points(model, {"rho": (0.05, 0.95, 0.05)})
+        assert len(rows) == len(points) == 19
+        for k, (row, point) in enumerate(zip(rows, points), 1):
+            lumped = quotient(base.reweight(model.leaf_values(point))).chain()
+            result = solve_chain(lumped)
+            assert {name: row[name] for name in model.indices} == {
+                name: repr(markov.evaluate_index(expr, result)) for name, expr in model.indices.items()}
+            if "--per-point" in route:
+                assert (tmp_path / "points" / ("point_%05d.csv" % k)).read_text() == export.states_csv(result)
+        assert ("--per-point" in route) == (tmp_path / "points").is_dir()
+
 
 def test_memory_does_not_grow_with_the_grid(tmp_path):
     # two fresh processes, each reporting its own peak resident set size:
@@ -615,7 +641,9 @@ class TestColumns:
     def test_extrema(self):
         lines = 0
         for swept, names, columns, rows in self.cases():
-            got = cli._extrema(swept, names, columns)
+            extrema = cli._Extrema(swept, names)
+            extrema.add(columns)
+            got = extrema.lines()
             assert got == oracles.sweep_extrema(swept, names, rows)
             lines += len(got)
         assert lines > 500

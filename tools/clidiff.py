@@ -17,8 +17,9 @@ same commands on each:
   the immediate weight ``l``), plain and ``--per-point``, and on a ``rho``
   range whose middle point, 1.0, is out of range (an input error);
 * ``sweep`` of ``shared_memory_abstract`` over grids of several blocks of
-  points: 999 points, plain and ``--per-point``, and a ``rho`` range whose
-  point 1.0, out of range, lies in its second block;
+  points: 999 points, plain, ``--per-point``, ``--quotient`` and
+  ``--quotient --tol 1e-8``, and a ``rho`` range whose point 1.0, out of
+  range, lies in its second block;
 * ``ts``, ``box``, ``solve`` and ``quotient`` on four models that are input
   errors: an unbound parameter, a probability of 1.5, a barred root and a
   root that is not regular.
@@ -94,6 +95,8 @@ def commands(a: Path, models: Path) -> List[List[str]]:
             ["sweep", "shared_memory_abstract", "--param", SWEEP_MIDDLE_OUT, OUT],
             ["sweep", "shared_memory_abstract", "--param", SWEEP_BLOCKS, OUT],
             ["sweep", "shared_memory_abstract", "--param", SWEEP_BLOCKS, "--per-point", OUT],
+            ["sweep", "shared_memory_abstract", "--param", SWEEP_BLOCKS, "--quotient", OUT],
+            ["sweep", "shared_memory_abstract", "--param", SWEEP_BLOCKS, "--quotient", "--tol", "1e-8", OUT],
             ["sweep", "shared_memory_abstract", "--param", SWEEP_LATE_OUT, OUT]]
     for name, text in ERROR_MODELS.items():
         path = models / name
