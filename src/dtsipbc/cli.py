@@ -436,13 +436,15 @@ def cmd_sweep(args) -> int:
     steps = {name: rng[2] for name, rng in model.sweep_axes(overrides)}
     swept = sorted(steps)
     names = sorted(indices)
+    for name in names:
+        if name in steps:  # the two would share one column of sweep.csv
+            raise CliError("index %s has the name of a swept parameter" % name, INPUT_ERROR)
     base_ts = build_ts(_instantiate(model, grid_point(grid, 0)), max_states=args.max_states)
 
     note = "sweep over %s; grid steps %s" % (",".join(swept), ",".join(str(steps[n]) for n in swept))
     extrema = _Extrema(swept, names)
     with _staged(args) as (table, points):
         for first, stop, values, results in _sweep_blocks(args, base_ts, model, indices, grid):
-            # an index named as a swept parameter takes its column, as in a row dictionary
             columns: Dict[str, List[float]] = {name: grid[name][first:stop].tolist() for name in swept}
             columns.update(values)
             table.write(export.sweep_csv(swept, names, columns, header_note=note, header=first == 0))

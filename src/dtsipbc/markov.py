@@ -13,11 +13,13 @@ A chain holds its arcs once, as row-ordered arrays, with probabilities at
 one or many points of a parameter grid; it sums them into one matrix per
 point only when asked, and neither it nor a solution keeps one.  The
 solver works on all points at once (``solve_stack``): the communication
-classes, the closed class and the period are computed once per support,
-the linear algebra for all points at once, and every check still runs at
-every point.  ``solve_chain`` is the one-point case, and gives the
-bits that a per-matrix computation gives: each row is reduced, and each
-system solved, exactly as it would be on its own.
+classes and the closed class are computed once per support group and
+shared by both routes, each of which keeps its own period (the embedded
+chain's successors are the full chain's without self-loops); the linear
+algebra runs for all points at once, and every check still runs at every
+point.  ``solve_chain`` is the one-point case, and gives the bits that a
+per-matrix computation gives: each row is reduced, and each system solved,
+exactly as it would be on its own.
 
 Performance indices are evaluated the same way: one walk of the index tree
 over a stack of solutions (``evaluate_index_stack``), of which
@@ -266,6 +268,7 @@ def _classes(adjacency: List[List[int]]) -> Tuple[List[List[int]], List[List[int
 
 
 def _class_period(adjacency: List[List[int]], comp: List[int]) -> int:
+    """The gcd of a class's level differences in a breadth-first walk."""
     members = set(comp)
     root = comp[0]
     level = {root: 0}
@@ -280,33 +283,19 @@ def _class_period(adjacency: List[List[int]], comp: List[int]) -> int:
                 level[w] = level[v] + 1
                 queue.append(w)
             g = math.gcd(g, level[v] + 1 - level[w])
+            if g == 1:  # a gcd never rises again
+                return 1
     return abs(g) if g else 1
 
 
-def _stationary_stack(
-    tpm: np.ndarray, residual_tol: float
-) -> Tuple[np.ndarray, List[int], bool, List[Optional[AnalysisError]]]:
-    """The stationary row vectors (zero at transient states) of a stack of
-    matrices that share one support, their closed class, whether it is
-    periodic, and each point's ``AnalysisError`` (None where it solves).
-    The closed class's matrices in ``tpm`` are overwritten with their
-    generators."""
+def _stationary_stack(tpm: np.ndarray, comp: List[int]) -> Tuple[np.ndarray, List[Optional[AnalysisError]]]:
+    """One route's stationary row vectors (zero at transient states) on the
+    closed class ``comp`` of a stack of matrices that share one support, and
+    each point's ``AnalysisError`` (None where it solves); the class's
+    matrices in ``tpm`` are overwritten with their generators."""
     points, n = tpm.shape[:2]
     pmf = np.zeros((points, n))
-    adjacency = _adjacency(tpm[0])
-    _, closed = _classes(adjacency)
-    if len(closed) != 1:
-        error = AnalysisError(
-            "chain has %d closed communication classes; expected one" % len(closed),
-            closed_classes=closed,
-        )
-        return pmf, [], False, [error] * points
-    comp = closed[0]
     errors: List[Optional[AnalysisError]] = [None] * points
-    if len(comp) == 1 and not adjacency[comp[0]]:
-        # absorbing row of an embedded chain
-        pmf[:, comp[0]] = 1.0
-        return pmf, comp, False, errors
     # a closed class of consecutive states is a slice: its matrices are a
     # view, which _stationary_on_class turns into generators in place
     span = slice(comp[0], comp[-1] + 1)
@@ -318,27 +307,25 @@ def _stationary_stack(
     for p in np.flatnonzero(~stochastic):
         errors[p] = AnalysisError("closed class is not stochastic (row sums %s)" % row_sums[p])
     solved = np.flatnonzero(stochastic)
-    if len(comp) == 1:
-        # one state with its self-loop: the LU solve gives exactly 1.0, with
-        # residual 0 and period 1
+    if len(comp) == 1:  # one state with its self-loop: the LU solve gives exactly 1.0, residual 0
         pmf[solved, comp[0]] = 1.0
-        return pmf, comp, False, errors
+        return pmf, errors
     try:
-        parts = [(solved, *_stationary_on_class(sub if solved.size == points else sub[solved], residual_tol))]
+        parts = [(solved, *_stationary_on_class(sub if solved.size == points else sub[solved]))]
     except np.linalg.LinAlgError:
         # one singular system fails the whole stack: solve each point alone
         parts = []
         for p in solved.tolist():
             try:
-                parts.append(([p], *_stationary_on_class(sub[[p]], residual_tol)))
+                parts.append(([p], *_stationary_on_class(sub[[p]])))
             except np.linalg.LinAlgError:
                 errors[p] = AnalysisError("stationary solve failed: singular matrix")
     for group, x, residual in parts:
         for p, r in zip(group, residual.tolist()):
-            if r > residual_tol:
-                errors[p] = AnalysisError("stationary solve residual %.2e exceeds %.2e" % (r, residual_tol))
+            if r > _RESIDUAL_TOL:
+                errors[p] = AnalysisError("stationary solve residual %.2e exceeds %.2e" % (r, _RESIDUAL_TOL))
         pmf[(group, span) if consecutive else np.ix_(group, comp)] = x
-    return pmf, comp, _class_period(adjacency, comp) > 1, errors
+    return pmf, errors
 
 
 def _compensated_residual(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -373,7 +360,7 @@ def _lu_input(gen: np.ndarray, last: np.ndarray):
         a[:, -1, :] = last
 
 
-def _stationary_on_class(sub: np.ndarray, residual_tol: float) -> Tuple[np.ndarray, np.ndarray]:
+def _stationary_on_class(sub: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """LU solve of x(P - I) = 0, x summing to one, on one closed class, for
     a stack of matrices.
 
@@ -408,7 +395,7 @@ def _stationary_on_class(sub: np.ndarray, residual_tol: float) -> Tuple[np.ndarr
         better = res < best_res[live] if round_ else np.ones(live.size, dtype=bool)
         best[live[better]] = x[better]
         best_res[live[better]] = res[better]
-        going = ~(res <= residual_tol * 0.01)
+        going = ~(res <= _RESIDUAL_TOL * 0.01)
         live, x = live[going], x[going]
         if round_ == 4 or not live.size:
             break
@@ -425,9 +412,10 @@ def _stationary_on_class(sub: np.ndarray, residual_tol: float) -> Tuple[np.ndarr
 # ---------------------------------------------------------------------------
 
 
-# the largest disagreement between the two steady-state routes that is
-# taken for rounding rather than a solver bug
-_CROSS_CHECK_TOL = 1e-10
+# the largest residual max |x (P - I)| of a stationary vector (refinement
+# aims at a hundredth of it), and the largest disagreement between the two
+# steady-state routes, that are taken for rounding rather than a solver bug
+_RESIDUAL_TOL = _CROSS_CHECK_TOL = 1e-10
 
 
 @dataclass
@@ -500,21 +488,21 @@ class StackResult:
                            self.edtmc_periodic[p], self.dtmc_periodic[p])
 
 
-def solve_chain(chain: Chain, cross_check_tol: float = _CROSS_CHECK_TOL) -> SolveResult:
+def solve_chain(chain: Chain) -> SolveResult:
     """Stationary analysis by both routes, cross-checked.
 
     Route A weighs the embedded stationary vector by average sojourn times;
     route B restricts the full-chain stationary vector to tangible states.
-    Their disagreement beyond ``cross_check_tol`` means a solver bug, so it
+    Their disagreement beyond ``_CROSS_CHECK_TOL`` means a solver bug, so it
     raises instead of returning silently wrong numbers.
     """
-    return _solve_stack(chain, slice(0, 1), cross_check_tol).result(0, chain)
+    return _solve_stack(chain, slice(0, 1)).result(0, chain)
 
 
 def solve_stack(chain: Chain) -> StackResult:
     """``solve_chain`` at every point of a chain, without raising: a point
     fails, with the same error, exactly where ``solve_chain`` would."""
-    return _solve_stack(chain, slice(None), _CROSS_CHECK_TOL)
+    return _solve_stack(chain, slice(None))
 
 
 def _support_groups(pm: np.ndarray) -> List[np.ndarray]:
@@ -538,7 +526,7 @@ def _support_groups(pm: np.ndarray) -> List[np.ndarray]:
     return [np.array(group, dtype=np.intp) for group in groups.values()]
 
 
-def _solve_stack(chain: Chain, at: slice, cross_check_tol: float) -> StackResult:
+def _solve_stack(chain: Chain, at: slice) -> StackResult:
     """Both routes at the points ``at`` of ``chain``, on one stack: the
     full route solves on the one-step matrices, which then become the
     embedded ones in place for the embedded route (``_solve_group``).  No
@@ -553,8 +541,7 @@ def _solve_stack(chain: Chain, at: slice, cross_check_tol: float) -> StackResult
     for group in groups:
         take = group if len(groups) > 1 else slice(None)  # one group: the stack itself, no copy
         psi, psi_star, phi, comp, emb_periodic, full_periodic, errors = _solve_group(
-            pm[take], leave[take], stats.average[take], tangible, cross_check_tol
-        )
+            pm[take], leave[take], stats.average[take], tangible)
         out.psi[take], out.psi_star[take], out.phi[take] = psi, psi_star, phi
         for k, p in enumerate(group.tolist()):
             out.closed_class[p] = comp
@@ -564,41 +551,53 @@ def _solve_stack(chain: Chain, at: slice, cross_check_tol: float) -> StackResult
     return out
 
 
-def _solve_group(pm: np.ndarray, leave: np.ndarray, average: np.ndarray, tangible: Sequence[bool],
-                 cross_check_tol: float):
+def _solve_group(pm: np.ndarray, leave: np.ndarray, average: np.ndarray, tangible: Sequence[bool]):
     """Both routes on points that share one support, on the one stack
-    ``pm``, which is overwritten.  The full route solves first: it writes
-    only the diagonal of the closed class's block (and restores the column
-    it lends to the LU), which ``_embedded`` zeroes; ``leave`` was read
-    before either route ran."""
+    ``pm``, which is overwritten.  Their communication structure is read
+    once, from the full chain: the embedded one has the same arcs less the
+    self-loops, so the same classes, and each route's period comes from its
+    own successor lists.  The full route solves first: it writes only the
+    diagonal of the closed class's block (and restores the column it lends
+    to the LU), which ``_embedded`` zeroes; ``leave`` was read before either
+    route ran."""
     points, n = pm.shape[:2]
-    psi, full_comp, full_periodic, full_errors = _stationary_stack(pm, 1e-10)
-    psi_star, comp, emb_periodic, emb_errors = _stationary_stack(_embedded(pm, leave, out=pm), 1e-10)
+    adjacency = _adjacency(pm[0])
+    _, closed = _classes(adjacency)
+    if len(closed) != 1:
+        error = AnalysisError("chain has %d closed communication classes; expected one" % len(closed),
+                              closed_classes=closed)
+        return np.zeros((points, n)), np.zeros((points, n)), np.zeros((points, n)), [], False, False, [error] * points
+    comp = closed[0]
+    if len(comp) > 1:
+        psi, full_errors = _stationary_stack(pm, comp)
+        psi_star, emb_errors = _stationary_stack(_embedded(pm, leave, out=pm), comp)
+        full_periodic = _class_period(adjacency, comp) > 1
+        emb_periodic = _class_period([[w for w in succ if w != v] for v, succ in enumerate(adjacency)], comp) > 1
+    else:  # one absorbing state: no arc out of it in the embedded chain, at most its self-loop in the full one
+        psi_star = np.repeat(np.eye(1, n, comp[0]), points, axis=0)
+        psi, full_errors = _stationary_stack(pm, comp) if adjacency[comp[0]] else (psi_star.copy(), [None] * points)
+        emb_errors, emb_periodic, full_periodic = [None] * points, False, False
     errors = [e or f for e, f in zip(emb_errors, full_errors)]
 
     def fail(where: np.ndarray, message: str) -> None:
         for p in np.flatnonzero(where):
             errors[p] = errors[p] or AnalysisError(message)
 
-    if full_comp != comp:
-        fail(np.ones(points, dtype=bool), "embedded and full chains disagree on the closed class")
-
     phi = np.zeros((points, n))
-    if comp:
-        infinite = np.isinf(average)
-        absorbed = infinite[:, comp].any(axis=-1)
-        if absorbed.any():
-            # the closed class is one absorbing tangible state
-            if len(comp) > 1:
-                fail(absorbed, "infinite sojourn inside a non-trivial closed class")
-            elif not tangible[comp[0]]:
-                fail(absorbed, "absorbing vanishing state: time cannot progress")
-            phi[absorbed, comp[0]] = 1.0
-        weighted = psi_star * np.where(infinite, 0.0, average)
-        total = weighted.sum(axis=-1)
-        fail(~absorbed & (total <= 0), "no tangible state carries stationary probability")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi = np.where(absorbed[:, None], phi, weighted / total[:, None])
+    infinite = np.isinf(average)
+    absorbed = infinite[:, comp].any(axis=-1)
+    if absorbed.any():
+        # the closed class is one absorbing tangible state
+        if len(comp) > 1:
+            fail(absorbed, "infinite sojourn inside a non-trivial closed class")
+        elif not tangible[comp[0]]:
+            fail(absorbed, "absorbing vanishing state: time cannot progress")
+        phi[absorbed, comp[0]] = 1.0
+    weighted = psi_star * np.where(infinite, 0.0, average)
+    total = weighted.sum(axis=-1)
+    fail(~absorbed & (total <= 0), "no tangible state carries stationary probability")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.where(absorbed[:, None], phi, weighted / total[:, None])
 
     tangible_mass = np.zeros(points)
     for i in range(n):
@@ -607,7 +606,7 @@ def _solve_group(pm: np.ndarray, leave: np.ndarray, average: np.ndarray, tangibl
     with np.errstate(divide="ignore", invalid="ignore"):
         phi_b = np.where(np.asarray(tangible, dtype=bool), psi / tangible_mass[:, None], 0.0)
     gap = np.max(np.abs(phi - phi_b), axis=-1)
-    for p in np.flatnonzero(gap > cross_check_tol):
+    for p in np.flatnonzero(gap > _CROSS_CHECK_TOL):
         errors[p] = errors[p] or AnalysisError("steady-state routes disagree by %.2e" % gap[p])
     return psi, psi_star, phi, comp, emb_periodic, full_periodic, errors
 

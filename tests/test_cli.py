@@ -470,6 +470,16 @@ class TestInputValidation:
         code, _, err = run(capsys, command, str(path), "--param", "rho=0.1:0.9:0.1")
         assert (code, err) == (2, "error: --param rho is a range; ranges belong to sweep\n")
 
+    def test_sweep_index_named_like_a_swept_parameter(self, capsys, tmp_path):
+        # its column in sweep.csv would overwrite the parameter's
+        path = tmp_path / "clash.dtsi"
+        path.write_text(model_text("shared_memory_abstract") + "\nindex rho = phi[1]\n")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "sweep", str(path), "--param", "rho=0.1:0.5:0.2", "--index", "rho",
+                           "--index", "availability", "--out", str(out))
+        assert (code, err) == (2, "error: index rho has the name of a swept parameter\n")
+        assert not out.exists()
+
     def test_per_point_needs_out(self, capsys):
         self.assert_refused(capsys, "sweep", "shared_memory_abstract", "--param", "rho=0.3:0.5:0.1", "--per-point")
 

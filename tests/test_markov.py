@@ -10,7 +10,7 @@ import oracles
 from dtsipbc import markov
 from dtsipbc.equiv import quotient
 from dtsipbc.expr import Action, Multiset
-from dtsipbc.markov import AnalysisError, Chain, _compensated_residual, evaluate_index, solve_chain, trace_prob
+from dtsipbc.markov import AnalysisError, Chain, _compensated_residual, evaluate_index, solve_chain, solve_stack, trace_prob
 from dtsipbc.models import bundled_model_names, load_model, model_text
 from dtsipbc.netsem import box_of, build_rg
 from dtsipbc.opsem import TransitionSystem, build_ts, step_label
@@ -209,6 +209,29 @@ class TestStationaryRelationships:
         strip = lambda comps: sorted(map(tuple, comps))
         assert strip(full_comps) == strip(emb_comps)
         assert strip(full_closed) == strip(emb_closed)
+
+    def test_one_structure_pass_serves_both_routes(self):
+        # the solver reads the classes from the full chain once and derives
+        # the embedded successor lists from it; each route's own reference,
+        # on its own matrix, must agree (solve_stack's point is solve_chain's
+        # result, and it also reports the chains that have no steady state)
+        chains = [chain_of(name) for name in bundled_model_names()]
+        chains += [Chain.from_ts(build_rg(box_of(parse_model(shm_text(3, abstract)).instantiate())))
+                   for abstract in (True, False)]
+        rng = make_rng(2417)
+        chains += [Chain.from_ts(build_ts(parse_static(random_regular_text(rng)), max_states=20_000))
+                   for _ in range(200)]
+        for chain in chains:
+            solved = solve_stack(chain)
+            for tpm, periodic in ((chain.matrices()[0], solved.dtmc_periodic[0]),
+                                  (oracles.edtmc_tpm(chain), solved.edtmc_periodic[0])):
+                closed = oracles.closed_classes(tpm)
+                if len(closed) != 1:
+                    assert solved.closed_class[0] == [] and not periodic
+                    assert solved.errors[0].closed_classes == closed
+                    continue
+                assert solved.closed_class[0] == closed[0]
+                assert periodic == (oracles.class_period(tpm, closed[0]) > 1)
 
     @pytest.mark.parametrize("name", ABSORBING_MODELS)
     def test_absorbing_models_solve_to_point_mass(self, name):
@@ -414,9 +437,10 @@ class TestMatricesOnDemand:
             gen[:, np.arange(k), np.arange(k)] = -oracles.off_diagonal_sums(sub)
             if singular:
                 with pytest.raises(np.linalg.LinAlgError):
-                    markov._stationary_on_class(sub, 1e-10)
+                    markov._stationary_on_class(sub)
             else:
-                markov._stationary_on_class(sub, 1e-30)
+                monkeypatch.setattr(markov, "_RESIDUAL_TOL", 1e-30)
+                markov._stationary_on_class(sub)
             assert sub.tobytes() == gen.tobytes(), k
 
     def test_solve_chain_holds_no_dense_stack(self):

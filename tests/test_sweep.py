@@ -238,16 +238,17 @@ class TestStack:
                     periods.add(period)
         assert periods == {1, 2, 3, 4}
 
-    def test_refinement_rounds_match_the_scalar_loop(self):
+    def test_refinement_rounds_match_the_scalar_loop(self, monkeypatch):
         # realistic chains converge in the first round; residual targets
         # near or below the rounding level make points refine for several
         # rounds and leave the loop at different rounds
         rng = np.random.default_rng(7)
         for tol in (1e-30, 1e-17, 3e-16, 1e-15):
+            monkeypatch.setattr(markov, "_RESIDUAL_TOL", tol)
             for k in (1, 3, 9, 40):
                 subs = rng.random((12, k, k)) * 10.0 ** rng.integers(-6, 1, (12, k, k))
                 subs /= subs.sum(axis=-1, keepdims=True)
-                x, residual = markov._stationary_on_class(subs, tol)
+                x, residual = markov._stationary_on_class(subs)
                 for p in range(12):
                     want_x, want_residual = oracles.stationary_on_class(subs[p], tol)
                     assert x[p].tobytes() == want_x.tobytes() and residual[p] == want_residual

@@ -56,20 +56,48 @@ def _metrics(path: Path) -> dict:
     return out
 
 
+def verdict(xs: list, ys: list, bound: float, better: str) -> str:
+    """The verdict on one metric of one workload, from A's runs ``xs`` and
+    B's runs ``ys`` paired in order.  ``bound`` is BENCHMARK.json's, read as
+    a fraction of A's median (0.25: a quarter of it):
+
+    - ``gain``: B wins at least 9 of 10 pairs (ties count for neither) and
+      the medians differ by more than A's interquartile range;
+    - ``regression``: B's median is worse than A's by more than the bound;
+    - ``unresolved``: A's interquartile range is wider than the bound, unless
+      every B run reads better than every A run;
+    - ``same`` otherwise."""
+    sign = 1.0 if better == "lower" else -1.0
+    a, b = [sign * x for x in xs], [sign * y for y in ys]  # lower is better from here on
+    low, _, high = statistics.quantiles(a, n=4) if len(a) > 1 else a * 3
+    gap = statistics.median(a) - statistics.median(b)  # positive where B is better
+    limit = bound * abs(statistics.median(a))
+    if 10 * sum(y < x for x, y in zip(a, b)) >= 9 * len(a) and gap > high - low:
+        return "gain"
+    if -gap > limit:
+        return "regression"
+    if high - low > limit and not max(b) < min(a):
+        return "unresolved"
+    return "same"
+
+
 def compare(a_path: Path, b_path: Path) -> None:
     a, b = _metrics(a_path), _metrics(b_path)
-    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
-    print("%-9s %-12s %10s %10s %21s %8s" % ("workload", "metric", "A median", "B median", "A quartiles", "B lower"))
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    print("%-9s %-12s %10s %10s %21s %8s  %s"
+          % ("workload", "metric", "A median", "B median", "A quartiles", "B better", "verdict"))
     for workload in WORKLOADS:
         pairs = [(x, y) for key in sorted(set(a) & set(b)) if key[0] == workload for x, y in zip(a[key], b[key])]
         if not pairs:
             continue
-        for name in names:
+        for metric in metrics:
+            name = metric["name"]
             xs, ys = [x[name] for x, _ in pairs], [y[name] for _, y in pairs]
             low, _, high = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
-            print("%-9s %-12s %10.4f %10.4f %10.4f %10.4f %4d/%-3d"
-                  % (workload, name, statistics.median(xs), statistics.median(ys), low, high,
-                     sum(y < x for x, y in zip(xs, ys)), len(pairs)))
+            wins = sum(y < x if metric["better"] == "lower" else y > x for x, y in zip(xs, ys))
+            print("%-9s %-12s %10.4f %10.4f %10.4f %10.4f %4d/%-3d  %s"
+                  % (workload, name, statistics.median(xs), statistics.median(ys), low, high, wins, len(pairs),
+                     verdict(xs, ys, metric["bound"], metric["better"])))
 
 
 def main(argv=None) -> int:
