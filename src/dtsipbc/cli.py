@@ -16,6 +16,7 @@ import os
 import shutil
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -290,43 +291,55 @@ def _input_error(grid: Dict[str, object], first: int, error: Optional[ValueError
 _SWEEP_BUDGET = 1 << 15
 
 
+def _runs(chain: Chain, quantum: Optional[float]):
+    """The runs of consecutive points of a block's chain that are solved as
+    one stack, each with its first point: without a ``quantum``, the chain
+    itself; with one (``--quotient``), each run of points that lump by one
+    partition, as the chain over its blocks at those points.  Equal
+    partitions of one chain's points give lumped chains that differ only in
+    their probabilities."""
+    if quantum is None:
+        yield 0, chain
+        return
+    start = 0
+    points = (lump(chain.point(k, chain.keys), quantum=quantum) for k in range(len(chain.probs)))
+    for _, run in itertools.groupby(points, key=lambda lumped: lumped[0].block_of):
+        chains = [lumped for _, lumped in run]
+        yield start, replace(chains[0], probs=np.concatenate([c.probs for c in chains]))
+        start += len(chains)
+
+
 def _sweep_blocks(args, base_ts, model: ModelFile, indices, grid):
     """The grid solved a block of points at a time: for each block, its
     first point and the point after its last, the index values there, one
     list per index, and the solutions when ``--per-point`` writes them.
 
     Each block is one chain, ``base_ts`` at the leaf values of its slice of
-    the grid.  The batched route solves it as one stack; with
-    ``--quotient``, each of its points is lumped and solved on its own, as
-    the partition depends on the values.  It fails at the first point, and
-    with the error, where a point-by-point run would: a point's input error
-    comes after any analysis error at an earlier point."""
+    the grid, and each of its runs (``_runs``) is solved as one stack: the
+    whole block, or with ``--quotient`` each run of points whose quotients
+    share a partition, as the partition depends on the values.  It fails at
+    the first point, and with the error, where a point-by-point run would:
+    a point's input error comes after any analysis error at an earlier
+    point."""
     size = len(base_ts.states)
     points = max(1, _SWEEP_BUDGET // (size * size))
     for first in range(0, grid_size(grid), points):
         leaves, error = model.leaf_grid(grid_block(grid, first, first + points))
         chain = Chain.from_ts(base_ts, leaves)
         valid, input_error = _input_error(grid, first, error, chain)
-        if valid < len(leaves):  # only the points before the input error are solved
-            chain = Chain.from_ts(base_ts, leaves[:valid])
-        values: Dict[str, List[float]] = {name: [] for name in indices}
-        results = []
-        if args.quotient:
-            for k in range(valid):
-                _, lumped = lump(chain.point(k, chain.keys), quantum=args.tol)
-                solved = solve_stack(lumped)
-                for name, column in _index_columns(indices, lumped, solved, grid, first + k).items():
+        if valid:
+            chain = replace(chain, probs=chain.probs[:valid])  # only the points before the input error are solved
+            values: Dict[str, List[float]] = {name: [] for name in indices}
+            results = []
+            for start, run in _runs(chain, args.tol if args.quotient else None):
+                solved = solve_stack(run)
+                for name, column in _index_columns(indices, run, solved, grid, first + start).items():
                     values[name] += column
                 if args.per_point:
-                    results.append(solved.result(0, lumped))
-        elif valid:
-            solved = solve_stack(chain)
-            values = _index_columns(indices, chain, solved, grid, first)
-            if args.per_point:
-                # state keys serialize the values, so each point has its own
-                results = [solved.result(k, chain.point(k, base_ts.keys_at(dict(enumerate(row, 1)))))
-                           for k, row in enumerate(leaves[:valid].tolist())]
-        if valid:
+                    # a system's state keys serialize the values, so each point has its own
+                    rows = leaves[start:start + len(run.probs)].tolist()
+                    keys = [run.keys if args.quotient else base_ts.keys_at(dict(enumerate(row, 1))) for row in rows]
+                    results += [solved.result(k, run.point(k, point_keys)) for k, point_keys in enumerate(keys)]
             yield first, first + valid, values, results
         if input_error is not None:
             raise input_error

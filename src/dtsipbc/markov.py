@@ -47,7 +47,6 @@ __all__ = [
     "StackResult",
     "solve_chain",
     "solve_stack",
-    "trace_prob",
     "evaluate_index",
     "evaluate_index_stack",
 ]
@@ -612,23 +611,8 @@ def _solve_group(pm: np.ndarray, leave: np.ndarray, average: np.ndarray, tangibl
 
 
 # ---------------------------------------------------------------------------
-# Step traces and performance indices
+# Performance indices
 # ---------------------------------------------------------------------------
-
-
-def trace_prob(chain: Chain, start: int, labels: Sequence[Multiset]) -> float:
-    """Probability to execute a sequence of step labels from a state, summed
-    over all matching step paths."""
-    if not labels:
-        return 1.0
-    head, rest = labels[0], labels[1:]
-    arcs = slice(chain.indptr[start], chain.indptr[start + 1])
-    total = 0.0
-    for k, prob, target in zip(chain.label_ids[arcs].tolist(), chain.probs[0, arcs].tolist(),
-                                chain.targets[arcs].tolist()):
-        if chain.labels[k] == head:
-            total += prob * trace_prob(chain, target, rest)
-    return total
 
 
 def evaluate_index(expr, result: SolveResult) -> float:

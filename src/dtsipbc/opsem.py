@@ -186,7 +186,7 @@ class TransitionSystem:
     transitions: List[Transition]
     initial: int = 0
     expr: Optional[StaticExpr] = None
-    _out: Optional[List[List[Transition]]] = field(default=None, repr=False)
+    _out: Optional[List[List[Transition]]] = field(default=None, repr=False, compare=False)
     _labels: Optional[Tuple[List[Multiset], List[List[int]]]] = field(default=None, repr=False, compare=False)
     _readiness: Optional["Readiness"] = field(default=None, repr=False, compare=False)
 

@@ -29,7 +29,8 @@ Each re-derives the slow, plain way what the program computes fast:
   time; by the supports of both stacks, the support groups that the
   solver reads off the full stack alone; by damped power iteration, and
   by the k-step distributions that tend to them, the stationary vectors
-  that the solver finds by a direct solve;
+  that the solver finds by a direct solve; by summing step paths, the
+  step-trace probabilities that a quotient preserves;
 * by one product per step in set order, the step probabilities that the
   program compiles into index arrays (``opsem.Readiness``);
 * by Python float arithmetic, one index and one solution at a time, the
@@ -48,7 +49,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -1410,6 +1411,21 @@ def transient(tpm: np.ndarray, steps: int, start: Optional[np.ndarray] = None, i
     for _ in range(steps):
         x = x @ tpm
     return x
+
+
+def trace_prob(chain: Chain, start: int, labels: Sequence[Multiset]) -> float:
+    """Probability to execute a sequence of step labels from a state, summed
+    over all matching step paths, at the chain's first point."""
+    if not labels:
+        return 1.0
+    head, rest = labels[0], labels[1:]
+    arcs = slice(chain.indptr[start], chain.indptr[start + 1])
+    total = 0.0
+    for k, prob, target in zip(chain.label_ids[arcs].tolist(), chain.probs[0, arcs].tolist(),
+                                chain.targets[arcs].tolist()):
+        if chain.labels[k] == head:
+            total += prob * trace_prob(chain, target, rest)
+    return total
 
 
 @dataclass

@@ -11,13 +11,14 @@ import pytest
 
 from dtsipbc.equiv import bisim_equivalent, largest_autobisim, quotient
 from dtsipbc.expr import Action, Activity, Multiset
-from dtsipbc.markov import Chain, evaluate_index, solve_chain, trace_prob
+from dtsipbc.markov import Chain, evaluate_index, solve_chain
 from dtsipbc.models import bundled_model_names, load_model
 from dtsipbc.netsem import box_of, build_rg, check_safe_clean
 from dtsipbc.opsem import build_ts, ts_isomorphic
 from dtsipbc.parser import parse_static
 
 import oracles
+from oracles import trace_prob
 from conftest import (RELABELING_TERMS, fast_ts, make_rng, move_prob, random_regular_text, shared_memory_order,
                       step_prob)
 from test_equiv import _perturb_value, _rename_leaf_action, abstract_block_order

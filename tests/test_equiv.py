@@ -15,13 +15,14 @@ from dtsipbc.equiv import (
     union_ts,
 )
 from dtsipbc.expr import Act, Action, Activity, Multiset, activities_of
-from dtsipbc.markov import Chain, solve_chain, trace_prob
+from dtsipbc.markov import Chain, solve_chain
 from dtsipbc.models import load_model
 from dtsipbc.netsem import box_of, build_rg
 from dtsipbc.opsem import _remap_leaves, build_ts, ts_isomorphic
 from dtsipbc.parser import parse_model, parse_static
 
 import oracles
+from oracles import trace_prob
 from conftest import (bundled_roots, fast_ts, instantiate, make_rng, random_regular_text, shared_memory_order,
                       shm_text, ts_of)
 

@@ -10,12 +10,13 @@ import oracles
 from dtsipbc import markov
 from dtsipbc.equiv import quotient
 from dtsipbc.expr import Action, Multiset
-from dtsipbc.markov import AnalysisError, Chain, _compensated_residual, evaluate_index, solve_chain, solve_stack, trace_prob
+from dtsipbc.markov import AnalysisError, Chain, _compensated_residual, evaluate_index, solve_chain, solve_stack
 from dtsipbc.models import bundled_model_names, load_model, model_text
 from dtsipbc.netsem import box_of, build_rg
 from dtsipbc.opsem import TransitionSystem, build_ts, step_label
 from dtsipbc.parser import parse_model, parse_static
 
+from oracles import trace_prob
 from conftest import (
     INDEX_FORMS,
     bundled_roots,

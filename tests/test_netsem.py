@@ -1,10 +1,12 @@
 """Net construction, the step firing rule, reachability, structural checks."""
 
+import numpy as np
 import pytest
 
 import oracles
 from dtsipbc import netsem
 from dtsipbc.expr import Action, Activity, Multiset
+from dtsipbc.markov import Chain
 from dtsipbc.netsem import (
     DtsiBox,
     NetTransition,
@@ -249,6 +251,47 @@ class TestAgainstReference:
         for explore in (build_rg, oracles.build_rg, check_safe_clean, oracles.check_safe_clean):
             with pytest.raises(StateSpaceLimit):
                 explore(box, max_states=20)
+
+
+# ---------------------------------------------------------------------------
+# The reachability graph numbers its states as the transition system does
+# ---------------------------------------------------------------------------
+
+
+def assert_same_chain(expr):
+    """The chains of ``build_ts`` and of the box's reachability graph have
+    the same rows, labels, targets, kinds and probability bits (only the
+    state keys differ), at the model's values and at three rows of leaf
+    values, with the immediate weights scaled past one."""
+    ts = build_ts(expr, max_states=20_000)
+    rg = build_rg(box_of(expr), max_states=20_000)
+    width = max((leaf for t in ts.transitions for u in t.step for leaf, _ in u.leaves), default=0)
+    table = np.random.default_rng(len(ts.transitions)).uniform(0.01, 0.99, (3, width))
+    for leaf in {leaf for t in ts.transitions for u in t.step if u.immediate for leaf, _ in u.leaves}:
+        table[:, leaf - 1] *= 5
+    for leaves in (None, table):
+        a, b = Chain.from_ts(ts, leaves), Chain.from_ts(rg, leaves)
+        assert a.indptr.tobytes() == b.indptr.tobytes()
+        assert [a.labels[k] for k in a.label_ids.tolist()] == [b.labels[k] for k in b.label_ids.tolist()]
+        assert a.targets.tobytes() == b.targets.tobytes()
+        assert a.tangible == b.tangible and a.initial == b.initial
+        assert a.probs.tobytes() == b.probs.tobytes()
+
+
+class TestSameNumbering:
+    @pytest.mark.parametrize("expr", [pytest.param(e, id=label) for label, e in bundled_roots()])
+    def test_bundled_roots(self, expr):
+        assert_same_chain(expr)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("abstract", [True, False])
+    def test_shared_memory_family(self, n, abstract):
+        assert_same_chain(parse_model(shm_text(n, abstract)).instantiate())
+
+    def test_random_terms(self):
+        rng = make_rng(901)
+        for _ in range(200):
+            assert_same_chain(parse_static(random_regular_text(rng)))
 
 
 # ---------------------------------------------------------------------------

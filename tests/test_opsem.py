@@ -280,6 +280,18 @@ class TestTransitionSystems:
         with pytest.raises(StateSpaceLimit):
             build_ts(parse_static("({a},0.5)||({b},0.5)||({c},0.5)"), max_states=3)
 
+    def test_equality_ignores_the_cached_tables(self):
+        # two systems of the same states and transitions are equal whether
+        # or not their outgoing lists, labels or readiness were built
+        ts = ts_of("shared_memory")
+        a, b = (TransitionSystem(list(ts.states), list(ts.transitions), ts.initial, ts.expr) for _ in range(2))
+        assert a == b
+        a.outgoing(0)
+        assert a == b
+        a.labels()
+        a.readiness()
+        assert a == b and b == a
+
 
 class TestIsomorphism:
     def test_reflexive(self):

@@ -293,6 +293,13 @@ LOOP_OR_LEAVE = ("param l = 1\nparam m = 1e-40\n"
                  "root = [({s},0.5) * (({a},#l);({b},0.5)) * (({c},#m);({d},0.5))]\nindex y = phi[1]\n")
 
 
+# a model whose quotient has 4, 4, 3, 4 and 4 blocks over rho = 0.1 ... 0.5:
+# at rho = 0.3 both branches step alike and their middle states merge
+PARTITION_CHANGES = ("param rho = 0.1\n"
+                     "root = [({c},0.5) * ((({a},0.5);({b},rho)) [] (({a},0.5);({b},0.3))) * Stop]\n"
+                     "index wait = phi[2] + phi[3]\n")
+
+
 class TestBlocks:
     """The sweep solves and writes the grid a block of points at a time.
     With blocks of seven points it writes what one block writes, byte for
@@ -411,30 +418,69 @@ class TestBlocks:
             ts = base.reweight(dict(enumerate(leaves[k].tolist(), 1)))
             assert result.dtmc.tobytes() == oracles.pm_matrix(ts).tobytes()
 
-    @pytest.mark.parametrize("route", [("--quotient",), ("--per-point", "--quotient")],
-                             ids=["quotient", "per-point-quotient"])
-    def test_quotient_points_lump_as_their_systems(self, capsys, tmp_path, monkeypatch, route):
+    @staticmethod
+    def model_path(tmp_path, model):
+        """A bundled model's name, or a file of the model text given."""
+        if "\n" not in model:
+            return model
+        (tmp_path / "model.dtsi").write_text(model)
+        return tmp_path / "model.dtsi"
+
+    @pytest.mark.parametrize("route, model, rho, sizes", [
+        (route, model, rho, sizes)
+        for model, rho, sizes in [("shared_memory_abstract", (0.05, 0.95, 0.05), [6] * 19),
+                                  (PARTITION_CHANGES, (0.1, 0.5, 0.1), [4, 4, 3, 4, 4])]
+        for route in [("--quotient",), ("--per-point", "--quotient")]
+    ], ids=["quotient", "per-point-quotient", "quotient-partition-changes", "per-point-quotient-partition-changes"])
+    def test_quotient_points_lump_as_their_systems(self, capsys, tmp_path, monkeypatch, route, model, rho, sizes):
         # each point of a block's chain is lumped as the base system
         # reweighted to that point is: the same index and state-table bits,
-        # over 19 points in blocks of seven
-        self.seven_point_blocks(monkeypatch, "shared_memory_abstract")
-        assert main(["sweep", "shared_memory_abstract", "--param", "rho=0.05:0.95:0.05", *route,
-                     "--out", str(tmp_path)]) == 0
+        # over 19 points in blocks of seven, and over 5 points whose
+        # partition changes at the third
+        model = self.model_path(tmp_path, model)
+        self.seven_point_blocks(monkeypatch, model)
+        out = tmp_path / "out"
+        assert main(["sweep", str(model), "--param", "rho=%s:%s:%s" % rho, *route, "--out", str(out)]) == 0
         capsys.readouterr()
-        with open(tmp_path / "sweep.csv", encoding="utf-8") as fh:
+        with open(out / "sweep.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
-        model = load_model("shared_memory_abstract")
+        model = load_model(str(model))
         base = build_ts(model.instantiate())
-        points = oracles.sweep_points(model, {"rho": (0.05, 0.95, 0.05)})
-        assert len(rows) == len(points) == 19
+        points = oracles.sweep_points(model, {"rho": rho})
+        assert len(rows) == len(points) == len(sizes)
         for k, (row, point) in enumerate(zip(rows, points), 1):
             lumped = quotient(base.reweight(model.leaf_values(point))).chain()
+            assert lumped.size == sizes[k - 1]
             result = solve_chain(lumped)
             assert {name: row[name] for name in model.indices} == {
                 name: repr(markov.evaluate_index(expr, result)) for name, expr in model.indices.items()}
             if "--per-point" in route:
-                assert (tmp_path / "points" / ("point_%05d.csv" % k)).read_text() == export.states_csv(result)
-        assert ("--per-point" in route) == (tmp_path / "points").is_dir()
+                assert (out / "points" / ("point_%05d.csv" % k)).read_text() == export.states_csv(result)
+        assert ("--per-point" in route) == (out / "points").is_dir()
+
+    @pytest.mark.parametrize("model, argv, stacks", [
+        ("shared_memory_abstract", ["--param", "rho=0.05:0.95:0.05"], [7, 7, 5]),
+        ("shared_memory_abstract", ["--param", "rho=0.05:0.95:0.05", "--quotient"], [7, 7, 5]),
+        (PARTITION_CHANGES, ["--param", "rho=0.1:0.5:0.1"], [5]),
+        (PARTITION_CHANGES, ["--param", "rho=0.1:0.5:0.1", "--quotient"], [2, 1, 2]),
+    ], ids=["plain", "one-partition", "plain-partition-changes", "partition-changes"])
+    def test_one_solve_per_run(self, capsys, tmp_path, monkeypatch, model, argv, stacks):
+        # every block of seven points is one stack, and with --quotient each
+        # run of its points that share a partition: the 19 points of
+        # shared_memory_abstract lump by one, and the model whose partition
+        # changes at its third point lumps in runs of 2, 1 and 2 points
+        model = self.model_path(tmp_path, model)
+        self.seven_point_blocks(monkeypatch, model)
+        solved = []
+
+        def counted(chain):
+            solved.append(len(chain.probs))
+            return solve_stack(chain)
+
+        monkeypatch.setattr(cli, "solve_stack", counted)
+        assert main(["sweep", str(model), *argv, "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert solved == stacks  # the points of each solve_stack call
 
 
 def test_memory_does_not_grow_with_the_grid(tmp_path):

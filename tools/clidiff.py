@@ -20,6 +20,10 @@ same commands on each:
   points: 999 points, plain, ``--per-point``, ``--quotient`` and
   ``--quotient --tol 1e-8``, and a ``rho`` range whose point 1.0, out of
   range, lies in its second block;
+* ``sweep --quotient`` and ``sweep --per-point --quotient`` of a
+  generated 4-state model whose partition changes along the grid: 4, 4, 3,
+  4 and 4 blocks over ``rho`` = 0.1 … 0.5, so that the quotient route
+  solves three runs of points that share a partition;
 * ``ts``, ``box``, ``solve`` and ``quotient`` on four models that are input
   errors: an unbound parameter, a probability of 1.5, a barred root and a
   root that is not regular.
@@ -51,6 +55,12 @@ SWEEP_MIDDLE_OUT = "rho=0.2:1.8:0.4"  # 0.2, 0.6, 1.0, 1.4, 1.8
 # grids of more points than one solver block holds (404 for 9 states)
 SWEEP_BLOCKS = "rho=0.001:0.999:0.001"
 SWEEP_LATE_OUT = "rho=0.9:1.05:0.0002"  # 1.0 is point 501
+# a model whose quotient has 4, 4, 3, 4 and 4 blocks over SWEEP_RUNS: at
+# rho = 0.3 both branches step alike and their middle states merge
+RUNS_MODEL = ("param rho = 0.1\n"
+              "root = [({c},0.5) * ((({a},0.5);({b},rho)) [] (({a},0.5);({b},0.3))) * Stop]\n"
+              "index wait = phi[2] + phi[3]\n")
+SWEEP_RUNS = "rho=0.1:0.5:0.1"
 ERROR_MODELS = {
     "unbound.dtsi": "root = ({a},rho)\n",
     "prob15.dtsi": "root = ({a},1.5)\n",
@@ -98,6 +108,10 @@ def commands(a: Path, models: Path) -> List[List[str]]:
             ["sweep", "shared_memory_abstract", "--param", SWEEP_BLOCKS, "--quotient", OUT],
             ["sweep", "shared_memory_abstract", "--param", SWEEP_BLOCKS, "--quotient", "--tol", "1e-8", OUT],
             ["sweep", "shared_memory_abstract", "--param", SWEEP_LATE_OUT, OUT]]
+    path = models / "runs.dtsi"
+    path.write_text(RUNS_MODEL)
+    out += [["sweep", str(path), "--param", SWEEP_RUNS, *flags, OUT]
+            for flags in (["--quotient"], ["--per-point", "--quotient"])]
     for name, text in ERROR_MODELS.items():
         path = models / name
         path.write_text(text)
